@@ -14,7 +14,7 @@ import sys
 
 from .exact import Mat2, QuadSurd
 from .farey import IrreducibleFraction
-from .gmtree import GMParams, format_sigma, gm_node, parse_sigma
+from .gmtree import GMParams, gm_node, parse_sigma
 from .cohn import cohn_closed_form, cohn_recursive
 from .lattice import admissible_sequence, gm_distance
 from .spectrum import (
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _block_of(args) -> tuple[int, ...]:
-    if args.seq:
+    if args.seq is not None:
         return _seq_of(args.seq)
     t = IrreducibleFraction.parse(args.t)
     return admissible_sequence(t, _params_of(args))
@@ -238,22 +238,25 @@ def _spectrum_cmd(args) -> int:
     k = tuple(int(x) for x in args.k.split(","))
     if len(k) != 3:
         raise ValueError("--k expects three comma-separated integers")
+    text = args.format == "text"
     if args.kmax is not None:
         hits = transition_scan(args.kmax, args.depth)
         payload = [
             {**el.to_json(), "k1": kk[0], "k2": kk[1], "k3": kk[2]} for kk, el in hits
         ]
-        lines = [f"note: {TRANSITION_CAVEAT}"]
-        lines += [f"k=({kk[0]},{kk[1]},{kk[2]}) {el.value} = {el.value.decimal()}" for kk, el in hits]
+        lines = [f"note: {TRANSITION_CAVEAT}"] + [
+            f"k=({kk[0]},{kk[1]},{kk[2]}) {el.value} = {row['decimal']}"
+            for (kk, el), row in zip(hits, payload)
+        ] if text else []
         _emit(args, "\n".join(lines), payload)
         return 0
     elems = enumerate_spectrum(k, args.depth)
     payload = [el.to_json() for el in elems]
     lines = [
-        f"{el.value} = {el.value.decimal()}  (t={el.t}, n={el.n}, pos={el.pos}, "
-        f"sigma={format_sigma(el.params.sigma)})"
-        for el in elems
-    ]
+        f"{el.value} = {row['decimal']}  (t={el.t}, n={el.n}, pos={el.pos}, "
+        f"sigma={row['sigma']})"
+        for el, row in zip(elems, payload)
+    ] if text else []
     _emit(args, "\n".join(lines), payload)
     return 0
 

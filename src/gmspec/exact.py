@@ -482,6 +482,14 @@ def decimal_str(x: QuadSurd, sig: int = 12) -> str:
     """Correctly rounded decimal string with `sig` significant digits."""
     if x.is_rational and x.p == 0:
         return "0." + "0" * (sig - 1)
+    if x.p == 0 and x.q > 0:
+        return _decimal_sqrt_ratio(x.q * x.q * x.D, x.r * x.r, sig)
+    return _decimal_interval(x, sig)
+
+
+def _decimal_interval(x: QuadSurd, sig: int) -> str:
+    """decimal_str for any nonzero surd, by refining an enclosing interval
+    until both ends round alike."""
     bits = 8 * sig
     while True:
         lo, hi = x.interval(bits)
@@ -489,6 +497,32 @@ def decimal_str(x: QuadSurd, sig: int = 12) -> str:
         if rlo == rhi:
             return rlo
         bits *= 2
+
+
+def _decimal_sqrt_ratio(num: int, den: int, sig: int) -> str:
+    """decimal_str of sqrt(num/den) for num, den > 0, in integer arithmetic.
+
+    The exponent e has 10^(2e) <= num/den < 10^(2e+2).  With the value
+    scaled to sqrt(a/b) in [10^(sig-1), 10^sig), its digits are
+    m = isqrt(a // b), and rounding half up adds one when 4a >= (2m+1)^2 b,
+    that is, when the scaled value is at least m + 1/2.
+    """
+    # log10(2) ~ 0.30103 gives a first guess that the loops below correct
+    e = (num.bit_length() - den.bit_length()) * 30103 // 200000
+
+    def at_least(e: int) -> bool:  # 10^(2e) <= num/den
+        return 100**e * den <= num if e >= 0 else den <= num * 100**-e
+
+    while not at_least(e):
+        e -= 1
+    while at_least(e + 1):
+        e += 1
+    shift = sig - 1 - e
+    a, b = (num * 100**shift, den) if shift >= 0 else (num, den * 100**-shift)
+    m = math.isqrt(a // b)
+    if 4 * a >= (2 * m + 1) ** 2 * b:
+        m += 1
+    return _format_sig(m, e, sig, False)
 
 
 def _round_sig(v: Fraction, sig: int) -> str:
@@ -509,6 +543,12 @@ def _round_sig(v: Fraction, sig: int) -> str:
     n = scaled.numerator // scaled.denominator
     if 2 * (scaled - n) >= 1:
         n += 1
+    return _format_sig(n, e, sig, neg)
+
+
+def _format_sig(n: int, e: int, sig: int, neg: bool) -> str:
+    """Render the sig-digit mantissa n (10^(sig-1) <= n <= 10^sig, the top
+    end being a rounding carry) times 10^(e-sig+1)."""
     digits = str(n)
     if len(digits) > sig:  # rounding bumped 999.. to 1000..
         digits = digits[:sig]

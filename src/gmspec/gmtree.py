@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .farey import FAREY_ROOT, IrreducibleFraction, farey_path
+from .farey import IrreducibleFraction, farey_path
 
 __all__ = [
     "Sigma",
@@ -110,7 +110,7 @@ class GMParams:
         return f"k=({self.k1},{self.k2},{self.k3}) sigma={format_sigma(self.sigma)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GMPair:
     value: int
     pos: int
@@ -142,32 +142,63 @@ def gm_check(x: int, y: int, z: int, k: tuple[int, int, int]) -> bool:
     return lhs == (3 + k1 + k2 + k3) * x * y * z
 
 
-def _root(params: GMParams) -> GMNode:
+# A raw vertex (a, h, b, i, c, j): the (value, pos) pairs left, mid, right.
+_RawVertex = tuple[int, int, int, int, int, int]
+
+
+def _root(params: GMParams) -> _RawVertex:
     s = params.sigma
-    return GMNode(
-        GMPair(1, s[0]),
-        GMPair(params.k_at(s[1]) + 2, s[1]),
-        GMPair(1, s[2]),
-    )
+    return 1, s[0], params.k_at(s[1]) + 2, s[1], 1, s[2]
 
 
-def _child(node: GMNode, params: GMParams, direction: str) -> GMNode:
-    (a, h), (b, i), (c, j) = (
-        (node.left.value, node.left.pos),
-        (node.mid.value, node.mid.pos),
-        (node.right.value, node.right.pos),
-    )
+def _child(node: _RawVertex, k: tuple[int, int, int], direction: str) -> _RawVertex:
+    """One Vieta step: the new middle value replaces the right ("L") or the
+    left ("R") entry, and the old middle moves to its place."""
+    a, h, b, i, c, j = node
     if direction == "L":
-        num = a * a + params.k_at(j) * a * b + b * b
-        val, rem = divmod(num, c)
-        if rem:
-            raise AssertionError(f"inexact division {num}/{c} in tree recursion")
-        return GMNode(node.left, GMPair(val, j), node.mid)
-    num = b * b + params.k_at(h) * b * c + c * c
-    val, rem = divmod(num, a)
+        num, den = a * a + k[j - 1] * a * b + b * b, c
+        val, rem = divmod(num, den)
+        child = (a, h, val, j, b, i)
+    else:
+        num, den = b * b + k[h - 1] * b * c + c * c, a
+        val, rem = divmod(num, den)
+        child = (b, i, val, h, c, j)
     if rem:
-        raise AssertionError(f"inexact division {num}/{a} in tree recursion")
-    return GMNode(node.mid, GMPair(val, h), node.right)
+        raise AssertionError(f"inexact division {num}/{den} in tree recursion")
+    return child
+
+
+def _as_node(node: _RawVertex) -> GMNode:
+    a, h, b, i, c, j = node
+    return GMNode(GMPair(a, h), GMPair(b, i), GMPair(c, j))
+
+
+def _walk_tree(
+    params: GMParams, depth: int
+) -> list[tuple[int, int, int, int, _RawVertex]]:
+    """All vertices with tree depth <= depth, breadth-first, left before right,
+    on plain integers.
+
+    Each entry is (ln, ld, rn, rd, vertex): the vertex's Farey triple is
+    (ln/ld, (ln+rn)/(ld+rd), rn/rd), so its middle label is the mediant of
+    the two outer ones.
+    """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    k = (params.k1, params.k2, params.k3)
+    level = [(0, 1, 1, 0, _root(params))]
+    out = list(level)
+    for _ in range(depth):
+        level = [
+            child
+            for ln, ld, rn, rd, node in level
+            for child in (
+                (ln, ld, ln + rn, ld + rd, _child(node, k, "L")),
+                (ln + rn, ld + rd, rn, rd, _child(node, k, "R")),
+            )
+        ]
+        out += level
+    return out
 
 
 @lru_cache(maxsize=1 << 14)
@@ -177,12 +208,12 @@ def gm_node(t: IrreducibleFraction, params: GMParams) -> GMNode:
     For the boundary labels 0/1 and 1/0 the root vertex is returned; their
     pairs of interest are its left and right entries.
     """
-    if t.is_boundary:
-        return _root(params)
     node = _root(params)
-    for step in farey_path(t):
-        node = _child(node, params, step)
-    return node
+    if not t.is_boundary:
+        k = (params.k1, params.k2, params.k3)
+        for step in farey_path(t):
+            node = _child(node, k, step)
+    return _as_node(node)
 
 
 def gm_pair(t: IrreducibleFraction, params: GMParams) -> GMPair:
@@ -218,17 +249,7 @@ def enumerate_tree(
 
     Each vertex is paired with the fraction labeling its middle entry.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    out: list[tuple[IrreducibleFraction, GMNode]] = []
-    level = [(FAREY_ROOT, _root(params))]
-    for d in range(depth + 1):
-        for ftriple, node in level:
-            out.append((ftriple.mid, node))
-        if d < depth:
-            level = [
-                (ftriple.child(step), _child(node, params, step))
-                for ftriple, node in level
-                for step in ("L", "R")
-            ]
-    return out
+    return [
+        (IrreducibleFraction(ln + rn, ld + rd), _as_node(node))
+        for ln, ld, rn, rd, node in _walk_tree(params, depth)
+    ]

@@ -1,10 +1,14 @@
 """Exact elements of the generalized discrete Markov spectra.
 
 Values are quadratic surds sqrt(Delta)/n with
-Delta(n, i) = ((3 + k1 + k2 + k3) * n - k_i)^2 - 4.  Enumeration walks the
-solution trees for the even permutations only (the full union is unchanged),
-deduplicates by exact value, and sorts ascending.  The window scan compares
-exactly against the stored transition-interval upper endpoint.
+Delta(n, i) = ((3 + k1 + k2 + k3) * n - k_i)^2 - 4, so the two integers
+(Delta, n) settle a value's identity and its order.  Enumeration walks the
+solution trees for the even permutations only (the full union is unchanged)
+and carries every element as plain integers: the walk, the deduplication by
+exact value and the ascending sort never build a surd or a Fraction.  Only
+the distinct values returned become `SpectrumElement`s, with their
+`QuadSurd` and label.  The window scan compares those exactly against 3 and
+the stored transition-interval upper endpoint.
 
 Finite-depth enumeration can only certify membership: a scan lists every
 enumerated element inside the window but cannot by itself exhaust the
@@ -15,15 +19,13 @@ leave the window once n is large.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exact import QuadSurd, cf_matrix
 from .farey import IrreducibleFraction
-from .gmtree import ALTERNATING, GMParams, enumerate_tree, gm_pair
+from .gmtree import ALTERNATING, GMParams, _walk_tree, gm_pair
 
 __all__ = [
     "FREIMAN_CONSTANT",
@@ -234,43 +236,46 @@ def markov_sup_exact(q: QForm, bound: int) -> QuadSurd | None:
 # spectra
 # ---------------------------------------------------------------------------
 
-def _boundary_elements(params: GMParams) -> list[SpectrumElement]:
-    zero = IrreducibleFraction(0, 1)
-    inf = IrreducibleFraction(1, 0)
-    return [markov_value(zero, params), markov_value(inf, params)]
-
-
 def enumerate_spectrum(
     k: tuple[int, int, int], depth: int
 ) -> list[SpectrumElement]:
     """Distinct spectrum values from all trees of k at tree depth <= depth.
 
     The permutation ranges over the even permutations (the union over all
-    six is the same set); both boundary labels feed every tree and exact
-    value equality deduplicates across trees.  Ascending order.
+    six is the same set), in `ALTERNATING` order; each tree contributes its
+    two boundary labels 0/1 and 1/0 first, then its vertices breadth-first.
+    Every element is walked as plain integers (label, n, pos) and keyed by
+    its reduced pair (Delta/g, n^2/g), g = gcd(Delta, n^2), which is the
+    exact value squared in lowest terms; the first witness of each value is
+    kept.  The distinct values are sorted ascending by an integer key exact
+    on this set (see below), and only they are built into `SpectrumElement`s.
     """
-    seen: dict[Fraction, SpectrumElement] = {}
+    seen: dict[tuple[int, int], tuple] = {}
     for sigma in ALTERNATING:
         params = GMParams(*k, sigma)
-        elems = _boundary_elements(params)
-        for t, node in enumerate_tree(params, depth):
-            n, pos = node.mid.value, node.mid.pos
-            delta = (params.coeff_sum * n - params.k_at(pos)) ** 2 - 4
-            elems.append(
-                SpectrumElement(QuadSurd(0, 1, delta, n), n, pos, t, params)
-            )
-        for el in elems:
-            key = el.sort_key()
+        big_k = params.coeff_sum
+        walk = _walk_tree(params, depth)
+        # the boundary labels 0/1 and 1/0 carry the root's outer pairs
+        root = walk[0][4]
+        witnesses = [(0, 1, root[0], root[1]), (1, 0, root[4], root[5])]
+        witnesses += [(ln + rn, ld + rd, node[2], node[3]) for ln, ld, rn, rd, node in walk]
+        for num, den, n, pos in witnesses:
+            delta = (big_k * n - k[pos - 1]) ** 2 - 4
+            n2 = n * n
+            g = math.gcd(delta, n2)
+            key = (delta // g, n2 // g)
             if key not in seen:
-                seen[key] = el
-    return [seen[key] for key in sorted(seen)]
-
-
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("GMSPEC_THREADS", "1")))
-    except ValueError:
-        return 1
+                seen[key] = (delta, n, pos, num, den, params)
+    # Distinct reduced pairs d1/m1 != d2/m2 differ by at least 1/(m1*m2), so
+    # floor(2^bits * d/m) with 2^bits >= max(m)^2 is strictly increasing in
+    # the value: an exact integer sort key, with no tie to break.
+    bits = 2 * max(m for _, m in seen).bit_length()
+    elems = []
+    for key in sorted(seen, key=lambda dm: (dm[0] << bits) // dm[1]):
+        delta, n, pos, num, den, params = seen[key]
+        t = IrreducibleFraction(num, den)
+        elems.append(SpectrumElement(QuadSurd(0, 1, delta, n), n, pos, t, params))
+    return elems
 
 
 def transition_scan(
@@ -289,23 +294,11 @@ def transition_scan(
         for l in range(kmax + 1)
     ]
     three = QuadSurd.from_fraction(3)
-
-    def scan_one(k: tuple[int, int, int]):
-        hits = []
+    out: list[tuple[tuple[int, int, int], SpectrumElement]] = []
+    for k in triples:
         for el in enumerate_spectrum(k, depth):
             if el.value < three:
                 continue
             if el.value < FREIMAN_CONSTANT:
-                hits.append((k, el))
-        return hits
-
-    workers = _max_workers()
-    out: list[tuple[tuple[int, int, int], SpectrumElement]] = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for hits in pool.map(scan_one, triples):
-                out.extend(hits)
-    else:
-        for k in triples:
-            out.extend(scan_one(k))
+                out.append((k, el))
     return out

@@ -92,3 +92,19 @@ def test_out_file(tmp_path):
     target = tmp_path / "out.json"
     assert run(["--format", "json", "--out", str(target), "seq", "--t", "1/2"]) == 0
     assert json.loads(target.read_text())["s"] == [2, 1, 1, 2]
+
+
+def _one_line_domain_error(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gmspec: ") and err.count("\n") == 1
+
+
+def test_empty_seq_is_a_domain_error(capsys):
+    for cmd in ("lagrange", "alpha", "qform"):
+        _one_line_domain_error(capsys, [cmd, "--seq", ""])
+
+
+def test_negative_spectrum_depth_is_a_domain_error(capsys):
+    _one_line_domain_error(capsys, ["spectrum", "--depth", "-1"])
+    _one_line_domain_error(capsys, ["spectrum", "--kmax", "1", "--depth", "-1"])

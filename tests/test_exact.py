@@ -7,6 +7,7 @@ from gmspec.exact import (
     QuadSurd,
     cf_eval_periodic,
     cf_matrix,
+    _decimal_interval,
     decimal_str,
     period_divides_block,
     periodic_cf_expansion,
@@ -137,6 +138,33 @@ def test_decimal_rendering():
     assert decimal_str(FREIMAN, 12) == "4.52782956616"
     assert decimal_str(QuadSurd(-3, 0, 1, 2), 3) == "-1.50"
     assert decimal_str(QuadSurd(0, 1, 5, 1), 4) == "2.236"
+
+
+def test_integer_decimal_path_matches_interval_path():
+    rng = random.Random(19)
+    surds = [
+        QuadSurd(0, 1, 99999999, 1000),  # 9.99999995: carries to 10.0 below 8 digits
+        QuadSurd(0, 1, 999999, 1),  # 999.99949..: carries to 1000 at 4 digits
+        QuadSurd(0, 1, 2, 10**7),  # 1.41e-07: scientific, e < -4
+        QuadSurd(0, 3, 7, 10**5),  # 7.9e-05: scientific, e < -4
+        QuadSurd(0, 10**9, 3, 1),  # 1.73e+09: scientific once e >= sig
+        QuadSurd(0, 1, 10**30 - 1, 1),  # 9.99...e+14: carry into a scientific exponent
+    ]
+    for _ in range(300):
+        D = rng.randint(2, 10 ** rng.randint(1, 40))
+        r = rng.randint(1, 10 ** rng.randint(0, 30))
+        surds.append(QuadSurd(0, rng.randint(1, 10**6), D, r))
+    tried = 0
+    for x in surds:
+        if x.is_rational:
+            continue
+        for sig in range(1, 21):
+            assert decimal_str(x, sig) == _decimal_interval(x, sig), (x, sig)
+            tried += 1
+    assert tried > 5000
+    assert decimal_str(QuadSurd(0, 1, 99999999, 1000), 7) == "10.00000"
+    assert decimal_str(QuadSurd(0, 1, 2, 10**7), 3) == "1.41e-07"
+    assert decimal_str(QuadSurd(0, 10**9, 3, 1), 3) == "1.73e+09"
 
 
 def test_str_format():

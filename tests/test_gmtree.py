@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gmspec.farey import IrreducibleFraction
+from gmspec.farey import FAREY_ROOT, IrreducibleFraction
 from gmspec.gmtree import (
     ALL_SIGMAS,
     GMNode,
@@ -98,6 +98,19 @@ def test_enumerate_tree_counts_and_fixtures():
 
     for depth in range(4):
         assert len(enumerate_tree(GMParams(0, 0, 0), depth)) == 2 ** (depth + 1) - 1
+
+
+def test_enumerate_tree_follows_farey_triples_and_gm_node():
+    # labels against the adjacency-checked FareyTriple walk, vertices against
+    # the per-label descent of gm_node
+    params = GMParams(1, 2, 0, parse_sigma("(1 3 2)"))
+    level, labels = [FAREY_ROOT], []
+    for _ in range(6):
+        labels += [triple.mid for triple in level]
+        level = [triple.child(step) for triple in level for step in ("L", "R")]
+    nodes = enumerate_tree(params, 5)
+    assert [t for t, _ in nodes] == labels
+    assert all(node == gm_node(t, params) for t, node in nodes)
 
 
 def test_every_node_solves_equation_and_is_coprime():

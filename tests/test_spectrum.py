@@ -5,10 +5,11 @@ import pytest
 
 from gmspec.exact import QuadSurd, periodic_cf_expansion, period_divides_block
 from gmspec.farey import IrreducibleFraction
-from gmspec.gmtree import ALL_SIGMAS, GMParams, parse_sigma
+from gmspec.gmtree import ALL_SIGMAS, ALTERNATING, GMParams, enumerate_tree, parse_sigma
 from gmspec.lattice import admissible_sequence
 from gmspec.spectrum import (
     FREIMAN_CONSTANT,
+    SpectrumElement,
     alpha_fixed_point,
     ell_periodic,
     enumerate_spectrum,
@@ -19,7 +20,7 @@ from gmspec.spectrum import (
     qform_of,
     transition_scan,
 )
-from gmspec.verify import grid_fractions
+from gmspec.verify import grid_fractions, grid_triples
 
 F = IrreducibleFraction.parse
 
@@ -211,3 +212,36 @@ def test_transition_scan_tiny():
     assert all(k != (0, 0, 0) for k, _ in hits)
     from_011 = {el.sort_key() for k, el in hits if k == (0, 1, 1)}
     assert from_011 == {QuadSurd(0, 2, 3, 1).squared_fraction()}
+
+
+def _reference_spectrum(k, depth):
+    """The surd-per-vertex enumeration: a SpectrumElement for every boundary
+    label and tree vertex, deduplicated and sorted on Fraction keys."""
+    seen = {}
+    for sigma in ALTERNATING:
+        params = GMParams(*k, sigma)
+        elems = [markov_value(F("0/1"), params), markov_value(F("1/0"), params)]
+        for t, node in enumerate_tree(params, depth):
+            n, pos = node.mid.value, node.mid.pos
+            delta = (params.coeff_sum * n - params.k_at(pos)) ** 2 - 4
+            elems.append(SpectrumElement(QuadSurd(0, 1, delta, n), n, pos, t, params))
+        for el in elems:
+            seen.setdefault(el.value.squared_fraction(), el)
+    return [seen[key] for key in sorted(seen)]
+
+
+def _rows(elems):
+    return [
+        (el.value.p, el.value.q, el.value.D, el.value.r, el.n, el.pos, el.t, el.params.sigma)
+        for el in elems
+    ]
+
+
+@pytest.mark.parametrize(
+    "k, depths",
+    [(k, range(5)) for k in grid_triples()]
+    + [(k, (6,)) for k in ((0, 1, 5), (0, 2, 4), (1, 2, 3), (0, 0, 5), (1, 1, 3), (2, 2, 1))],
+)
+def test_enumerate_spectrum_matches_reference(k, depths):
+    for depth in depths:
+        assert _rows(enumerate_spectrum(k, depth)) == _rows(_reference_spectrum(k, depth))
