@@ -17,53 +17,121 @@ lattice points.  A directed curve crossing it picks up signs three ways:
 Run-length encoding the sign string gives the admissible sequence of a
 fraction label, and the length/distance of a lattice segment.
 
-Infinitesimal offsets are carried exactly to first order, so every side
-decision and every event ordering is exact integer arithmetic.
+Both come from one crossing-event engine, `_crossing_signs`, which traces
+p(c) = a + c*d + eps*u for 0 < c < 1: a is a lattice point, d and u are
+integer vectors and eps is infinitesimal.  It crosses the vertical, horizontal
+and antidiagonal lines strictly between a and a + d, and under the start-line
+rule also those through a.  Each crossing is keyed by c, scaled to an integer
+(zeroth order, first order in eps) pair, so events sort exactly; an integer
+coordinate of a crossing point is floored by the sign of its first-order term.
+A point p lies right of the curve iff cross(d, p - a) - eps*(d x u) < 0, so
+points on the line itself fall right iff d x u > 0.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Literal, Sequence
 
 from .farey import IrreducibleFraction
 from .gmtree import GMParams
 from .snake import continuant
 
-__all__ = [
-    "admissible_sequence",
-    "admissible_sequence_with_delta",
-    "segment_sign_sequence",
-    "gm_length",
-    "gm_distance",
-]
+__all__ = ["admissible_sequence", "segment_sign_sequence", "gm_length", "gm_distance"]
 
 Point = tuple[int, int]
-_KINDS = "hdv"  # horizontal, diagonal, vertical
+Edge = tuple[Point, Point]
 
 
-def _rle(signs: Sequence[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    prev = 0
-    for s in signs:
-        if s == prev:
-            out[-1] += 1
-        else:
-            out.append(1)
-            prev = s
-    return tuple(out)
-
-
-def _shared_vertex(e1: tuple[Point, Point], e2: tuple[Point, Point]) -> Point:
+def _shared_vertex(e1: Edge, e2: Edge) -> Point:
     common = set(e1) & set(e2)
     assert len(common) == 1, f"edges {e1}, {e2} do not bound one triangle"
     return common.pop()
 
 
-# ---------------------------------------------------------------------------
-# admissible sequence of a fraction label (hot path, integer arithmetic)
-# ---------------------------------------------------------------------------
+def _rle(parts: Sequence[int]) -> tuple[int, ...]:
+    """Run lengths of a sign string given as nonzero signed counts."""
+    runs: list[int] = []
+    for p in parts:
+        if runs and runs[-1] * p > 0:
+            runs[-1] += p
+        else:
+            runs.append(p)
+    return tuple(map(abs, runs))
+
+
+def _lines(p: int, q: int, start: bool) -> range:
+    """Integer lines strictly between p and q, plus the line p when start."""
+    if p <= q:
+        return range(p + 1 - start, q)
+    return range(q + 1, p + start)
+
+
+def _tie_down(first_order: int) -> int:
+    """Floor correction at an exact integer coordinate: 1 if the curve passes
+    just below it (negative first-order term), 0 if just above."""
+    assert first_order, "curve passes through a lattice point"
+    return first_order < 0
+
+
+def _crossing_signs(
+    a: Point, d: Point, u: Point, kappa: tuple[int, int, int], start: bool, closing: Edge | None
+) -> list[int]:
+    """Sign string of p(c) = a + c*d + eps*u as nonzero signed counts: +k
+    stands for k plus signs, -k for k minus signs.
+
+    kappa gives the edge multiplicities (horizontal, diagonal, vertical).
+    Consecutive crossed edges sign the triangle between them; a closing
+    edge, if given, signs the triangle after the last crossing.
+    """
+    ax, ay = a
+    dx, dy = d
+    ux, uy = u
+    s = dx + dy
+    cross_du = dx * uy - dy * ux
+    base = ay * dx - ax * dy  # cross(d, p - a) = dx*py - dy*px - base
+    # a doubled point (px2, py2) is right of the curve iff dx*py2 - dy*px2 < lim
+    lim = 2 * base + (cross_du > 0)
+    scale = abs((dx or 1) * (dy or 1) * (s or 1))  # c * scale is an integer pair
+    kh, kd, kv = kappa
+
+    # the curve meets x = i at y = (base + i*dy)/dx + eps*cross_du/dx, and y = j
+    # (x + y = m) at x = (n*dx - base)/q - eps*cross_du/q with n, q = j, dy (m, s)
+    events: list[tuple[int, int, int, Edge]] = []
+    for i in _lines(ax, ax + dx, start):
+        y, r = divmod(base + i * dy, dx)
+        if not r:
+            y -= _tie_down(cross_du * dx)
+        events.append(((i - ax) * scale // dx, -ux * scale // dx, kv, ((i, y), (i, y + 1))))
+    for j in _lines(ay, ay + dy, start):
+        x, r = divmod(j * dx - base, dy)
+        if not r:
+            x -= _tie_down(-cross_du * dy)
+        events.append(((j - ay) * scale // dy, -uy * scale // dy, kh, ((x, j), (x + 1, j))))
+    for m in _lines(ax + ay, ax + ay + s, start):
+        x, r = divmod(m * dx - base, s)
+        if not r:
+            x -= _tie_down(-cross_du * s)
+        y = m - x
+        events.append(
+            ((m - ax - ay) * scale // s, -(ux + uy) * scale // s, kd, ((x, y), (x + 1, y - 1)))
+        )
+    events.sort()
+    if closing is not None:
+        events.append((0, 0, 0, closing))  # signs only the triangle before it
+
+    parts: list[int] = []
+    prev: Edge | None = None
+    for _, _, mult, edge in events:
+        if prev is not None:
+            vx, vy = _shared_vertex(prev, edge)
+            parts.append(-1 if 2 * (dx * vy - dy * vx) < lim else 1)
+        if mult:
+            (px, py), (qx, qy) = edge
+            parts.append(mult if dx * (py + qy) - dy * (px + qx) < lim else -mult)
+        prev = edge
+    return parts
+
 
 def admissible_sequence(t: IrreducibleFraction, params: GMParams) -> tuple[int, ...]:
     """Sign sequence of the leftward-shifted segment (0,0) -> (den, num).
@@ -81,111 +149,10 @@ def admissible_sequence(t: IrreducibleFraction, params: GMParams) -> tuple[int, 
     if t.is_infinity:
         return (1 + kap[0] + kap[1], 1)
     a, b = t.num, t.den
-    # events: (sort key, kind, edge endpoints, doubled midpoint); keys are the
-    # crossing x-positions scaled by a*(a+b), first-order in delta
-    M = a * (a + b)
-    events: list[tuple[tuple[int, int], str, tuple[Point, Point], Point]] = []
-    for i in range(b):
-        y0 = a * i // b
-        events.append(
-            ((i * M, 0), "v", ((i, y0), (i, y0 + 1)), (2 * i, 2 * y0 + 1))
-        )
-    for j in range(a):
-        xf = -1 if j == 0 else b * j // a
-        events.append(
-            (((b * j) * (a + b), -M), "h", ((xf, j), (xf + 1, j)), (2 * xf + 1, 2 * j))
-        )
-    for m in range(a + b):
-        bm = b * m
-        c = bm // (a + b) - (0 if bm % (a + b) else 1)
-        events.append(
-            (
-                (a * bm, -a * a),
-                "d",
-                ((c, m - c), (c + 1, m - c - 1)),
-                (2 * c + 1, 2 * (m - c) - 1),
-            )
-        )
-    events.sort(key=lambda e: e[0])
+    return _rle(_crossing_signs((0, 0), (b, a), (-1, 0), kap, True, ((b - 1, a), (b, a))))
 
-    def right_of(px2: int, py2: int) -> bool:
-        # doubled coords; side value is b*y - a*x - a*delta, ties fall right
-        return b * py2 - a * px2 <= 0
-
-    mult = dict(zip(_KINDS, kap))
-    terminal_edge: tuple[Point, Point] = ((b - 1, a), (b, a))
-    signs: list[int] = []
-    for idx, (_, kind, edge, mid2) in enumerate(events):
-        signs.extend([1 if right_of(*mid2) else -1] * mult[kind])
-        nxt = events[idx + 1][2] if idx + 1 < len(events) else terminal_edge
-        vx, vy = _shared_vertex(edge, nxt)
-        signs.append(-1 if right_of(2 * vx, 2 * vy) else 1)
-    return _rle(signs)
-
-
-def admissible_sequence_with_delta(
-    t: IrreducibleFraction, params: GMParams, delta: Fraction | None = None
-) -> tuple[int, ...]:
-    """Reference construction with a concrete rational shift.
-
-    Same geometry as admissible_sequence but with an explicit delta instead
-    of a symbolic infinitesimal; any delta in (0, 1/(4*(num+den)**2)] yields
-    the identical sign string.  Used to cross-validate the fast path.
-    """
-    kap = params.kappa
-    if t.is_boundary:
-        return admissible_sequence(t, params)
-    a, b = t.num, t.den
-    if delta is None:
-        delta = Fraction(1, 4 * (a + b) ** 2)
-    if not 0 < delta <= Fraction(1, 4 * (a + b) ** 2):
-        raise ValueError("delta too large for a faithful shift")
-    events: list[tuple[Fraction, str, tuple[Point, Point], Point]] = []
-    for i in range(b):
-        y = Fraction(a * (i + delta), b)
-        y0 = y.numerator // y.denominator
-        events.append((Fraction(i), "v", ((i, y0), (i, y0 + 1)), (2 * i, 2 * y0 + 1)))
-    for j in range(a):
-        x = Fraction(b * j, a) - delta
-        xf = x.numerator // x.denominator
-        events.append((x, "h", ((xf, j), (xf + 1, j)), (2 * xf + 1, 2 * j)))
-    for m in range(a + b):
-        x = Fraction(b * m - a * delta, a + b)
-        c = x.numerator // x.denominator
-        events.append(
-            (x, "d", ((c, m - c), (c + 1, m - c - 1)), (2 * c + 1, 2 * (m - c) - 1))
-        )
-    events.sort(key=lambda e: e[0])
-
-    def right_of(px2: int, py2: int) -> bool:
-        return b * py2 - a * px2 - 2 * a * delta < 0
-
-    mult = dict(zip(_KINDS, kap))
-    terminal_edge: tuple[Point, Point] = ((b - 1, a), (b, a))
-    signs: list[int] = []
-    for idx, (_, kind, edge, mid2) in enumerate(events):
-        signs.extend([1 if right_of(*mid2) else -1] * mult[kind])
-        nxt = events[idx + 1][2] if idx + 1 < len(events) else terminal_edge
-        vx, vy = _shared_vertex(edge, nxt)
-        signs.append(-1 if right_of(2 * vx, 2 * vy) else 1)
-    return _rle(signs)
-
-
-# ---------------------------------------------------------------------------
-# lattice segments between arbitrary endpoints
-# ---------------------------------------------------------------------------
 
 _UNIT_STEPS = {(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)}
-
-
-def _dual_floor(c0: Fraction, c1: Fraction) -> int:
-    if c0.denominator != 1:
-        return c0.numerator // c0.denominator
-    if c1 > 0:
-        return int(c0)
-    if c1 < 0:
-        return int(c0) - 1
-    raise AssertionError("curve passes through a lattice point")
 
 
 def segment_sign_sequence(
@@ -210,63 +177,17 @@ def segment_sign_sequence(
     if (dx, dy) in _UNIT_STEPS:
         return ()
     if math.gcd(dx, dy) == 1:
-        ux, uy = 0, 0
+        u = (0, 0)
     elif side == "left":
-        ux, uy = -dy, dx
+        u = (-dy, dx)
     elif side == "right":
-        ux, uy = dy, -dx
+        u = (dy, -dx)
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
-    events: list[tuple[tuple[Fraction, Fraction], str, tuple[Point, Point], Point]] = []
-
-    def between(p: int, q: int) -> range:
-        return range(min(p, q) + 1, max(p, q))
-
-    for i in between(a[0], b[0]):
-        c0 = Fraction(i - a[0], dx)
-        c1 = Fraction(-ux, dx)
-        yf = _dual_floor(a[1] + c0 * dy, c1 * dy + uy)
-        events.append(((c0, c1), "v", ((i, yf), (i, yf + 1)), (2 * i, 2 * yf + 1)))
-    for j in between(a[1], b[1]):
-        c0 = Fraction(j - a[1], dy)
-        c1 = Fraction(-uy, dy)
-        xf = _dual_floor(a[0] + c0 * dx, c1 * dx + ux)
-        events.append(((c0, c1), "h", ((xf, j), (xf + 1, j)), (2 * xf + 1, 2 * j)))
-    for m in between(a[0] + a[1], b[0] + b[1]):
-        s = dx + dy
-        c0 = Fraction(m - a[0] - a[1], s)
-        c1 = Fraction(-(ux + uy), s)
-        xf = _dual_floor(a[0] + c0 * dx, c1 * dx + ux)
-        events.append(
-            (
-                (c0, c1),
-                "d",
-                ((xf, m - xf), (xf + 1, m - xf - 1)),
-                (2 * xf + 1, 2 * (m - xf) - 1),
-            )
-        )
-    if not events:
-        return ()
-    events.sort(key=lambda e: e[0])
-
-    # side value is cross(d, p - a) - eps*bias; bias > 0 sends ties right
-    bias = dx * uy - dy * ux
-
-    def right_of(px2: int, py2: int) -> bool:
-        cross0 = dx * (py2 - 2 * a[1]) - dy * (px2 - 2 * a[0])
-        return cross0 < 0 or (cross0 == 0 and bias > 0)
-
-    mult = dict(zip(_KINDS, params.kappa))
-    parts: list[int] = []
-    for idx, (_, kind, edge, mid2) in enumerate(events):
-        parts.extend([1 if right_of(*mid2) else -1] * mult[kind])
-        if idx + 1 < len(events):
-            vx, vy = _shared_vertex(edge, events[idx + 1][2])
-            parts.append(-1 if right_of(2 * vx, 2 * vy) else 1)
-
-    first = parts[0] if parts else -1
-    last = parts[-1] if parts else first
+    parts = _crossing_signs(a, (dx, dy), u, params.kappa, False, None)
+    first = 1 if parts and parts[0] > 0 else -1
+    last = (1 if parts[-1] > 0 else -1) if parts else first
     start = first if endpoints[0] == "merge" else int(endpoints[0])
     end = last if endpoints[1] == "merge" else int(endpoints[1])
     if abs(start) != 1 or abs(end) != 1:

@@ -287,6 +287,8 @@ def transition_scan(
     Results are (triple, element) pairs sorted by triple then value; see
     TRANSITION_CAVEAT for what a finite scan does and does not certify.
     """
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
     triples = [
         (i, j, l)
         for i in range(kmax + 1)

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 from .cohn import closed_form_entries
-from .exact import QuadSurd
+from .exact import QuadSurd, cf_matrix
 from .farey import FAREY_ROOT, FareyTriple, IrreducibleFraction
 from .gmtree import ALL_SIGMAS, GMParams, IDENTITY, Sigma, enumerate_tree
 from .lattice import admissible_sequence
@@ -127,11 +127,8 @@ def _grid_entry(t: IrreducibleFraction, kappa: tuple[int, int, int]) -> GridEntr
     k_t = kappa[pos - 1]
     K = params.coeff_sum
     s = admissible_sequence(t, params)
-    pa, pb, pc, pd = 1, 0, 0, 1
-    for x in s:
-        pa, pb = pa * x + pb, pa
-        pc, pd = pc * x + pd, pc
-    cf = (pa, pb, pc, pd)
+    m = cf_matrix(s)
+    cf = (m.a, m.b, m.c, m.d)
     closed = closed_form_entries(n, u, k_t, K)
     rot_min = _rotation_min_c(s, cf)
     return GridEntry(s, n, pos, u, k_t, K, cf, (closed.a, closed.b, closed.c, closed.d), rot_min)

@@ -1,14 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from lattice_oracle import admissible_sequence_with_delta
+from lattice_oracle import segment_sign_sequence as reference_segment_sign_sequence
 
 from gmspec.exact import cf_matrix
 from gmspec.farey import IrreducibleFraction
 from gmspec.gmtree import ALL_SIGMAS, GMParams, gm_pair, parse_sigma
 from gmspec.lattice import (
     admissible_sequence,
-    admissible_sequence_with_delta,
     gm_distance,
     gm_length,
     segment_sign_sequence,
@@ -89,16 +91,28 @@ def test_admissible_duality():
 
 
 def test_concrete_delta_matches_symbolic():
-    rng = random.Random(44)
-    for _ in range(30):
-        params = GMParams(
-            rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3), rng.choice(ALL_SIGMAS)
-        )
-        t = rng.choice(grid_fractions(5))
-        want = admissible_sequence(t, params)
-        delta = Fraction(1, 4 * (t.num + t.den) ** 2)
-        assert admissible_sequence_with_delta(t, params, delta) == want
-        assert admissible_sequence_with_delta(t, params, delta / 2) == want
+    for t in grid_fractions(5):
+        for kappa in itertools.product(range(3), repeat=3):
+            params = GMParams(*kappa)
+            want = admissible_sequence(t, params)
+            delta = Fraction(1, 4 * (t.num + t.den) ** 2)
+            assert admissible_sequence_with_delta(t, params, delta) == want
+            assert admissible_sequence_with_delta(t, params, delta / 2) == want
+
+
+def test_segment_matches_reference():
+    for a, (dx, dy), side, triple in itertools.product(
+        ((0, 0), (2, -3), (-4, 1)),
+        itertools.product(range(-7, 8), repeat=2),
+        ("left", "right"),
+        ((0, 0, 0), (1, 2, 0), (3, 1, 2)),
+    ):
+        if (dx, dy) == (0, 0):
+            continue
+        b, params = (a[0] + dx, a[1] + dy), GMParams(*triple)
+        assert segment_sign_sequence(a, b, params, side) == reference_segment_sign_sequence(
+            a, b, params, side
+        ), (a, b, side, triple)
 
 
 def test_segment_fixtures():
