@@ -43,12 +43,16 @@ def _add_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", default="id", help="permutation in cycle notation (default id)")
 
 
-def _params_of(args) -> GMParams:
+def _k_of(text: str) -> tuple[int, int, int]:
     try:
-        k1, k2, k3 = (int(x) for x in args.k.split(","))
+        k1, k2, k3 = (int(x) for x in text.split(","))
     except ValueError:
-        raise ValueError(f"--k expects three comma-separated integers, got {args.k!r}")
-    return GMParams(k1, k2, k3, parse_sigma(args.sigma))
+        raise ValueError(f"--k expects three comma-separated integers, got {text!r}")
+    return k1, k2, k3
+
+
+def _params_of(args) -> GMParams:
+    return GMParams(*_k_of(args.k), parse_sigma(args.sigma))
 
 
 def _seq_of(text: str) -> tuple[int, ...]:
@@ -137,23 +141,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p)
     p.add_argument("--t", required=True)
 
-    p = add_parser("lagrange", help="spectrum value of a periodic block")
-    _add_params(p)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--seq")
-    g.add_argument("--t")
-
-    p = add_parser("alpha", help="purely periodic value of a block")
-    _add_params(p)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--seq")
-    g.add_argument("--t")
-
-    p = add_parser("qform", help="quadratic form attached to a block")
-    _add_params(p)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--seq")
-    g.add_argument("--t")
+    for name, what in (
+        ("lagrange", "spectrum value of a periodic block"),
+        ("alpha", "purely periodic value of a block"),
+        ("qform", "quadratic form attached to a block"),
+    ):
+        p = add_parser(name, help=what)
+        _add_params(p)
+        g = p.add_mutually_exclusive_group(required=True)
+        g.add_argument("--seq")
+        g.add_argument("--t")
 
     p = add_parser("distance", help="lattice distance between two points")
     _add_params(p)
@@ -235,9 +232,7 @@ def _dispatch(args) -> int:
 
 
 def _spectrum_cmd(args) -> int:
-    k = tuple(int(x) for x in args.k.split(","))
-    if len(k) != 3:
-        raise ValueError("--k expects three comma-separated integers")
+    k = _k_of(args.k)
     text = args.format == "text"
     if args.kmax is not None:
         hits = transition_scan(args.kmax, args.depth)

@@ -10,10 +10,10 @@ All values are immutable; every operation is pure and thread-safe.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from itertools import compress
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -37,107 +37,36 @@ def _sign(n) -> int:
     return (n > 0) - (n < 0)
 
 
-def _is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24, strong probable prime above."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int, rng: random.Random) -> int:
-    """One nontrivial factor of composite odd n (Brent's cycle variant)."""
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
 # Full square-part extraction is attempted only below this bound; larger
 # radicands keep any square factor that bounded trial division misses.
 # Comparisons never rely on square-freeness, so this is purely cosmetic.
 _FULL_FACTOR_BOUND = 10**14
-_TRIAL_PRIMES: list[int] = []
+_CUBE_ROOT_PRIMES: list[int] = []  # the primes below 46416, sieved on first use
 
 
-def _trial_primes() -> list[int]:
-    if not _TRIAL_PRIMES:
-        sieve = bytearray([1]) * 10000
+def _cube_root_primes() -> list[int]:
+    if not _CUBE_ROOT_PRIMES:
+        size = 46416
+        sieve = bytearray([1]) * size
         sieve[0] = sieve[1] = 0
-        for i in range(2, 100):
+        for i in range(2, math.isqrt(size) + 1):
             if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        _TRIAL_PRIMES.extend(i for i in range(10000) if sieve[i])
-    return _TRIAL_PRIMES
-
-
-def _factor(n: int, rng: random.Random) -> dict[int, int]:
-    """Prime factorization of n >= 1 (n assumed within rho's practical reach)."""
-    out: dict[int, int] = {}
-    for p in _trial_primes():
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m, rng)
-        stack.append(d)
-        stack.append(m // d)
-    return out
+                sieve[i * i :: i] = bytes(len(range(i * i, size, i)))
+        _CUBE_ROOT_PRIMES.extend(compress(range(size), sieve))
+    return _CUBE_ROOT_PRIMES
 
 
 def _square_split(n: int) -> tuple[int, int]:
     """Return (s, d) with n = s*s*d, extracting the square part of n >= 1.
 
-    Exhaustive for n < _FULL_FACTOR_BOUND; above it only square factors found
-    by a perfect-square test plus small trial division are extracted.
+    Exhaustive for n < _FULL_FACTOR_BOUND: d is square-free.  Trial division
+    takes out every prime p with p**3 <= n, n being the shrinking cofactor.
+    Each prime factor of what is left then exceeds its cube root, so there
+    are at most two of them (three would multiply to more than it): the
+    cofactor is 1, a prime, a product of two distinct primes or a prime
+    squared, and one perfect-square test tells these apart.  Below the bound
+    every such p is below 46416, since 46416**3 > 10**14.  Above the bound
+    only the squares of 2..13 and a perfect-square cofactor are extracted.
     """
     if n == 1:
         return 1, 1
@@ -146,13 +75,21 @@ def _square_split(n: int) -> tuple[int, int]:
     if r * r == n:
         return r, 1
     if n < _FULL_FACTOR_BOUND:
-        rng = random.Random(0xC0FFEE)
         d = 1
-        for p, e in _factor(n, rng).items():
-            s *= p ** (e // 2)
-            if e % 2:
-                d *= p
-        return s, d
+        for p in _cube_root_primes():
+            if p * p * p > n:
+                break
+            while n % p == 0:  # pair each factor p with another, or leave it in d
+                n //= p
+                if n % p:
+                    d *= p
+                else:
+                    n //= p
+                    s *= p
+        r = math.isqrt(n)
+        if r * r == n:
+            return s * r, d
+        return s, d * n
     for p in (2, 3, 5, 7, 11, 13):
         while n % (p * p) == 0:
             n //= p * p
@@ -270,11 +207,6 @@ class QuadSurd:
     def from_fraction(x: Fraction | int) -> "QuadSurd":
         f = Fraction(x)
         return QuadSurd(f.numerator, 0, 1, f.denominator)
-
-    @staticmethod
-    def sqrt_ratio(D: int, n: int) -> "QuadSurd":
-        """sqrt(D)/n for D >= 0, n != 0."""
-        return QuadSurd(0, 1, D, n)
 
     # -- basic structure -----------------------------------------------------
 

@@ -109,3 +109,4 @@ def test_negative_spectrum_depth_is_a_domain_error(capsys):
     _one_line_domain_error(capsys, ["spectrum", "--depth", "-1"])
     _one_line_domain_error(capsys, ["spectrum", "--kmax", "1", "--depth", "-1"])
     _one_line_domain_error(capsys, ["spectrum", "--kmax", "-1"])
+    _one_line_domain_error(capsys, ["spectrum", "--k", "a,b,c"])

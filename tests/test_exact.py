@@ -8,6 +8,8 @@ from gmspec.exact import (
     cf_eval_periodic,
     cf_matrix,
     _decimal_interval,
+    _FULL_FACTOR_BOUND,
+    _square_split,
     decimal_str,
     period_divides_block,
     periodic_cf_expansion,
@@ -165,6 +167,25 @@ def test_integer_decimal_path_matches_interval_path():
     assert decimal_str(QuadSurd(0, 1, 99999999, 1000), 7) == "10.00000"
     assert decimal_str(QuadSurd(0, 1, 2, 10**7), 3) == "1.41e-07"
     assert decimal_str(QuadSurd(0, 10**9, 3, 1), 3) == "1.73e+09"
+
+
+def test_square_split_matches_factorint():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(14)
+    cases = [rng.randrange(1, _FULL_FACTOR_BOUND) for _ in range(2000)]
+    primes = (46399, 46411, 46441, 99991, 1000003, 9999991)
+    for p in primes:
+        cases += [p * p, p**3] + [p * p * q for q in primes if q != p]
+    cases.append(_FULL_FACTOR_BOUND - 1)
+    for n in cases:
+        s, d = _square_split(n)
+        assert s * s * d == n, n
+        if n < _FULL_FACTOR_BOUND:
+            want_s = want_d = 1
+            for p, e in sympy.factorint(n).items():
+                want_s *= p ** (e // 2)
+                want_d *= p ** (e % 2)
+            assert (s, d) == (want_s, want_d), n
 
 
 def test_str_format():
