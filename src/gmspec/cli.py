@@ -236,9 +236,7 @@ def _spectrum_cmd(args) -> int:
     text = args.format == "text"
     if args.kmax is not None:
         hits = transition_scan(args.kmax, args.depth)
-        payload = [
-            {**el.to_json(), "k1": kk[0], "k2": kk[1], "k3": kk[2]} for kk, el in hits
-        ]
+        payload = [el.to_json() for _, el in hits]
         lines = [f"note: {TRANSITION_CAVEAT}"] + [
             f"k=({kk[0]},{kk[1]},{kk[2]}) {el.value} = {row['decimal']}"
             for (kk, el), row in zip(hits, payload)

@@ -7,17 +7,19 @@ solution trees for the even permutations only (the full union is unchanged)
 and carries every element as plain integers: the walk, the deduplication by
 exact value and the ascending sort never build a surd or a Fraction.  Only
 the distinct values returned become `SpectrumElement`s, with their
-`QuadSurd` and label.  The window scan compares those exactly against 3 and
-the stored transition-interval upper endpoint.
+`QuadSurd` and label.
 
-Finite-depth enumeration can only certify membership: a scan lists every
-enumerated element inside the window but cannot by itself exhaust the
-spectra, although values grow toward 3 + k1 + k2 + k3 along every branch and
-leave the window once n is large.
+The window scan over [3, c_F) uses the Markoff-tree growth argument (cf.
+Bombieri, "Continued fractions and the Markoff tree", Expo. Math. 2007):
+n grows strictly down every branch, and with K = 3 + k1 + k2 + k3 every
+value at n is at least sqrt((K*n - max k)^2 - 4)/n, which increases with n,
+so a subtree whose bound reaches c_F is not walked.  Values below 3 are
+skipped on the integers (Delta < 9 n^2); only the rest become surds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,9 +49,9 @@ __all__ = [
 FREIMAN_CONSTANT = QuadSurd(2221564096, 283748, 462, 491993569)
 
 TRANSITION_CAVEAT = (
-    "finite-depth enumeration certifies membership only; deeper tree levels "
-    "cannot add window elements once their values exceed the upper endpoint, "
-    "but the scan is exhaustive only over the enumerated vertices"
+    "a triple whose pruned walk ends before the depth cap is listed exhaustively; "
+    "(0,0,0) never reaches 3 (Delta = 9n^2 - 4); the permutations of (0,0,1) "
+    "(K = 4) accumulate at 4 < c_F and are listed only to the given depth"
 )
 
 
@@ -236,25 +238,16 @@ def markov_sup_exact(q: QForm, bound: int) -> QuadSurd | None:
 # spectra
 # ---------------------------------------------------------------------------
 
-def enumerate_spectrum(
-    k: tuple[int, int, int], depth: int
-) -> list[SpectrumElement]:
-    """Distinct spectrum values from all trees of k at tree depth <= depth.
-
-    The permutation ranges over the even permutations (the union over all
-    six is the same set), in `ALTERNATING` order; each tree contributes its
-    two boundary labels 0/1 and 1/0 first, then its vertices breadth-first.
-    Every element is walked as plain integers (label, n, pos) and keyed by
-    its reduced pair (Delta/g, n^2/g), g = gcd(Delta, n^2), which is the
-    exact value squared in lowest terms; the first witness of each value is
-    kept.  The distinct values are sorted ascending by an integer key exact
-    on this set (see below), and only they are built into `SpectrumElement`s.
-    """
+def _distinct_values(
+    k: tuple[int, int, int], depth: int, n_cut: int | None = None
+) -> list[tuple[int, int, int, int, int, GMParams]]:
+    """Sorted (Delta, n, pos, num, den, params) of `enumerate_spectrum(k,
+    depth)`, with the trees walked under `n_cut` (see `_walk_tree`)."""
     seen: dict[tuple[int, int], tuple] = {}
     for sigma in ALTERNATING:
         params = GMParams(*k, sigma)
         big_k = params.coeff_sum
-        walk = _walk_tree(params, depth)
+        walk = _walk_tree(params, depth, n_cut)
         # the boundary labels 0/1 and 1/0 carry the root's outer pairs
         root = walk[0][4]
         witnesses = [(0, 1, root[0], root[1]), (1, 0, root[4], root[5])]
@@ -270,12 +263,49 @@ def enumerate_spectrum(
     # floor(2^bits * d/m) with 2^bits >= max(m)^2 is strictly increasing in
     # the value: an exact integer sort key, with no tie to break.
     bits = 2 * max(m for _, m in seen).bit_length()
-    elems = []
-    for key in sorted(seen, key=lambda dm: (dm[0] << bits) // dm[1]):
-        delta, n, pos, num, den, params = seen[key]
-        t = IrreducibleFraction(num, den)
-        elems.append(SpectrumElement(QuadSurd(0, 1, delta, n), n, pos, t, params))
-    return elems
+    return [seen[key] for key in sorted(seen, key=lambda dm: (dm[0] << bits) // dm[1])]
+
+
+def _element(
+    delta: int, n: int, pos: int, num: int, den: int, params: GMParams
+) -> SpectrumElement:
+    t = IrreducibleFraction(num, den)
+    return SpectrumElement(QuadSurd(0, 1, delta, n), n, pos, t, params)
+
+
+def enumerate_spectrum(
+    k: tuple[int, int, int], depth: int
+) -> list[SpectrumElement]:
+    """Distinct spectrum values from all trees of k at tree depth <= depth.
+
+    The permutation ranges over the even permutations (the union over all
+    six is the same set), in `ALTERNATING` order; each tree contributes its
+    two boundary labels 0/1 and 1/0 first, then its vertices breadth-first.
+    Every element is walked as plain integers (label, n, pos) and keyed by
+    its reduced pair (Delta/g, n^2/g), g = gcd(Delta, n^2), which is the
+    exact value squared in lowest terms; the first witness of each value is
+    kept.  The distinct values are sorted ascending by an integer key exact
+    on this set, and only they are built into `SpectrumElement`s.
+    """
+    return [_element(*row) for row in _distinct_values(k, depth)]
+
+
+def _window_cut(k: tuple[int, int, int]) -> int | None:
+    """Least n with sqrt((K*n - max k)^2 - 4)/n >= c_F, K = 3 + k1 + k2 + k3,
+    by exact comparisons; None when K <= 4.
+
+    The value at (n, i) is sqrt((K*n - k_i)^2 - 4)/n >= that bound, whose
+    square (K - max k/n)^2 - 4/n^2 increases with n toward K.  So no vertex
+    with middle value >= the cut lies in the window; for K <= 4 the bound
+    stays below K < c_F and nothing is cut.
+    """
+    big_k, m = 3 + sum(k), max(k)
+    if big_k <= 4:
+        return None
+    n = 1
+    while QuadSurd(0, 1, (big_k * n - m) ** 2 - 4, n) < FREIMAN_CONSTANT:
+        n += 1
+    return n
 
 
 def transition_scan(
@@ -284,23 +314,19 @@ def transition_scan(
     """Every enumerated spectrum element with value in [3, c_F), over all
     coefficient triples with max component <= kmax.
 
-    Results are (triple, element) pairs sorted by triple then value; see
-    TRANSITION_CAVEAT for what a finite scan does and does not certify.
+    Results are (triple, element) pairs sorted by triple then value, the same
+    as filtering `enumerate_spectrum(k, depth)`: the walk under
+    `_window_cut(k)` drops only vertices above the window.  See
+    TRANSITION_CAVEAT for what the scan certifies.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    triples = [
-        (i, j, l)
-        for i in range(kmax + 1)
-        for j in range(kmax + 1)
-        for l in range(kmax + 1)
-    ]
-    three = QuadSurd.from_fraction(3)
     out: list[tuple[tuple[int, int, int], SpectrumElement]] = []
-    for k in triples:
-        for el in enumerate_spectrum(k, depth):
-            if el.value < three:
+    for k in itertools.product(range(kmax + 1), repeat=3):
+        for delta, n, *rest in _distinct_values(k, depth, _window_cut(k)):
+            if delta < 9 * n * n:
                 continue
+            el = _element(delta, n, *rest)
             if el.value < FREIMAN_CONSTANT:
                 out.append((k, el))
     return out

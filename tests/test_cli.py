@@ -44,6 +44,14 @@ def test_spectrum_command_json(capsys):
     assert data[0]["decimal"].startswith("2.2360679")
 
 
+def test_window_scan_json_rows_are_the_reference_scan_rows(capsys):
+    from test_spectrum import reference_transition_scan
+
+    assert run(["--format", "json", "spectrum", "--kmax", "1", "--depth", "3"]) == 0
+    rows = [el.to_json() for _, el in reference_transition_scan(1, 3)]
+    assert capsys.readouterr().out == json.dumps(rows, indent=2) + "\n"
+
+
 def test_spectrum_csv_schema(capsys):
     assert run(["--format", "csv", "spectrum", "--k", "0,0,1", "--depth", "1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -9,6 +9,7 @@ from gmspec.gmtree import (
     GMNode,
     GMPair,
     GMParams,
+    _walk_tree,
     characteristic_number,
     enumerate_tree,
     format_sigma,
@@ -18,6 +19,7 @@ from gmspec.gmtree import (
     parse_sigma,
     sigma_star,
 )
+from gmspec.verify import grid_triples
 
 F = IrreducibleFraction.parse
 
@@ -111,6 +113,25 @@ def test_enumerate_tree_follows_farey_triples_and_gm_node():
     nodes = enumerate_tree(params, 5)
     assert [t for t, _ in nodes] == labels
     assert all(node == gm_node(t, params) for t, node in nodes)
+
+
+def test_middle_values_grow_strictly_down_every_branch():
+    # the premise of the pruned window scan; breadth-first, the parent of
+    # walk entry j is entry (j - 1) // 2
+    for k in grid_triples():
+        for sigma in ALL_SIGMAS:
+            walk = _walk_tree(GMParams(*k, sigma), 7)
+            assert all(walk[j][4][2] > walk[(j - 1) // 2][4][2] for j in range(1, len(walk)))
+
+
+def test_walk_cut_drops_exactly_the_vertices_at_or_above_it():
+    for k in ((0, 0, 0), (1, 2, 0), (3, 1, 2)):
+        for sigma in ALL_SIGMAS:
+            params = GMParams(*k, sigma)
+            walk = _walk_tree(params, 5)
+            for n_cut in sorted({v[4][2] for v in walk})[:6] + [1]:
+                kept = [v for v in walk[1:] if v[4][2] < n_cut]
+                assert _walk_tree(params, 5, n_cut) == walk[:1] + kept
 
 
 def test_every_node_solves_equation_and_is_coprime():

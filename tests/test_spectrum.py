@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,11 +7,19 @@ import pytest
 
 from gmspec.exact import QuadSurd, periodic_cf_expansion, period_divides_block
 from gmspec.farey import IrreducibleFraction
-from gmspec.gmtree import ALL_SIGMAS, ALTERNATING, GMParams, enumerate_tree, parse_sigma
+from gmspec.gmtree import (
+    ALL_SIGMAS,
+    ALTERNATING,
+    GMParams,
+    _walk_tree,
+    enumerate_tree,
+    parse_sigma,
+)
 from gmspec.lattice import admissible_sequence
 from gmspec.spectrum import (
     FREIMAN_CONSTANT,
     SpectrumElement,
+    _window_cut,
     alpha_fixed_point,
     ell_periodic,
     enumerate_spectrum,
@@ -245,3 +255,58 @@ def _rows(elems):
 def test_enumerate_spectrum_matches_reference(k, depths):
     for depth in depths:
         assert _rows(enumerate_spectrum(k, depth)) == _rows(_reference_spectrum(k, depth))
+
+
+@functools.lru_cache(maxsize=None)
+def _enumerated(k, depth):
+    return enumerate_spectrum(k, depth)
+
+
+def reference_transition_scan(kmax, depth):
+    """The unpruned scan: every enumerated value of every triple, compared
+    exactly against 3 and c_F."""
+    three = QuadSurd.from_fraction(3)
+    out = []
+    for k in itertools.product(range(kmax + 1), repeat=3):
+        for el in _enumerated(k, depth):
+            if el.value < three:
+                continue
+            if el.value < FREIMAN_CONSTANT:
+                out.append((k, el))
+    return out
+
+
+@pytest.mark.parametrize(
+    "kmax, depths", [(0, range(7)), (1, range(7)), (2, range(7)), (3, range(5))]
+)
+def test_transition_scan_matches_unpruned_reference(kmax, depths):
+    for depth in depths:
+        got = transition_scan(kmax, depth)
+        want = reference_transition_scan(kmax, depth)
+        assert [k for k, _ in got] == [k for k, _ in want]
+        assert _rows(el for _, el in got) == _rows(el for _, el in want)
+
+
+def _growth_bound(k, n):
+    return QuadSurd(0, 1, ((3 + sum(k)) * n - max(k)) ** 2 - 4, n)
+
+
+def test_window_cut_is_the_least_n_whose_bound_reaches_c_f():
+    for k in itertools.product(range(6), repeat=3):
+        cut = _window_cut(k)
+        if 3 + sum(k) <= 4:
+            assert cut is None
+            continue
+        assert not _growth_bound(k, cut) < FREIMAN_CONSTANT
+        assert cut == 1 or _growth_bound(k, cut - 1) < FREIMAN_CONSTANT
+
+
+def test_pruned_walk_keeps_only_the_root_once_k_sum_exceeds_one():
+    # (0,0,0) and the permutations of (0,0,1) have no cut
+    for k in itertools.product(range(6), repeat=3):
+        if sum(k) <= 1:
+            continue
+        cut = _window_cut(k)
+        assert cut is not None
+        for sigma in ALL_SIGMAS:
+            assert len(_walk_tree(GMParams(*k, sigma), 40, cut)) == 1
