@@ -17,19 +17,28 @@ lattice points.  A directed curve crossing it picks up signs three ways:
 Run-length encoding the sign string gives the admissible sequence of a
 fraction label, and the length/distance of a lattice segment.
 
-Both come from one crossing-event engine, `_crossing_signs`, which traces
-p(c) = a + c*d + eps*u for 0 < c < 1: a is a lattice point, d and u are
-integer vectors and eps is infinitesimal.  It crosses the vertical, horizontal
-and antidiagonal lines strictly between a and a + d, and under the start-line
-rule also those through a.  Each crossing is keyed by c, scaled to an integer
-(zeroth order, first order in eps) pair, so events sort exactly; an integer
-coordinate of a crossing point is floored by the sign of its first-order term.
-A point p lies right of the curve iff cross(d, p - a) - eps*(d x u) < 0, so
-points on the line itself fall right iff d x u > 0.
+Both come from one crossing-event engine in two parts.  `_skeleton` traces
+p(c) = a + c*d + eps*u for 0 < c < 1 (a a lattice point, d and u integer
+vectors, eps infinitesimal) across the vertical, horizontal and antidiagonal
+lines strictly between a and a + d, plus those through a under the start-line
+rule.  It is free of kappa: one byte per sign entry (each crossed edge's kind
+and side, each triangle's sign), cached per segment (a, d, u, start, closing).
+On every call `_crossing_signs` maps those bytes through a table built from
+kappa, and drops the edges whose multiplicity is zero.
+
+Crossings are keyed by c as an integer (zeroth order, first order in eps)
+pair, and an integer coordinate of a crossing point is floored by the sign of
+its first-order term.  Keys never tie, so the order is exact and free of
+kappa: lines meet at one zeroth-order c only at a lattice point of a + c*d,
+where their first-order terms -ux/dx, -uy/dy, -(ux + uy)/(dx + dy) coincide
+only if d x u = 0, when the curve passes through the point (`_tie_down`
+refuses that).  A point p lies right of the curve iff cross(d, p - a) -
+eps*(d x u) < 0, so points on the line itself fall right iff d x u > 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Literal, Sequence
 
@@ -44,9 +53,11 @@ Edge = tuple[Point, Point]
 
 
 def _shared_vertex(e1: Edge, e2: Edge) -> Point:
-    common = set(e1) & set(e2)
-    assert len(common) == 1, f"edges {e1}, {e2} do not bound one triangle"
-    return common.pop()
+    p, q = e1
+    if q in e2:
+        p, q = q, p
+    assert p in e2 and q not in e2, f"edges {e1}, {e2} do not bound one triangle"
+    return p
 
 
 def _rle(parts: Sequence[int]) -> tuple[int, ...]:
@@ -68,32 +79,23 @@ def _lines(p: int, q: int, start: bool) -> range:
 
 
 def _tie_down(first_order: int) -> int:
-    """Floor correction at an exact integer coordinate: 1 if the curve passes
-    just below it (negative first-order term), 0 if just above."""
+    """Floor correction at an integer coordinate: 1 iff the curve passes just below."""
     assert first_order, "curve passes through a lattice point"
     return first_order < 0
 
 
-def _crossing_signs(
-    a: Point, d: Point, u: Point, kappa: tuple[int, int, int], start: bool, closing: Edge | None
-) -> list[int]:
-    """Sign string of p(c) = a + c*d + eps*u as nonzero signed counts: +k
-    stands for k plus signs, -k for k minus signs.
-
-    kappa gives the edge multiplicities (horizontal, diagonal, vertical).
-    Consecutive crossed edges sign the triangle between them; a closing
-    edge, if given, signs the triangle after the last crossing.
-    """
-    ax, ay = a
-    dx, dy = d
-    ux, uy = u
+@functools.lru_cache(maxsize=1 << 8)
+def _skeleton(a: Point, d: Point, u: Point, start: bool, closing: Edge | None) -> bytes:
+    """Kappa-free sign string of p(c) = a + c*d + eps*u, a byte per entry: 0 (1)
+    a triangle signed + (-), or 2 + 2*kind (+1 iff right of the curve) an edge of
+    kind 0, 1, 2 (h, d, v).  A closing edge adds only the triangle before it."""
+    (ax, ay), (dx, dy), (ux, uy) = a, d, u
     s = dx + dy
     cross_du = dx * uy - dy * ux
     base = ay * dx - ax * dy  # cross(d, p - a) = dx*py - dy*px - base
     # a doubled point (px2, py2) is right of the curve iff dx*py2 - dy*px2 < lim
     lim = 2 * base + (cross_du > 0)
     scale = abs((dx or 1) * (dy or 1) * (s or 1))  # c * scale is an integer pair
-    kh, kd, kv = kappa
 
     # the curve meets x = i at y = (base + i*dy)/dx + eps*cross_du/dx, and y = j
     # (x + y = m) at x = (n*dx - base)/q - eps*cross_du/q with n, q = j, dy (m, s)
@@ -102,35 +104,40 @@ def _crossing_signs(
         y, r = divmod(base + i * dy, dx)
         if not r:
             y -= _tie_down(cross_du * dx)
-        events.append(((i - ax) * scale // dx, -ux * scale // dx, kv, ((i, y), (i, y + 1))))
-    for j in _lines(ay, ay + dy, start):
-        x, r = divmod(j * dx - base, dy)
-        if not r:
-            x -= _tie_down(-cross_du * dy)
-        events.append(((j - ay) * scale // dy, -uy * scale // dy, kh, ((x, j), (x + 1, j))))
-    for m in _lines(ax + ay, ax + ay + s, start):
-        x, r = divmod(m * dx - base, s)
-        if not r:
-            x -= _tie_down(-cross_du * s)
-        y = m - x
-        events.append(
-            ((m - ax - ay) * scale // s, -(ux + uy) * scale // s, kd, ((x, y), (x + 1, y - 1)))
-        )
+        events.append(((i - ax) * scale // dx, -ux * scale // dx, 6, ((i, y), (i, y + 1))))
+    for code, q, lo, w in ((2, dy, ay, 0), (4, s, ax + ay, 1)):  # y = j, x + y = m
+        for n in _lines(lo, lo + q, start):
+            x, r = divmod(n * dx - base, q)
+            if not r:
+                x -= _tie_down(-cross_du * q)
+            y = n - w * x
+            edge = ((x, y), (x + 1, y - w))
+            events.append(((n - lo) * scale // q, -(uy + w * ux) * scale // q, code, edge))
     events.sort()
     if closing is not None:
-        events.append((0, 0, 0, closing))  # signs only the triangle before it
-
-    parts: list[int] = []
-    prev: Edge | None = None
-    for _, _, mult, edge in events:
+        events.append((scale, 0, 0, closing))  # at c = 1; signs only the triangle before it
+    skel = bytearray()
+    k0 = k1 = prev = None
+    for c0, c1, code, edge in events:
         if prev is not None:
+            assert c0 != k0 or c1 != k1, "two crossings share a key"
             vx, vy = _shared_vertex(prev, edge)
-            parts.append(-1 if 2 * (dx * vy - dy * vx) < lim else 1)
-        if mult:
+            skel.append(2 * (dx * vy - dy * vx) < lim)
+        if code:
             (px, py), (qx, qy) = edge
-            parts.append(mult if dx * (py + qy) - dy * (px + qx) < lim else -mult)
-        prev = edge
-    return parts
+            skel.append(code + (dx * (py + qy) - dy * (px + qx) < lim))
+        k0, k1, prev = c0, c1, edge
+    return bytes(skel)
+
+
+def _crossing_signs(
+    a: Point, d: Point, u: Point, kappa: tuple[int, int, int], start: bool, closing: Edge | None
+) -> list[int]:
+    """Sign string of p(c) = a + c*d + eps*u as nonzero signed counts: +k for
+    k plus signs, -k for k minus signs; kappa is (h, d, v) edge multiplicity."""
+    kh, kd, kv = kappa
+    table = (1, -1, -kh, kh, -kd, kd, -kv, kv)
+    return [mult for code in _skeleton(a, d, u, start, closing) if (mult := table[code])]
 
 
 def admissible_sequence(t: IrreducibleFraction, params: GMParams) -> tuple[int, ...]:

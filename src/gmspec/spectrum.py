@@ -316,13 +316,17 @@ def transition_scan(
 
     Results are (triple, element) pairs sorted by triple then value, the same
     as filtering `enumerate_spectrum(k, depth)`: the walk under
-    `_window_cut(k)` drops only vertices above the window.  See
-    TRANSITION_CAVEAT for what the scan certifies.
+    `_window_cut(k)` drops only vertices above the window.  The triple
+    (0,0,0), the only one with K = 3, is not walked: its Delta = 9n^2 - 4 <
+    9n^2 keeps every value below 3.  See TRANSITION_CAVEAT for what the scan
+    certifies.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     out: list[tuple[tuple[int, int, int], SpectrumElement]] = []
     for k in itertools.product(range(kmax + 1), repeat=3):
+        if k == (0, 0, 0):
+            continue
         for delta, n, *rest in _distinct_values(k, depth, _window_cut(k)):
             if delta < 9 * n * n:
                 continue

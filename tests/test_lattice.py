@@ -10,6 +10,9 @@ from gmspec.exact import cf_matrix
 from gmspec.farey import IrreducibleFraction
 from gmspec.gmtree import ALL_SIGMAS, GMParams, gm_pair, parse_sigma
 from gmspec.lattice import (
+    _crossing_signs,
+    _shared_vertex,
+    _skeleton,
     admissible_sequence,
     gm_distance,
     gm_length,
@@ -233,3 +236,58 @@ def test_tail_of_sequence_is_segment_sequence_length():
         t = rng.choice(grid_fractions(5))
         s = admissible_sequence(t, params)
         assert gm_distance((0, 0), (t.den, t.num), params) == cf_matrix(s).c
+
+
+def test_skeleton_is_shared_across_kappa_and_matches_the_oracle():
+    # the kappa-free skeleton gives the same sequence cold, or warmed by another
+    # kappa on the same label, and both equal the concrete-delta walk
+    kappas = list(itertools.product(range(3), repeat=3))
+    for t in [*grid_fractions(5), F("0/1"), F("1/0")]:
+        for i, kappa in enumerate(kappas):
+            params = GMParams(*kappa)
+            _skeleton.cache_clear()
+            cold = admissible_sequence(t, params)
+            _skeleton.cache_clear()
+            admissible_sequence(t, GMParams(*kappas[i - 1]))
+            warm = admissible_sequence(t, params)
+            assert cold == warm == admissible_sequence_with_delta(t, params), (t, kappa)
+
+
+def test_second_kappa_on_a_label_is_a_cache_hit():
+    _skeleton.cache_clear()
+    admissible_sequence(F("5/8"), GMParams(1, 2, 0))
+    hits = _skeleton.cache_info().hits
+    admissible_sequence(F("5/8"), GMParams(0, 0, 3))
+    assert _skeleton.cache_info().hits == hits + 1
+
+
+def test_skeleton_cache_is_keyed_by_the_whole_segment():
+    # each side offset u and start rule traces its own skeleton, warm or cold
+    for a, (dx, dy) in itertools.product(
+        ((0, 0), (1, -2)), ((2, 4), (3, 3), (4, -2), (-3, 6), (3, 2))
+    ):
+        variants = [(u, start) for u in ((-dy, dx), (dy, -dx)) for start in (True, False)]
+        cold = []
+        for u, start in variants:
+            _skeleton.cache_clear()
+            cold.append(_crossing_signs(a, (dx, dy), u, (1, 2, 0), start, None))
+        assert len({tuple(c) for c in cold}) == len(variants)
+        _skeleton.cache_clear()
+        warm = [_crossing_signs(a, (dx, dy), u, (1, 2, 0), start, None) for u, start in variants]
+        assert warm == cold, (a, (dx, dy))
+
+
+def test_shared_vertex_requires_exactly_one_common_vertex():
+    e = ((0, 0), (1, 0))
+    assert _shared_vertex(e, ((1, 0), (0, 1))) == (1, 0)
+    assert _shared_vertex(e, ((0, 1), (0, 0))) == (0, 0)
+    for other in (e, e[::-1], ((0, 1), (1, 1))):
+        with pytest.raises(AssertionError):
+            _shared_vertex(e, other)
+
+
+def test_skeleton_cache_is_bounded_and_clears():
+    assert _skeleton.cache_info().maxsize is not None
+    admissible_sequence(F("3/7"), P120)
+    _skeleton.cache_clear()
+    assert _skeleton.cache_info().currsize == 0
