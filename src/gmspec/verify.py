@@ -1,12 +1,14 @@
 """Desk-scale verification suites bundling the library's cross-identities.
 
-The heavy suites share one cached grid: for each fraction label t (tree depth
-up to 7) and each coefficient arrangement kappa = (k_sigma(1), k_sigma(2),
-k_sigma(3)), a single entry holds the admissible sequence, the tree data
-(n, u, position), the convergent matrix of the sequence, the closed-form
+The heavy suites share one cached grid: for each coefficient arrangement
+kappa = (k_sigma(1), k_sigma(2), k_sigma(3)), one integer walk of its tree to
+the requested depth gives an array of entries in the label order of
+`grid_fractions(depth)`.  An entry holds the admissible sequence, the tree
+data (n, u, position), the convergent matrix of the sequence, the closed-form
 matrix, and the minimal lower-left entry over all cyclic rotations.  Trees
 with the same kappa are identical up to a relabeling of positions, so every
-(triple, permutation) pair resolves to one cached entry.
+(triple, permutation) pair resolves to one cached array; t -> 1/t reads the
+reversed arrangement's array at a cached mirror index.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from typing import Callable, Iterable
 from .cohn import closed_form_entries
 from .exact import QuadSurd, cf_matrix
 from .farey import FAREY_ROOT, FareyTriple, IrreducibleFraction
-from .gmtree import ALL_SIGMAS, GMParams, IDENTITY, Sigma, enumerate_tree
+from .gmtree import ALL_SIGMAS, GMParams, IDENTITY, Sigma, _walk_tree, enumerate_tree
+from .gmtree import characteristic_number, gm_pair
 from .lattice import admissible_sequence
 from .snake import build_snake_graph, continuant, count_matchings_bruteforce, rotation_tails
 from .spectrum import (
@@ -75,7 +78,7 @@ def grid_fractions(depth: int = GRID_DEPTH) -> list[IrreducibleFraction]:
 # cached grid entries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridEntry:
     s: tuple[int, ...]
     n: int
@@ -89,9 +92,16 @@ class GridEntry:
 
 
 @lru_cache(maxsize=None)
-def _node_map(kappa: tuple[int, int, int], depth: int):
-    params = GMParams(*kappa, IDENTITY)
-    return {t: node for t, node in enumerate_tree(params, depth)}
+def _labels(depth: int) -> tuple[IrreducibleFraction, ...]:
+    return tuple(grid_fractions(depth))
+
+
+@lru_cache(maxsize=None)
+def _mirror(depth: int) -> tuple[int, ...]:
+    """For each label in `_labels(depth)`, the index of its reciprocal."""
+    labels = _labels(depth)
+    index = {t: i for i, t in enumerate(labels)}
+    return tuple(index[t.reciprocal()] for t in labels)
 
 
 def _rotation_min_c(seq: tuple[int, ...], m: tuple[int, int, int, int]) -> int:
@@ -112,19 +122,8 @@ def _rotation_min_c(seq: tuple[int, ...], m: tuple[int, int, int, int]) -> int:
     return best
 
 
-@lru_cache(maxsize=None)
-def _grid_entry(t: IrreducibleFraction, kappa: tuple[int, int, int]) -> GridEntry:
-    params = GMParams(*kappa, IDENTITY)
-    if t.is_boundary:
-        from .gmtree import characteristic_number, gm_pair
-
-        pair = gm_pair(t, params)
-        n, pos, u = pair.value, pair.pos, characteristic_number(t, params)
-    else:
-        node = _node_map(kappa, GRID_DEPTH)[t]
-        n, pos = node.mid.value, node.mid.pos
-        u = node.right.value * pow(node.left.value, -1, n) % n
-    k_t = kappa[pos - 1]
+def _entry(t: IrreducibleFraction, params: GMParams, n: int, pos: int, u: int) -> GridEntry:
+    k_t = params.k_at(pos)
     K = params.coeff_sum
     s = admissible_sequence(t, params)
     m = cf_matrix(s)
@@ -132,6 +131,27 @@ def _grid_entry(t: IrreducibleFraction, kappa: tuple[int, int, int]) -> GridEntr
     closed = closed_form_entries(n, u, k_t, K)
     rot_min = _rotation_min_c(s, cf)
     return GridEntry(s, n, pos, u, k_t, K, cf, (closed.a, closed.b, closed.c, closed.d), rot_min)
+
+
+@lru_cache(maxsize=None)
+def _grid(kappa: tuple[int, int, int], depth: int) -> tuple[GridEntry, ...]:
+    """The entries of `_labels(depth)` under kappa, from one walk of its tree."""
+    params = GMParams(*kappa, IDENTITY)
+    out = []
+    for t, (ln, ld, rn, rd, vertex) in zip(_labels(depth), _walk_tree(params, depth), strict=True):
+        assert (t.num, t.den) == (ln + rn, ld + rd), "walk and labels out of step"
+        a, _, n, pos, c, _ = vertex
+        out.append(_entry(t, params, n, pos, c * pow(a, -1, n) % n))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _infinity_entry(kappa: tuple[int, int, int]) -> GridEntry:
+    """The entry of the boundary label 1/0, which only factorization checks."""
+    params = GMParams(*kappa, IDENTITY)
+    t = IrreducibleFraction(1, 0)
+    pair = gm_pair(t, params)
+    return _entry(t, params, pair.value, pair.pos, characteristic_number(t, params))
 
 
 def _kappa(triple: tuple[int, int, int], sigma: Sigma) -> tuple[int, int, int]:
@@ -152,14 +172,13 @@ def factorization_suite(
     The label 0/1 is excluded from the factorization identity (the closed
     form there is not a convergent product); 1/0 is included.
     """
-    fractions = grid_fractions(depth) + [IrreducibleFraction(1, 0)]
+    labels = _labels(depth) + (IrreducibleFraction(1, 0),)
     triples = list(triples) if triples is not None else grid_triples()
     n_fact = n_det = n_tr = 0
     for triple in triples:
         for sigma in ALL_SIGMAS:
             kap = _kappa(triple, sigma)
-            for t in fractions:
-                e = _grid_entry(t, kap)
+            for t, e in zip(labels, _grid(kap, depth) + (_infinity_entry(kap),)):
                 if e.cf != e.closed:
                     return [
                         CheckResult(
@@ -228,14 +247,13 @@ def rotation_suite(
     """The tail of the sequence itself minimizes the rotation-tail matching
     counts, on the same grid as the factorization suite; plus the fixed
     ten-tail example at t = 2/5 under (1,2,0)."""
-    fractions = grid_fractions(depth)
+    labels = _labels(depth)
     triples = list(triples) if triples is not None else grid_triples()
     checked = 0
     for triple in triples:
         for sigma in ALL_SIGMAS:
             kap = _kappa(triple, sigma)
-            for t in fractions:
-                e = _grid_entry(t, kap)
+            for t, e in zip(labels, _grid(kap, depth)):
                 if e.rot_min_c != e.cf[2]:
                     return [
                         CheckResult(
@@ -271,29 +289,26 @@ def duality_suite(
     A small subsample recomputes the three values as full surds through the
     public API.
     """
-    fractions = grid_fractions(depth)
+    labels, mirror = _labels(depth), _mirror(depth)
     triples = list(triples) if triples is not None else grid_triples()
     n_main = n_dual = n_char = 0
     for triple in triples:
         for sigma in ALL_SIGMAS:
             kap = _kappa(triple, sigma)
-            kap_star = kap[::-1]
-            for t in fractions:
-                e = _grid_entry(t, kap)
+            # the reciprocal label's entry in the tree with the reversed arrangement
+            star = _grid(kap[::-1], depth)
+            for t, e, j in zip(labels, _grid(kap, depth), mirror):
                 if e.cf[2] != e.n or e.rot_min_c != e.n:
                     return [CheckResult("main-theorem", False, f"t={t} k={triple}")]
                 n_main += 1
-                recip = t.reciprocal()
-                e_star = _grid_entry(recip, kap_star)
+                e_star = star[j]
                 tr = e.cf[0] + e.cf[3]
                 tr_s = e_star.cf[0] + e_star.cf[3]
                 if (tr * tr - 4) * e_star.rot_min_c**2 != (tr_s * tr_s - 4) * e.rot_min_c**2:
                     return [CheckResult("lagrange-duality", False, f"t={t} k={triple}")]
                 n_dual += 1
-                # u_t = n_t - u*(1/t) - k_t; the starred value lives in the
-                # tree with the reversed arrangement at the reciprocal label
-                u_star_recip = _grid_entry(recip, kap_star).u
-                if e.u != e.n - u_star_recip - e.k_t:
+                # u_t = n_t - u*(1/t) - k_t
+                if e.u != e.n - e_star.u - e.k_t:
                     return [CheckResult("characteristic-duality", False, f"t={t} k={triple}")]
                 n_char += 1
     out = [

@@ -1,3 +1,11 @@
+import sys
+
+from gmspec import lattice, verify
+from gmspec.cohn import closed_form_entries
+from gmspec.exact import cf_matrix
+from gmspec.farey import IrreducibleFraction
+from gmspec.gmtree import ALL_SIGMAS, GMParams, IDENTITY, characteristic_number, gm_pair
+from gmspec.lattice import admissible_sequence
 from gmspec.verify import (
     grid_fractions,
     grid_triples,
@@ -34,3 +42,86 @@ def test_run_suite_dispatch():
         pass
     else:
         raise AssertionError("expected ValueError")
+
+
+def _reference_entry(t, kappa):
+    """A grid entry from the per-label public path: tree data by descending
+    to t, rotation minimum by multiplying out every cyclic rotation."""
+    params = GMParams(*kappa, IDENTITY)
+    pair = gm_pair(t, params)
+    n, pos, u = pair.value, pair.pos, characteristic_number(t, params)
+    k_t = kappa[pos - 1]
+    K = params.coeff_sum
+    s = admissible_sequence(t, params)
+    m = cf_matrix(s)
+    closed = closed_form_entries(n, u, k_t, K)
+    rot_min = min(cf_matrix(s[i:] + s[:i]).c for i in range(len(s)))
+    return verify.GridEntry(
+        s, n, pos, u, k_t, K, (m.a, m.b, m.c, m.d),
+        (closed.a, closed.b, closed.c, closed.d), rot_min,
+    )
+
+
+def test_grid_matches_reference_entries():
+    kappas = {verify._kappa(k, sigma) for k in grid_triples() for sigma in ALL_SIGMAS}
+    labels = grid_fractions(5)
+    for kappa in sorted(kappas):
+        want = [_reference_entry(t, kappa) for t in labels]
+        for d in range(6):
+            got = verify._grid(kappa, d)
+            assert len(got) == 2 ** (d + 1) - 1
+            for t, e, r in zip(labels, got, want):
+                assert e == r, (t, kappa, d)
+        infinity = IrreducibleFraction(1, 0)
+        assert verify._infinity_entry(kappa) == _reference_entry(infinity, kappa), kappa
+
+
+def test_grid_suites_beyond_default_depth():
+    # the grid is walked to the requested depth, not to GRID_DEPTH
+    fact = verify.factorization_suite(depth=8, triples=[(0, 0, 1)])
+    rot = verify.rotation_suite(depth=8, triples=[(0, 0, 1)])
+    dual = verify.duality_suite(depth=8, triples=[(0, 0, 1)], surd_sample_depth=1)
+    assert all(r.ok for r in fact + rot + dual)
+    assert [r.detail for r in fact] == ["3072 cases"] * 3
+    assert rot[0].detail == "3066 cases"
+    assert [r.detail for r in dual[:3]] == ["3066 cases"] * 3
+
+
+def test_labels_and_mirror():
+    for d in range(8):
+        labels, mirror = verify._labels(d), verify._mirror(d)
+        assert labels == tuple(grid_fractions(d))
+        assert sorted(mirror) == list(range(len(labels)))
+        for i, j in enumerate(mirror):
+            assert mirror[j] == i
+            assert labels[j] == labels[i].reciprocal()
+
+
+def test_grid_case_counts():
+    fact = verify.factorization_suite(depth=3)
+    rot = verify.rotation_suite(depth=3)
+    dual = verify.duality_suite(depth=3, surd_sample_depth=1)
+    assert all(r.ok for r in fact + rot + dual)
+    assert [(r.name, r.detail) for r in fact] == [
+        ("factorization", "2688 cases"), ("determinant", "2688 cases"), ("trace", "2688 cases"),
+    ]
+    assert (rot[0].name, rot[0].detail) == ("rotation-minimality", "2520 cases")
+    assert [(r.name, r.detail) for r in dual[:3]] == [
+        ("main-theorem", "2520 cases"),
+        ("lagrange-duality", "2520 cases"),
+        ("characteristic-duality", "2520 cases"),
+    ]
+
+
+def test_default_grid_traces_each_label_once():
+    # every arrangement after the first reuses the skeletons of the 255
+    # labels, so the default grid must fit in the skeleton cache
+    for name, mod in list(sys.modules.items()):
+        if name == "gmspec" or name.startswith("gmspec."):
+            for obj in vars(mod).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+    assert all(r.ok for r in verify.factorization_suite())
+    info = lattice._skeleton.cache_info()
+    assert info.misses == len(grid_fractions(verify.GRID_DEPTH)) == 255
+    assert info.hits > 0
