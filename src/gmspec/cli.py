@@ -190,6 +190,9 @@ def run(argv: list[str]) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"gmspec: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
+    except OSError as exc:  # --out could not be written
+        print(f"gmspec: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 def _dispatch(args) -> int:

@@ -37,6 +37,19 @@ def _sign(n) -> int:
     return (n > 0) - (n < 0)
 
 
+def _floor_surd(p: int, q: int, N: int, r: int) -> int:
+    """floor((p + q*sqrt(N))/r) for N >= 0 and r > 0, in integers.
+
+    floor((p + y)/r) = floor((p + floor(y))/r) for integers p and r > 0, and
+    floor(q*sqrt(N)) is isqrt(q^2 N), less one when q < 0 unless q^2 N is a
+    perfect square.
+    """
+    s = math.isqrt(q * q * N)
+    if q < 0:
+        s = -s if s * s == q * q * N else -s - 1
+    return (p + s) // r
+
+
 # Full square-part extraction is attempted only below this bound; larger
 # radicands keep any square factor that bounded trial division misses.
 # Comparisons never rely on square-freeness, so this is purely cosmetic.
@@ -260,13 +273,7 @@ class QuadSurd:
         return float((lo + hi) / 2)
 
     def floor(self) -> int:
-        bits = 16
-        while True:
-            lo, hi = self.interval(bits)
-            flo, fhi = lo.__floor__(), hi.__floor__()
-            if flo == fhi:
-                return flo
-            bits *= 2
+        return _floor_surd(self.p, self.q, self.D, self.r)
 
     # -- comparison ----------------------------------------------------------
 
@@ -411,71 +418,37 @@ def surd_cmp(x: QuadSurd, y: QuadSurd) -> int:
 
 
 def decimal_str(x: QuadSurd, sig: int = 12) -> str:
-    """Correctly rounded decimal string with `sig` significant digits."""
-    if x.is_rational and x.p == 0:
-        return "0." + "0" * (sig - 1)
-    if x.p == 0 and x.q > 0:
-        return _decimal_sqrt_ratio(x.q * x.q * x.D, x.r * x.r, sig)
-    return _decimal_interval(x, sig)
+    """Correctly rounded decimal string with `sig` significant digits.
 
-
-def _decimal_interval(x: QuadSurd, sig: int) -> str:
-    """decimal_str for any nonzero surd, by refining an enclosing interval
-    until both ends round alike."""
-    bits = 8 * sig
-    while True:
-        lo, hi = x.interval(bits)
-        rlo, rhi = _round_sig(lo, sig), _round_sig(hi, sig)
-        if rlo == rhi:
-            return rlo
-        bits *= 2
-
-
-def _decimal_sqrt_ratio(num: int, den: int, sig: int) -> str:
-    """decimal_str of sqrt(num/den) for num, den > 0, in integer arithmetic.
-
-    The exponent e has 10^(2e) <= num/den < 10^(2e+2).  With the value
-    scaled to sqrt(a/b) in [10^(sig-1), 10^sig), its digits are
-    m = isqrt(a // b), and rounding half up adds one when 4a >= (2m+1)^2 b,
-    that is, when the scaled value is at least m + 1/2.
+    With |x| = (p + q*sqrt(D))/r, one exact floor m2 = floor(2*|x|*10^k),
+    taken at a k that leaves at least sig digits, settles the rest in
+    integers: the digit count of m2 >> 1 = floor(|x|*10^k) fixes the
+    exponent, and dropping the spare digits of m2 then (m2 + 1) >> 1 rounds
+    half up.
     """
-    # log10(2) ~ 0.30103 gives a first guess that the loops below correct
-    e = (num.bit_length() - den.bit_length()) * 30103 // 200000
-
-    def at_least(e: int) -> bool:  # 10^(2e) <= num/den
-        return 100**e * den <= num if e >= 0 else den <= num * 100**-e
-
-    while not at_least(e):
-        e -= 1
-    while at_least(e + 1):
-        e += 1
-    shift = sig - 1 - e
-    a, b = (num * 100**shift, den) if shift >= 0 else (num, den * 100**-shift)
-    m = math.isqrt(a // b)
-    if 4 * a >= (2 * m + 1) ** 2 * b:
-        m += 1
-    return _format_sig(m, e, sig, False)
-
-
-def _round_sig(v: Fraction, sig: int) -> str:
-    neg = v < 0
-    if neg:
-        v = -v
-    if v == 0:
+    p, q, D, r = x.p, x.q, x.D, x.r
+    if p == 0 and q == 0:
         return "0." + "0" * (sig - 1)
-    # exponent e with 10^e <= v < 10^(e+1)
-    e = 0
-    while v >= 10:
-        v /= 10
-        e += 1
-    while v < 1:
-        v *= 10
-        e -= 1
-    scaled = v * 10 ** (sig - 1)
-    n = scaled.numerator // scaled.denominator
-    if 2 * (scaled - n) >= 1:
-        n += 1
-    return _format_sig(n, e, sig, neg)
+    neg = (p < 0 or q < 0) and _floor_surd(p, q, D, 1) < 0  # sign of p + q sqrt(D)
+    if neg:
+        p, q = -p, -q
+    # an integer L < log2|x|; when p and q differ in sign the terms cancel,
+    # so bound |x| = |p^2 - q^2 D| / (r (|p| + |q| sqrt(D))) instead
+    n2 = (q * q * D).bit_length()
+    if q >= 0 and p >= 0:
+        L = max(p.bit_length() - 1, (n2 - 1) // 2) - r.bit_length()
+    else:
+        top = max(abs(p).bit_length(), (n2 + 1) // 2)
+        L = (p * p - q * q * D).bit_length() - 2 - top - r.bit_length()
+    e = L * 30103 // 100000 - 1  # at most the exponent of |x|, as log10(2) ~ 0.30103
+    k = sig - 1 - e
+    if k >= 0:
+        scale = 2 * 10**k
+        m2 = _floor_surd(p * scale, q * scale, D, r)
+    else:
+        m2 = _floor_surd(2 * p, 2 * q, D, r * 10**-k)
+    spare = len(str(m2 >> 1)) - sig
+    return _format_sig((m2 // 10**spare + 1) >> 1, e + spare, sig, neg)
 
 
 def _format_sig(n: int, e: int, sig: int, neg: bool) -> str:

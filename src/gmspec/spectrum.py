@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import QuadSurd, cf_matrix
+from .exact import QuadSurd, _floor_surd, cf_matrix
 from .farey import IrreducibleFraction
 from .gmtree import ALTERNATING, GMParams, _walk_tree, gm_pair
 
@@ -195,9 +195,12 @@ def markov_sup_numeric(q: QForm, bound: int) -> float:
 def markov_sup_exact(q: QForm, bound: int) -> QuadSurd | None:
     """Exact value of the bounded-box supremum, or None if the form vanishes.
 
-    The minimizing x for each y is adjacent to one of the two real roots, so
-    only a few candidates per y are evaluated; the minimum |q| itself is
-    exact.
+    With q = A (x - z1 y)(x - z2 y)/R, an x other than floor(z y) and
+    floor(z y) + 1 for both roots z is at least 1 from each z y, so |q(x, y)|
+    >= |A|/R = |q(1, 0)|.  Only those two integers per root are evaluated.
+    Each floor(z y) is one exact integer floor of the surd
+    (-B y +- y sqrt(disc))/(2A), so no root is approximated and the minimum
+    |q| is exact.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -205,31 +208,18 @@ def markov_sup_exact(q: QForm, bound: int) -> QuadSurd | None:
     if A == 0:
         raise ValueError("form must have a nonzero x^2 coefficient")
     disc = B * B - 4 * A * C
+    b = B if A > 0 else -B  # z y = (-b y +- y sqrt(disc))/(2|A|)
 
-    # rational approximations of the two roots of A z^2 + B z + C, with error
-    # far below 1/bound so candidate floors are off by at most one
-    prec = 80
-    sq = Fraction(math.isqrt(disc << (2 * prec)), 1 << prec)
-    roots = ((-B + sq) / (2 * A), (-B - sq) / (2 * A))
-
-    best: int | None = None
-    for y in range(0, bound + 1):
-        if y == 0:
-            candidates: list[int] = [1]
-        else:
-            candidates = []
-            for root in roots:
-                base = math.floor(root * y)
-                candidates.extend(
-                    x for x in range(base - 1, base + 3) if -bound <= x <= bound
-                )
-        for x in candidates:
-            val = abs(A * x * x + B * x * y + C * y * y)
-            if val == 0:
-                return None
-            if best is None or val < best:
-                best = val
-    assert best is not None
+    best = abs(A)  # |q(1, 0)|; y < 0 mirrors y > 0
+    for y in range(1, bound + 1):
+        for root_y in (y, -y):
+            base = _floor_surd(-b * y, root_y, disc, 2 * abs(A))
+            for x in (base, base + 1):
+                if -bound <= x <= bound:
+                    val = abs(A * x * x + B * x * y + C * y * y)
+                    if val == 0:
+                        return None
+                    best = min(best, val)
     # value sqrt(disc_int)/best == sqrt(disc(q))/min|q| since disc_int = R^2 disc(q)
     return QuadSurd(0, 1, disc, best)
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gmspec.cli import run
 
 
@@ -118,3 +120,37 @@ def test_negative_spectrum_depth_is_a_domain_error(capsys):
     _one_line_domain_error(capsys, ["spectrum", "--kmax", "1", "--depth", "-1"])
     _one_line_domain_error(capsys, ["spectrum", "--kmax", "-1"])
     _one_line_domain_error(capsys, ["spectrum", "--k", "a,b,c"])
+
+
+MALFORMED_ARGV = [
+    ["seq", "--t", "x"],
+    ["seq", "--t", ""],
+    ["seq", "--t", "1/2/3"],
+    ["alpha", "--t", "3/6"],
+    ["cohn", "--t", "1/2", "--k", "1,2"],
+    ["node", "--t", "1/2", "--k", "a,b,c"],
+    ["seq", "--t", "1/2", "--k", "1,2,3,4"],
+    ["seq", "--t", "1/2", "--sigma", "(1 2"],
+    ["lagrange", "--seq", "1,x"],
+    ["lagrange", "--seq", ","],
+    ["alpha", "--seq", "0"],
+    ["qform", "--seq=-1,2"],
+    ["distance", "--from", "0", "--to", "1,1"],
+    ["distance", "--from", "a,b", "--to", "1,1"],
+    ["distance", "--from", "1,2,3", "--to", "0,0"],
+    ["spectrum", "--depth", "-3"],
+    ["spectrum", "--k", "1,2", "--depth", "1"],
+    ["spectrum", "--kmax", "-2", "--depth", "1"],
+    ["spectrum", "--kmax", "1", "--depth", "-1"],
+    ["--out", "{missing}", "seq", "--t", "1/2"],
+    ["--out", "{dir}", "seq", "--t", "1/2"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV, ids=" ".join)
+def test_malformed_argv_fails_with_one_line(argv, tmp_path, capsys):
+    argv = [a.format(missing=tmp_path / "no" / "x", dir=tmp_path) for a in argv]
+    assert run(argv) == (1 if "--out" in argv else 2)  # an unwritable --out is a usage error
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("gmspec: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err

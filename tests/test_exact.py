@@ -7,8 +7,8 @@ from gmspec.exact import (
     QuadSurd,
     cf_eval_periodic,
     cf_matrix,
-    _decimal_interval,
     _FULL_FACTOR_BOUND,
+    _floor_surd,
     _square_split,
     decimal_str,
     period_divides_block,
@@ -16,6 +16,7 @@ from gmspec.exact import (
     surd_canonicalize,
     surd_cmp,
 )
+from exact_oracle import _decimal_interval, floor_interval
 
 FREIMAN = QuadSurd(2221564096, 283748, 462, 491993569)
 
@@ -142,7 +143,8 @@ def test_decimal_rendering():
     assert decimal_str(QuadSurd(0, 1, 5, 1), 4) == "2.236"
 
 
-def test_integer_decimal_path_matches_interval_path():
+def _rounding_cases() -> list[QuadSurd]:
+    """Sqrt ratios, mixed, negative, rational and near-cancelling surds."""
     rng = random.Random(19)
     surds = [
         QuadSurd(0, 1, 99999999, 1000),  # 9.99999995: carries to 10.0 below 8 digits
@@ -151,22 +153,71 @@ def test_integer_decimal_path_matches_interval_path():
         QuadSurd(0, 3, 7, 10**5),  # 7.9e-05: scientific, e < -4
         QuadSurd(0, 10**9, 3, 1),  # 1.73e+09: scientific once e >= sig
         QuadSurd(0, 1, 10**30 - 1, 1),  # 9.99...e+14: carry into a scientific exponent
+        QuadSurd(-3, 0, 1, 2),  # -1.5: a rational tie, rounded away from zero
+        QuadSurd(1, 0, 1, 8),  # 0.125: a tie at 2 digits
+        QuadSurd(-99995, 0, 1, 10**5),  # -0.99995: a tie that carries
+        QuadSurd(0, -1, 2, 1),
+        QuadSurd(0, 0, 1, 1),
     ]
-    for _ in range(300):
+    for _ in range(150):
         D = rng.randint(2, 10 ** rng.randint(1, 40))
         r = rng.randint(1, 10 ** rng.randint(0, 30))
         surds.append(QuadSurd(0, rng.randint(1, 10**6), D, r))
+    for _ in range(150):  # mixed, either sign
+        D = rng.randint(2, 10 ** rng.randint(1, 30))
+        p = rng.randint(-(10 ** rng.randint(0, 20)), 10 ** rng.randint(0, 20))
+        q = rng.choice((-1, 1)) * rng.randint(1, 10**6)
+        surds.append(QuadSurd(p, q, D, rng.randint(1, 10 ** rng.randint(0, 20))))
+    for _ in range(50):  # rational
+        p = rng.randint(-(10 ** rng.randint(0, 20)), 10 ** rng.randint(0, 20))
+        surds.append(QuadSurd(p, 0, 1, rng.randint(1, 10 ** rng.randint(0, 20))))
+    for _ in range(100):  # a - sqrt(a^2 +- j) and its negative, near 10^30 radicands
+        a = rng.randint(3, 10 ** rng.randint(1, 15))
+        j = rng.choice((-1, 1)) * rng.randint(1, 9)
+        s = rng.choice((-1, 1))
+        surds.append(QuadSurd(s * a, -s, a * a + j, rng.randint(1, 10 ** rng.randint(0, 6))))
+    return surds
+
+
+def test_integer_decimal_path_matches_interval_path():
     tried = 0
-    for x in surds:
-        if x.is_rational:
-            continue
+    for x in _rounding_cases():
         for sig in range(1, 21):
             assert decimal_str(x, sig) == _decimal_interval(x, sig), (x, sig)
             tried += 1
-    assert tried > 5000
+    assert tried > 9000
     assert decimal_str(QuadSurd(0, 1, 99999999, 1000), 7) == "10.00000"
     assert decimal_str(QuadSurd(0, 1, 2, 10**7), 3) == "1.41e-07"
     assert decimal_str(QuadSurd(0, 10**9, 3, 1), 3) == "1.73e+09"
+    assert decimal_str(QuadSurd(-99995, 0, 1, 10**5), 4) == "-1.000"
+
+
+def test_floor_matches_interval_floor():
+    for x in _rounding_cases():
+        assert x.floor() == floor_interval(x), x
+    rng = random.Random(23)
+    for _ in range(500):  # perfect-square radicands, which no canonical surd has
+        p, q, m = (rng.randint(-(10**12), 10**12) for _ in range(3))
+        r = rng.randint(1, 4)
+        assert _floor_surd(p, q, m * m, r) == (p + q * abs(m)) // r
+
+
+def test_decimal_mantissa_matches_sympy_rounding():
+    sympy = pytest.importorskip("sympy")
+    from decimal import Decimal
+
+    for x in _rounding_cases()[::5]:
+        if x.p == 0 and x.q == 0:
+            continue
+        value = abs((x.p + x.q * sympy.sqrt(x.D)) / sympy.Integer(x.r))
+        for sig in (1, 5, 12):
+            digits = Decimal(decimal_str(x, sig)).as_tuple()
+            assert len(digits.digits) == sig, (x, sig)
+            m = int("".join(map(str, digits.digits)))
+            scaled = value * sympy.Integer(10) ** -digits.exponent + sympy.Rational(1, 2)
+            if x.q:  # sympy.floor alone misjudges near-cancelling sums; N tracks precision
+                scaled = sympy.N(scaled, 90)
+            assert m == sympy.floor(scaled), (x, sig)
 
 
 def test_square_split_matches_factorint():

@@ -108,6 +108,44 @@ def test_markov_sup_degenerate_form_reports_infinite():
     assert markov_sup_exact(q, 5) is None
 
 
+def _box_sup(q, bound: int) -> QuadSurd | None:
+    """sqrt(disc)/min |q| over 0 < max(|x|, |y|) <= bound, trying every point."""
+    box = range(-bound, bound + 1)
+    least = min(abs(q(x, y)) for x in box for y in box if x or y)
+    if least == 0:
+        return None
+    n, m = q.discriminant.as_integer_ratio()
+    a, b = least.as_integer_ratio()
+    return QuadSurd(0, b, n * m, m * a)  # sqrt(n/m)/(a/b)
+
+
+def test_markov_sup_exact_equals_the_box_minimum():
+    from gmspec.spectrum import QForm
+
+    rng = random.Random(61)
+
+    def coeff() -> Fraction:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    forms = []
+    while len(forms) < 150:  # random forms, often with a negative or fractional a
+        a, b, c = coeff(), coeff(), coeff()
+        if a and b * b - 4 * a * c > 0:
+            forms.append(QForm(a, b, c))
+    for _ in range(50):  # f (u x - v y)(w x - z y): rational roots v/u, z/w
+        f, u, w = coeff() or Fraction(1), rng.randint(1, 3), rng.randint(-3, 3) or 1
+        v, z = rng.randint(-6, 6), rng.randint(-6, 6)
+        if v * w != z * u:
+            forms.append(QForm(f * u * w, -f * (u * z + v * w), f * v * z))
+    vanished = 0
+    for q in forms:
+        for bound in range(1, 6):
+            want = _box_sup(q, bound)
+            assert markov_sup_exact(q, bound) == want, (q, bound)
+            vanished += want is None
+    assert 0 < vanished < len(forms) * 5
+
+
 def test_qform_requires_indefinite():
     from gmspec.spectrum import QForm
 
