@@ -31,6 +31,10 @@ from .verify import SUITE_NAMES, run_suite
 USAGE_ERROR, DOMAIN_ERROR, VERIFY_ERROR = 1, 2, 3
 
 
+class _OutError(Exception):
+    """The --out file could not be written."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse default exit code is 2
         self.print_usage(sys.stderr)
@@ -82,8 +86,11 @@ def _emit(args, text: str, payload) -> None:
     else:
         out = text
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(out + "\n")
+        except OSError as exc:
+            raise _OutError(exc) from exc
     else:
         print(out)
 
@@ -190,7 +197,7 @@ def run(argv: list[str]) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"gmspec: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
-    except OSError as exc:  # --out could not be written
+    except _OutError as exc:
         print(f"gmspec: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

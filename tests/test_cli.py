@@ -138,10 +138,8 @@ MALFORMED_ARGV = [
     ["distance", "--from", "0", "--to", "1,1"],
     ["distance", "--from", "a,b", "--to", "1,1"],
     ["distance", "--from", "1,2,3", "--to", "0,0"],
-    ["spectrum", "--depth", "-3"],
     ["spectrum", "--k", "1,2", "--depth", "1"],
     ["spectrum", "--kmax", "-2", "--depth", "1"],
-    ["spectrum", "--kmax", "1", "--depth", "-1"],
     ["--out", "{missing}", "seq", "--t", "1/2"],
     ["--out", "{dir}", "seq", "--t", "1/2"],
 ]

@@ -159,7 +159,7 @@ def _rounding_cases() -> list[QuadSurd]:
         QuadSurd(0, -1, 2, 1),
         QuadSurd(0, 0, 1, 1),
     ]
-    for _ in range(150):
+    for _ in range(300):
         D = rng.randint(2, 10 ** rng.randint(1, 40))
         r = rng.randint(1, 10 ** rng.randint(0, 30))
         surds.append(QuadSurd(0, rng.randint(1, 10**6), D, r))
@@ -185,7 +185,7 @@ def test_integer_decimal_path_matches_interval_path():
         for sig in range(1, 21):
             assert decimal_str(x, sig) == _decimal_interval(x, sig), (x, sig)
             tried += 1
-    assert tried > 9000
+    assert tried > 12000
     assert decimal_str(QuadSurd(0, 1, 99999999, 1000), 7) == "10.00000"
     assert decimal_str(QuadSurd(0, 1, 2, 10**7), 3) == "1.41e-07"
     assert decimal_str(QuadSurd(0, 10**9, 3, 1), 3) == "1.73e+09"
