@@ -47,31 +47,23 @@ def _add_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", default="id", help="permutation in cycle notation (default id)")
 
 
-def _k_of(text: str) -> tuple[int, int, int]:
+_K_EXPECTED = "--k expects three comma-separated integers"
+
+
+def _ints_of(text: str, count: int | None, expected: str) -> tuple[int, ...]:
+    """The comma-separated integers of text, exactly `count` of them unless
+    count is None; otherwise a ValueError saying what was expected."""
     try:
-        k1, k2, k3 = (int(x) for x in text.split(","))
+        vals = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise ValueError(f"--k expects three comma-separated integers, got {text!r}")
-    return k1, k2, k3
+        vals = None
+    if vals is None or (count is not None and len(vals) != count):
+        raise ValueError(f"{expected}, got {text!r}")
+    return vals
 
 
 def _params_of(args) -> GMParams:
-    return GMParams(*_k_of(args.k), parse_sigma(args.sigma))
-
-
-def _seq_of(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ValueError(f"expected a comma-separated integer sequence, got {text!r}")
-
-
-def _point_of(text: str) -> tuple[int, int]:
-    try:
-        x, y = (int(v) for v in text.split(","))
-        return x, y
-    except ValueError:
-        raise ValueError(f"expected a lattice point 'x,y', got {text!r}")
+    return GMParams(*_ints_of(args.k, 3, _K_EXPECTED), parse_sigma(args.sigma))
 
 
 def _surd_payload(x: QuadSurd) -> dict:
@@ -96,29 +88,14 @@ def _emit(args, text: str, payload) -> None:
 
 
 def _to_csv(payload) -> str:
+    """One CSV row per payload entry; every entry has the same keys, and
+    each value is a scalar or a list."""
     buf = io.StringIO()
     rows = payload if isinstance(payload, list) else [payload]
-    flat = [_flatten(r) for r in rows]
-    keys: list[str] = []
-    for r in flat:
-        for k in r:
-            if k not in keys:
-                keys.append(k)
-    w = csv.DictWriter(buf, fieldnames=keys)
+    w = csv.DictWriter(buf, fieldnames=list(rows[0]) if rows else [])
     w.writeheader()
-    for r in flat:
-        w.writerow(r)
+    w.writerows(rows)
     return buf.getvalue().rstrip("\n")
-
-
-def _flatten(obj, prefix: str = "") -> dict:
-    out = {}
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            out.update(_flatten(v, f"{prefix}{k}."))
-    else:
-        out[prefix.rstrip(".")] = obj
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _block_of(args) -> tuple[int, ...]:
     if args.seq is not None:
-        return _seq_of(args.seq)
+        return _ints_of(args.seq, None, "expected a comma-separated integer sequence")
     t = IrreducibleFraction.parse(args.t)
     return admissible_sequence(t, _params_of(args))
 
@@ -230,7 +207,8 @@ def _dispatch(args) -> int:
         q = qform_of(_block_of(args))
         _emit(args, str(q), {"a": str(q.a), "b": str(q.b), "c": str(q.c)})
     elif cmd == "distance":
-        d = gm_distance(_point_of(args.src), _point_of(args.dst), _params_of(args))
+        pt = "expected a lattice point 'x,y'"
+        d = gm_distance(_ints_of(args.src, 2, pt), _ints_of(args.dst, 2, pt), _params_of(args))
         _emit(args, str(d), {"distance": d})
     elif cmd == "spectrum":
         return _spectrum_cmd(args)
@@ -242,7 +220,7 @@ def _dispatch(args) -> int:
 
 
 def _spectrum_cmd(args) -> int:
-    k = _k_of(args.k)
+    k = _ints_of(args.k, 3, _K_EXPECTED)
     text = args.format == "text"
     if args.kmax is not None:
         hits = transition_scan(args.kmax, args.depth)

@@ -426,6 +426,8 @@ def decimal_str(x: QuadSurd, sig: int = 12) -> str:
     exponent, and dropping the spare digits of m2 then (m2 + 1) >> 1 rounds
     half up.
     """
+    if sig < 1:
+        raise ValueError("sig must be >= 1")
     p, q, D, r = x.p, x.q, x.D, x.r
     if p == 0 and q == 0:
         return "0." + "0" * (sig - 1)
@@ -514,11 +516,8 @@ def cf_eval_periodic(preperiod: Sequence[int], period: Sequence[int]) -> QuadSur
     """Exact value of the continued fraction [preperiod; period, period, ...]."""
     if not period:
         raise ValueError("period must be nonempty")
-    m = cf_matrix(period)
-    disc = m.trace() ** 2 - 4 * m.det()
-    if m.c == 0:
-        raise ValueError("degenerate period")
-    x = QuadSurd(m.a - m.d, 1, disc, 2 * m.c)
+    m = cf_matrix(period)  # c >= 1, as every entry is >= 1
+    x = QuadSurd(m.a - m.d, 1, m.trace() ** 2 - 4 * m.det(), 2 * m.c)
     for a in reversed(list(preperiod)):
         x = a + 1 / x
     return x

@@ -101,13 +101,11 @@ def build_snake_graph(entries: Sequence[int]) -> SnakeGraph:
     return SnakeGraph(tuple(tiles), tuple(steps), tuple(sorted(vset)), tuple(sorted(eset)))
 
 
-def count_matchings_bruteforce(
-    graph: SnakeGraph, tile_bound: int = BRUTE_FORCE_TILE_BOUND
-) -> int:
+def count_matchings_bruteforce(graph: SnakeGraph) -> int:
     """Exhaustive perfect-matching count by backtracking over edges."""
-    if len(graph.tiles) > tile_bound:
+    if len(graph.tiles) > BRUTE_FORCE_TILE_BOUND:
         raise ValueError(
-            f"graph has {len(graph.tiles)} tiles, brute-force bound is {tile_bound}"
+            f"graph has {len(graph.tiles)} tiles, brute-force bound is {BRUTE_FORCE_TILE_BOUND}"
         )
     if not graph.vertices:
         return 1

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import QuadSurd, _floor_surd, cf_matrix
+from .exact import QuadSurd, _floor_surd, cf_eval_periodic, cf_matrix
 from .farey import IrreducibleFraction
 from .gmtree import ALTERNATING, GMParams, _walk_tree, gm_pair
 
@@ -109,15 +109,20 @@ class SpectrumElement:
         }
 
 
-def ell_periodic(entries: Sequence[int]) -> QuadSurd:
-    """Bi-infinite periodization value sqrt(tr^2 - (-1)^n * 4) / c for the
-    convergent matrix [[a,b],[c,d]] of the block."""
+def _nonempty(entries: Sequence[int]) -> tuple[int, ...]:
+    """The block as a tuple; cf_matrix rejects entries below 1, so a nonempty
+    block has a lower-left convergent entry c >= 1."""
     seq = tuple(entries)
     if not seq:
         raise ValueError("block must be nonempty")
+    return seq
+
+
+def ell_periodic(entries: Sequence[int]) -> QuadSurd:
+    """Bi-infinite periodization value sqrt(tr^2 - (-1)^n * 4) / c for the
+    convergent matrix [[a,b],[c,d]] of the block."""
+    seq = _nonempty(entries)
     m = cf_matrix(seq)
-    if m.c == 0:
-        raise ValueError("block has zero lower-left convergent entry")
     disc = m.trace() ** 2 - (4 if len(seq) % 2 == 0 else -4)
     return QuadSurd(0, 1, disc, m.c)
 
@@ -128,29 +133,18 @@ def lagrange_value(entries: Sequence[int]) -> QuadSurd:
     All cyclic rotations share the trace, so the maximum is the trace surd
     over the minimal lower-left convergent entry among rotations.
     """
-    seq = tuple(entries)
-    if not seq:
-        raise ValueError("block must be nonempty")
+    seq = _nonempty(entries)
     n = len(seq)
-    c_min = None
-    for i in range(n):
-        rot = seq[i:] + seq[:i]
-        c = cf_matrix(rot).c
-        if c_min is None or c < c_min:
-            c_min = c
+    c_min = min(cf_matrix(seq[i:] + seq[:i]).c for i in range(n))
     disc = cf_matrix(seq).trace() ** 2 - (4 if n % 2 == 0 else -4)
     return QuadSurd(0, 1, disc, c_min)
 
 
 def alpha_fixed_point(entries: Sequence[int]) -> QuadSurd:
     """Positive fixed point (a - d + sqrt((a+d)^2 - 4 det))/(2c) of the
-    Moebius action of the block's convergent matrix; equals the value of the
-    purely periodic continued fraction with this block."""
-    m = cf_matrix(tuple(entries))
-    if m.c == 0:
-        raise ValueError("block has zero lower-left convergent entry")
-    disc = m.trace() ** 2 - 4 * m.det()
-    return QuadSurd(m.a - m.d, 1, disc, 2 * m.c)
+    Moebius action of the block's convergent matrix: the value of the purely
+    periodic continued fraction with this block."""
+    return cf_eval_periodic((), tuple(entries))
 
 
 def markov_value(t: IrreducibleFraction, params: GMParams) -> SpectrumElement:
@@ -164,9 +158,7 @@ def markov_value(t: IrreducibleFraction, params: GMParams) -> SpectrumElement:
 def qform_of(entries: Sequence[int]) -> QForm:
     """Monic form x^2 - ((a-d)/c) xy - (b/c) y^2 whose root pair is the fixed
     point of the block and its conjugate."""
-    m = cf_matrix(tuple(entries))
-    if m.c == 0:
-        raise ValueError("block has zero lower-left convergent entry")
+    m = cf_matrix(_nonempty(entries))
     return QForm(Fraction(1), -Fraction(m.a - m.d, m.c), -Fraction(m.b, m.c))
 
 

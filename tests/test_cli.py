@@ -62,6 +62,24 @@ def test_spectrum_csv_schema(capsys):
     assert len(lines) >= 4
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # an empty payload: an empty header row and nothing else
+        (["--format", "csv", "spectrum", "--kmax", "0"], "\r\n"),
+        # list-valued cells
+        (
+            ["--format", "csv", "node", "--t", "2/3", "--k", "1,2,0"],
+            't,left,mid,right\r\n2/3,"[17, 3]","[373, 1]","[4, 2]"\r\n',
+        ),
+    ],
+    ids=["empty-payload", "list-cells"],
+)
+def test_csv_bytes(argv, want, capsys):
+    assert run(argv) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["frobnicate"]) == 1
     assert run(["seq", "--k", "1,2,0"]) == 1  # missing --t

@@ -141,6 +141,12 @@ def test_decimal_rendering():
     assert decimal_str(FREIMAN, 12) == "4.52782956616"
     assert decimal_str(QuadSurd(-3, 0, 1, 2), 3) == "-1.50"
     assert decimal_str(QuadSurd(0, 1, 5, 1), 4) == "2.236"
+    for x in (QuadSurd(0, 1, 2, 1), QuadSurd(0, 0, 1, 1)):
+        for sig in (0, -1):
+            with pytest.raises(ValueError, match="sig must be >= 1"):
+                decimal_str(x, sig)
+            with pytest.raises(ValueError, match="sig must be >= 1"):
+                x.decimal(sig)
 
 
 def _rounding_cases() -> list[QuadSurd]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gmspec.exact import QuadSurd, periodic_cf_expansion, period_divides_block
+from gmspec.exact import QuadSurd, cf_eval_periodic, periodic_cf_expansion, period_divides_block
 from gmspec.farey import IrreducibleFraction
 from gmspec.gmtree import (
     ALL_SIGMAS,
@@ -41,6 +41,16 @@ def test_ell_periodic_fixtures():
     assert ell_periodic((1, 1, 1, 2, 2, 2)) == QuadSurd(0, 4, 210, 29)
     with pytest.raises(ValueError):
         ell_periodic(())
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [lagrange_value, alpha_fixed_point, qform_of, functools.partial(cf_eval_periodic, ())],
+)
+def test_empty_block_is_rejected(fn):
+    # a nonempty block has c >= 1, so emptiness is the only degenerate case
+    with pytest.raises(ValueError, match="must be nonempty"):
+        fn(())
 
 
 def test_lagrange_fixtures():

@@ -1,4 +1,7 @@
+import dataclasses
 import sys
+
+import pytest
 
 from gmspec import lattice, verify
 from gmspec.cohn import closed_form_entries
@@ -85,6 +88,40 @@ def test_grid_suites_beyond_default_depth():
     assert [r.detail for r in fact] == ["3072 cases"] * 3
     assert rot[0].detail == "3066 cases"
     assert [r.detail for r in dual[:3]] == ["3066 cases"] * 3
+
+
+def _first_entry_plus_one(*fields):
+    """A change that adds 1 to the first component of each named field."""
+    def change(e):
+        return {f: (getattr(e, f)[0] + 1, *getattr(e, f)[1:]) for f in fields}
+    return change
+
+
+_WRONG_ENTRIES = [
+    ("factorization", _first_entry_plus_one("closed"), "factorization"),
+    ("factorization", _first_entry_plus_one("cf", "closed"), "determinant"),
+    ("factorization", lambda e: {"k_t": e.k_t + 1}, "trace"),
+    ("rotation", lambda e: {"rot_min_c": e.rot_min_c + 1}, "rotation-minimality"),
+    ("duality", lambda e: {"rot_min_c": e.rot_min_c + 1}, "main-theorem"),
+    ("duality", _first_entry_plus_one("cf"), "lagrange-duality"),
+    ("duality", lambda e: {"u": e.u + 1}, "characteristic-duality"),
+]
+
+
+@pytest.mark.parametrize("suite, change, name", _WRONG_ENTRIES, ids=[c[2] for c in _WRONG_ENTRIES])
+def test_grid_suite_reports_a_wrong_entry(monkeypatch, suite, change, name):
+    # label 1/2 (index 1) is read before its mirror 2/1, so its own checks fail first
+    grid = verify._grid
+
+    def tampered(kappa, depth):
+        entries = grid(kappa, depth)
+        return entries[:1] + (dataclasses.replace(entries[1], **change(entries[1])),) + entries[2:]
+
+    monkeypatch.setattr(verify, "_grid", tampered)
+    kwargs = {"surd_sample_depth": 0} if suite == "duality" else {}
+    results = getattr(verify, f"{suite}_suite")(depth=3, triples=[(0, 0, 1)], **kwargs)
+    assert [(r.name, r.ok) for r in results] == [(name, False)]
+    assert results[0].detail.startswith("t=1/2 k=(0, 0, 1)")
 
 
 def test_labels_and_mirror():
