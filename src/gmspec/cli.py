@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import sys
+from typing import Iterable, Iterator
 
 from .exact import Mat2, QuadSurd
 from .farey import IrreducibleFraction
-from .gmtree import GMParams, gm_node, parse_sigma
+from .gmtree import GMParams, format_sigma, gm_node, parse_sigma
 from .cohn import cohn_closed_form, cohn_recursive
 from .lattice import admissible_sequence, gm_distance
 from .spectrum import (
@@ -29,6 +30,12 @@ from .tables import reproduce_tables
 from .verify import SUITE_NAMES, run_suite
 
 USAGE_ERROR, DOMAIN_ERROR, VERIFY_ERROR = 1, 2, 3
+
+# Largest num + den of a --t label.  A label's admissible sequence has at most
+# 2 (num + den) entries and its tree values about 2.5 (num + den) bits, so this
+# bounds the work of every label command; `lagrange`, the slowest, takes about
+# a second at the limit.
+LABEL_SIZE_LIMIT = 1024
 
 
 class _OutError(Exception):
@@ -70,32 +77,59 @@ def _surd_payload(x: QuadSurd) -> dict:
     return {**x.to_json(), "str": str(x), "decimal": x.decimal()}
 
 
-def _emit(args, text: str, payload) -> None:
-    if args.format == "json":
-        out = json.dumps(payload, indent=2)
-    elif args.format == "csv":
-        out = _to_csv(payload)
-    else:
-        out = text
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(out + "\n")
-        except OSError as exc:
-            raise _OutError(exc) from exc
-    else:
-        print(out)
+def _emit(args, lines: Iterable[str], payload) -> None:
+    """Write the output to --out or stdout one row at a time: the text lines,
+    or the payload (one dict, or an iterable of dicts with the same keys) as
+    JSON or CSV.  The bytes are those of the joined lines, of
+    json.dumps(payload, indent=2) or of csv.DictWriter, ending in a newline."""
+    if not args.out:
+        _write(sys.stdout, args.format, lines, payload)
+        return
+    try:
+        with open(args.out, "w") as fh:
+            _write(fh, args.format, lines, payload)
+    except OSError as exc:
+        raise _OutError(exc) from exc
 
 
-def _to_csv(payload) -> str:
-    """One CSV row per payload entry; every entry has the same keys, and
-    each value is a scalar or a list."""
-    buf = io.StringIO()
-    rows = payload if isinstance(payload, list) else [payload]
-    w = csv.DictWriter(buf, fieldnames=list(rows[0]) if rows else [])
-    w.writeheader()
-    w.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+def _write(stream, fmt: str, lines: Iterable[str], payload) -> None:
+    if fmt == "text":
+        stream.writelines(_joined(lines, "", "\n", "\n", "\n"))
+    elif fmt == "csv":
+        rows = iter([payload] if isinstance(payload, dict) else payload)
+        first = next(rows, {})  # its keys are the header
+        w = csv.DictWriter(stream, fieldnames=list(first))
+        w.writeheader()
+        if first:
+            w.writerow(first)
+        w.writerows(rows)
+    elif isinstance(payload, dict):
+        stream.write(json.dumps(payload, indent=2) + "\n")
+    else:
+        stream.writelines(_joined(map(_json_entry, payload), "[\n", ",\n", "\n]\n", "[]\n"))
+
+
+def _joined(parts: Iterable[str], head: str, sep: str, tail: str, empty: str) -> Iterator[str]:
+    """head + sep.join(parts) + tail, or `empty` for no parts, a part at a time."""
+    lead = None
+    for part in parts:
+        yield (head if lead is None else lead) + part
+        lead = sep
+    yield empty if lead is None else tail
+
+
+# The C encoder with the separators that indent=2 puts between the fields of
+# a list entry.
+_FLAT_ENTRY = json.JSONEncoder(separators=(",\n    ", ": "), check_circular=False).encode
+_NESTED = frozenset((dict, list))
+
+
+def _json_entry(row: dict) -> str:
+    """A row as json.dumps renders it as an entry of a list with indent=2."""
+    if _NESTED.isdisjoint(map(type, row.values())):
+        return "  {\n    " + _FLAT_ENTRY(row)[1:-1] + "\n  }"
+    # json.dumps escapes the newlines inside strings, so each one left is layout
+    return "  " + json.dumps(row, indent=2).replace("\n", "\n  ")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,8 +190,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _block_of(args) -> tuple[int, ...]:
     if args.seq is not None:
         return _ints_of(args.seq, None, "expected a comma-separated integer sequence")
+    return admissible_sequence(_label_of(args), _params_of(args))
+
+
+def _label_of(args) -> IrreducibleFraction:
     t = IrreducibleFraction.parse(args.t)
-    return admissible_sequence(t, _params_of(args))
+    if t.num + t.den > LABEL_SIZE_LIMIT:
+        raise ValueError(f"label too large: num + den must be at most {LABEL_SIZE_LIMIT}")
+    return t
 
 
 def run(argv: list[str]) -> int:
@@ -182,16 +222,16 @@ def run(argv: list[str]) -> int:
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "seq":
-        s = admissible_sequence(IrreducibleFraction.parse(args.t), _params_of(args))
-        _emit(args, ",".join(map(str, s)), {"t": args.t, "s": list(s)})
+        s = admissible_sequence(_label_of(args), _params_of(args))
+        _emit(args, [",".join(map(str, s))], {"t": args.t, "s": list(s)})
     elif cmd == "cohn":
-        t = IrreducibleFraction.parse(args.t)
+        t = _label_of(args)
         fn = cohn_closed_form if args.method == "closed" else cohn_recursive
         m: Mat2 = fn(t, _params_of(args))
-        _emit(args, str(m), {"t": args.t, "matrix": m.to_list()})
+        _emit(args, [str(m)], {"t": args.t, "matrix": m.to_list()})
     elif cmd == "node":
-        node = gm_node(IrreducibleFraction.parse(args.t), _params_of(args))
-        _emit(args, str(node), {
+        node = gm_node(_label_of(args), _params_of(args))
+        _emit(args, [str(node)], {
             "t": args.t,
             "left": [node.left.value, node.left.pos],
             "mid": [node.mid.value, node.mid.pos],
@@ -199,17 +239,17 @@ def _dispatch(args) -> int:
         })
     elif cmd == "lagrange":
         val = lagrange_value(_block_of(args))
-        _emit(args, str(val), _surd_payload(val))
+        _emit(args, [str(val)], _surd_payload(val))
     elif cmd == "alpha":
         val = alpha_fixed_point(_block_of(args))
-        _emit(args, str(val), _surd_payload(val))
+        _emit(args, [str(val)], _surd_payload(val))
     elif cmd == "qform":
         q = qform_of(_block_of(args))
-        _emit(args, str(q), {"a": str(q.a), "b": str(q.b), "c": str(q.c)})
+        _emit(args, [str(q)], {"a": str(q.a), "b": str(q.b), "c": str(q.c)})
     elif cmd == "distance":
         pt = "expected a lattice point 'x,y'"
         d = gm_distance(_ints_of(args.src, 2, pt), _ints_of(args.dst, 2, pt), _params_of(args))
-        _emit(args, str(d), {"distance": d})
+        _emit(args, [str(d)], {"distance": d})
     elif cmd == "spectrum":
         return _spectrum_cmd(args)
     elif cmd == "tables":
@@ -221,24 +261,21 @@ def _dispatch(args) -> int:
 
 def _spectrum_cmd(args) -> int:
     k = _ints_of(args.k, 3, _K_EXPECTED)
-    text = args.format == "text"
     if args.kmax is not None:
         hits = transition_scan(args.kmax, args.depth)
-        payload = [el.to_json() for _, el in hits]
-        lines = [f"note: {TRANSITION_CAVEAT}"] + [
-            f"k=({kk[0]},{kk[1]},{kk[2]}) {el.value} = {row['decimal']}"
-            for (kk, el), row in zip(hits, payload)
-        ] if text else []
-        _emit(args, "\n".join(lines), payload)
+        lines = itertools.chain([f"note: {TRANSITION_CAVEAT}"], (
+            f"k=({kk[0]},{kk[1]},{kk[2]}) {el.value} = {el.value.decimal()}"
+            for kk, el in hits
+        ))
+        _emit(args, lines, (el.to_json() for _, el in hits))
         return 0
     elems = enumerate_spectrum(k, args.depth)
-    payload = [el.to_json() for el in elems]
-    lines = [
-        f"{el.value} = {row['decimal']}  (t={el.t}, n={el.n}, pos={el.pos}, "
-        f"sigma={row['sigma']})"
-        for el, row in zip(elems, payload)
-    ] if text else []
-    _emit(args, "\n".join(lines), payload)
+    lines = (
+        f"{el.value} = {el.value.decimal()}  (t={el.t}, n={el.n}, pos={el.pos}, "
+        f"sigma={format_sigma(el.params.sigma)})"
+        for el in elems
+    )
+    _emit(args, lines, (el.to_json() for el in elems))
     return 0
 
 
@@ -251,7 +288,7 @@ def _tables_cmd(args) -> int:
         {"label": r.row.label, "t": str(r.row.t), "ok": r.ok, "mismatches": list(r.mismatches)}
         for r in results
     ]
-    _emit(args, "\n".join(lines), payload)
+    _emit(args, lines, payload)
     return VERIFY_ERROR if bad else 0
 
 
@@ -261,7 +298,7 @@ def _verify_cmd(args) -> int:
     if args.suite in ("transition", "all"):
         lines.append(f"note: {TRANSITION_CAVEAT}")
     payload = [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results]
-    _emit(args, "\n".join(lines), payload)
+    _emit(args, lines, payload)
     return 0 if all(r.ok for r in results) else VERIFY_ERROR
 
 

@@ -59,11 +59,14 @@ def parse_sigma(text: str) -> Sigma:
     raise ValueError(f"unknown permutation {text!r}")
 
 
+_SIGMA_NAMES: dict[Sigma, str] = {s: name for name, s in _CYCLE_NAMES.items()}
+
+
 def format_sigma(sigma: Sigma) -> str:
-    for name, s in _CYCLE_NAMES.items():
-        if s == sigma:
-            return name
-    raise ValueError(f"not a permutation of (1,2,3): {sigma}")
+    try:
+        return _SIGMA_NAMES[sigma]
+    except (KeyError, TypeError):  # TypeError: an unhashable sigma
+        raise ValueError(f"not a permutation of (1,2,3): {sigma}") from None
 
 
 def sigma_star(sigma: Sigma) -> Sigma:

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .exact import QuadSurd, _floor_surd, cf_eval_periodic, cf_matrix
 from .farey import IrreducibleFraction
-from .gmtree import ALTERNATING, GMParams, _walk_tree, gm_pair
+from .gmtree import ALTERNATING, GMParams, _walk_tree, format_sigma, gm_pair
 
 __all__ = [
     "FREIMAN_CONSTANT",
@@ -94,8 +94,7 @@ class SpectrumElement:
         return self.value.squared_fraction()
 
     def to_json(self) -> dict:
-        from .gmtree import format_sigma
-
+        v = self.value
         return {
             "k1": self.params.k1,
             "k2": self.params.k2,
@@ -104,8 +103,11 @@ class SpectrumElement:
             "t": str(self.t),
             "n": self.n,
             "pos": self.pos,
-            **self.value.to_json(),
-            "decimal": self.value.decimal(),
+            "p": v.p,
+            "q": v.q,
+            "D": v.D,
+            "r": v.r,
+            "decimal": v.decimal(),
         }
 
 

@@ -2,7 +2,11 @@ import json
 
 import pytest
 
-from gmspec.cli import run
+import cli_oracle
+from gmspec import cli
+from gmspec.cli import LABEL_SIZE_LIMIT, run
+from gmspec.gmtree import ALL_SIGMAS, format_sigma
+from gmspec.spectrum import enumerate_spectrum, transition_scan
 
 
 def test_seq_command(capsys):
@@ -160,6 +164,7 @@ MALFORMED_ARGV = [
     ["spectrum", "--kmax", "-2", "--depth", "1"],
     ["--out", "{missing}", "seq", "--t", "1/2"],
     ["--out", "{dir}", "seq", "--t", "1/2"],
+    ["--out", "{dir}", "--format", "json", "spectrum", "--depth", "3"],
 ]
 
 
@@ -170,3 +175,104 @@ def test_malformed_argv_fails_with_one_line(argv, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("gmspec: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+# -- the streaming emitter against the whole-payload renderer ----------------
+
+FORMATS = ("text", "json", "csv")
+
+
+def _outputs(argv, fmt, tmp_path, capsysbinary):
+    """Exit codes and output bytes of argv on stdout and with --out."""
+    rc = run(["--format", fmt, *argv])
+    stdout = capsysbinary.readouterr().out
+    target = tmp_path / "out"
+    rc_out = run(["--format", fmt, "--out", str(target), *argv])
+    assert capsysbinary.readouterr().out == b""
+    data = target.read_bytes()
+    target.unlink()
+    return rc, rc_out, stdout, data
+
+
+def _assert_old_bytes(argv, fmt, tmp_path, capsysbinary, monkeypatch):
+    new = _outputs(argv, fmt, tmp_path, capsysbinary)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_emit", cli_oracle.old_emit)
+        old = _outputs(argv, fmt, tmp_path, capsysbinary)
+    assert new == old, argv
+    assert new[2] == new[3]  # the --out file holds the stdout bytes
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("k", ["0,0,0", "1,2,0", "0,0,5", "2,2,1"])
+def test_spectrum_bytes_match_the_old_renderer(k, fmt, tmp_path, capsysbinary, monkeypatch):
+    for depth in range(7):
+        argv = ["spectrum", "--k", k, "--depth", str(depth)]
+        _assert_old_bytes(argv, fmt, tmp_path, capsysbinary, monkeypatch)
+
+
+COMMAND_ARGV = [
+    ["spectrum", "--kmax", "0"],
+    ["spectrum", "--kmax", "1", "--depth", "3"],
+    ["seq", "--k", "1,2,0", "--sigma", "id", "--t", "2/5"],
+    ["lagrange", "--seq", "1,1,1,2,2,2"],
+    ["distance", "--from", "0,0", "--to", "3,2", "--k", "1,2,0", "--sigma", "id"],
+    ["alpha", "--t", "1/2", "--k", "0,0,0"],
+    ["cohn", "--t", "1/2", "--k", "0,0,0"],
+    ["cohn", "--t", "3/5", "--k", "1,2,0", "--method", "recursive"],
+    ["node", "--t", "2/3", "--k", "1,2,0"],
+    ["qform", "--seq", "1,1,2,2"],
+    ["tables"],
+    ["verify", "--suite", "squares"],
+]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("argv", COMMAND_ARGV, ids=" ".join)
+def test_command_bytes_match_the_old_renderer(argv, fmt, tmp_path, capsysbinary, monkeypatch):
+    _assert_old_bytes(argv, fmt, tmp_path, capsysbinary, monkeypatch)
+
+
+def test_spectrum_rows_match_the_old_merged_rows():
+    elems = [el for k in ((0, 0, 0), (1, 2, 0), (0, 0, 5), (2, 2, 1))
+             for el in enumerate_spectrum(k, 5)]
+    elems += [el for _, el in transition_scan(1, 3)]
+    for el in elems:
+        assert list(el.to_json().items()) == list(cli_oracle.old_spectrum_row(el).items())
+
+
+def test_format_sigma_names_each_permutation_and_rejects_the_rest():
+    for s in ALL_SIGMAS:
+        assert format_sigma(s) == cli_oracle.old_format_sigma(s)
+    for bad in ((1, 1, 2), (0, 1, 2), (1, 2), [1, 2, 3], "id"):
+        with pytest.raises(ValueError):
+            format_sigma(bad)
+
+
+def test_domain_error_leaves_no_out_file(tmp_path, capsys):
+    target = tmp_path / "F"
+    for fmt in FORMATS:
+        _one_line_domain_error(
+            capsys, ["--format", fmt, "spectrum", "--depth", "-1", "--out", str(target)]
+        )
+        assert not target.exists()
+
+
+@pytest.mark.parametrize("cmd", ["seq", "cohn", "node", "lagrange", "alpha", "qform"])
+def test_huge_label_is_refused_with_one_line(cmd, capsys):
+    _one_line_domain_error(capsys, [cmd, "--t", "99999999999999999999/1"])
+
+
+def test_label_size_limit_is_on_num_plus_den(capsys):
+    assert run(["seq", "--t", f"{LABEL_SIZE_LIMIT - 1}/1"]) == 0
+    assert capsys.readouterr().out.count(",") == 2 * LABEL_SIZE_LIMIT - 3
+    _one_line_domain_error(capsys, ["seq", "--t", f"{LABEL_SIZE_LIMIT}/1"])
+    _one_line_domain_error(capsys, ["node", "--t", f"1/{LABEL_SIZE_LIMIT}"])
+    # a Fibonacci label: a 14-step Farey path, but num + den = 1597
+    _one_line_domain_error(capsys, ["lagrange", "--t", "610/987"])
+
+
+@pytest.mark.parametrize("parts", [[], ["a"], ["a", "", "b"]])
+def test_joined_streams_a_join(parts):
+    want = "<" + ",".join(parts) + ">" if parts else "none"
+    assert "".join(cli._joined(parts, "<", ",", ">", "none")) == want
