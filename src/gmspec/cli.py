@@ -34,7 +34,8 @@ USAGE_ERROR, DOMAIN_ERROR, VERIFY_ERROR = 1, 2, 3
 # Largest num + den of a --t label.  A label's admissible sequence has at most
 # 2 (num + den) entries and its tree values about 2.5 (num + den) bits, so this
 # bounds the work of every label command; `lagrange`, the slowest, takes about
-# a second at the limit.
+# a second at the limit.  A --seq block may have as many entries as the
+# longest label block, with 4 * LABEL_SIZE_LIMIT bits over all its entries.
 LABEL_SIZE_LIMIT = 1024
 
 
@@ -188,9 +189,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _block_of(args) -> tuple[int, ...]:
-    if args.seq is not None:
-        return _ints_of(args.seq, None, "expected a comma-separated integer sequence")
-    return admissible_sequence(_label_of(args), _params_of(args))
+    if args.seq is None:
+        return admissible_sequence(_label_of(args), _params_of(args))
+    s = _ints_of(args.seq, None, "expected a comma-separated integer sequence")
+    if len(s) > 2 * LABEL_SIZE_LIMIT or sum(x.bit_length() for x in s) > 4 * LABEL_SIZE_LIMIT:
+        raise ValueError(
+            f"sequence too large: at most {2 * LABEL_SIZE_LIMIT} entries "
+            f"of {4 * LABEL_SIZE_LIMIT} bits in all"
+        )
+    return s
 
 
 def _label_of(args) -> IrreducibleFraction:

@@ -50,9 +50,9 @@ def _floor_surd(p: int, q: int, N: int, r: int) -> int:
     return (p + s) // r
 
 
-# Full square-part extraction is attempted only below this bound; larger
-# radicands keep any square factor that bounded trial division misses.
-# Comparisons never rely on square-freeness, so this is purely cosmetic.
+# Full square-part extraction is attempted only below this bound; a larger
+# cofactor keeps any square factor other than those of 2..13.  Comparisons
+# never rely on square-freeness, so this is purely cosmetic.
 _FULL_FACTOR_BOUND = 10**14
 _CUBE_ROOT_PRIMES: list[int] = []  # the primes below 46416, sieved on first use
 
@@ -72,45 +72,40 @@ def _cube_root_primes() -> list[int]:
 def _square_split(n: int) -> tuple[int, int]:
     """Return (s, d) with n = s*s*d, extracting the square part of n >= 1.
 
-    Exhaustive for n < _FULL_FACTOR_BOUND: d is square-free.  Trial division
-    takes out every prime p with p**3 <= n, n being the shrinking cofactor.
-    Each prime factor of what is left then exceeds its cube root, so there
-    are at most two of them (three would multiply to more than it): the
-    cofactor is 1, a prime, a product of two distinct primes or a prime
-    squared, and one perfect-square test tells these apart.  Below the bound
-    every such p is below 46416, since 46416**3 > 10**14.  Above the bound
-    only the squares of 2..13 and a perfect-square cofactor are extracted.
+    d is square-free whenever d < _FULL_FACTOR_BOUND.  While the cofactor is
+    at or above the bound only the squares of 2..13 are taken out.  Once it
+    is below, trial division takes out every prime p with p**3 <= n, n being
+    the shrinking cofactor.  Each prime factor of what is left then exceeds
+    its cube root, so there are at most two of them (three would multiply to
+    more than it): the cofactor is 1, a prime, a product of two distinct
+    primes or a prime squared, and one perfect-square test tells these
+    apart.  Every such p is below 46416, since 46416**3 > 10**14.
     """
-    if n == 1:
-        return 1, 1
-    s = 1
     r = math.isqrt(n)
     if r * r == n:
         return r, 1
-    if n < _FULL_FACTOR_BOUND:
-        d = 1
-        for p in _cube_root_primes():
-            if p * p * p > n:
-                break
-            while n % p == 0:  # pair each factor p with another, or leave it in d
-                n //= p
-                if n % p:
-                    d *= p
-                else:
-                    n //= p
-                    s *= p
-        r = math.isqrt(n)
-        if r * r == n:
-            return s * r, d
-        return s, d * n
+    s = 1
     for p in (2, 3, 5, 7, 11, 13):
-        while n % (p * p) == 0:
+        while n >= _FULL_FACTOR_BOUND and n % (p * p) == 0:
             n //= p * p
             s *= p
+    if n >= _FULL_FACTOR_BOUND:  # not a perfect square, as n was none
+        return s, n
+    d = 1
+    for p in _cube_root_primes():
+        if p * p * p > n:
+            break
+        while n % p == 0:  # pair each factor p with another, or leave it in d
+            n //= p
+            if n % p:
+                d *= p
+            else:
+                n //= p
+                s *= p
     r = math.isqrt(n)
     if r * r == n:
-        return s * r, 1
-    return s, n
+        return s * r, d
+    return s, d * n
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +176,11 @@ class QuadSurd:
     """The real number (p + q*sqrt(D))/r in canonical form.
 
     Canonical means: r > 0, gcd(p, q, r) = 1, square factors of D moved into
-    q (exhaustively for moderate D, best-effort for very large D), and D = 1
+    q (all of them whenever D ends below 10^14, best-effort above), and D = 1
     whenever q = 0.  Equality and ordering are exact and total, and do not
-    depend on how much of D's square part was extracted.
+    depend on how much of D's square part was extracted.  There is no surd
+    arithmetic: values are worked out on integers (matrix entries, traces)
+    and built as a surd once, at the output.
     """
 
     __slots__ = ("p", "q", "D", "r")
@@ -231,9 +228,6 @@ class QuadSurd:
         if not self.is_rational:
             raise ValueError("not a rational value")
         return Fraction(self.p, self.r)
-
-    def conjugate(self) -> "QuadSurd":
-        return QuadSurd(self.p, -self.q, self.D, self.r)
 
     def squared_fraction(self) -> Fraction:
         """Exact value of x**2, defined only when p = 0 or q = 0."""
@@ -313,83 +307,6 @@ class QuadSurd:
         if self.is_rational:
             return hash(Fraction(self.p, self.r))
         return hash((self._minpoly(), _sign(self.q)))
-
-    # -- field operations within one radicand --------------------------------
-
-    def _coerce(self, other) -> "QuadSurd | None":
-        if isinstance(other, (int, Fraction)):
-            return QuadSurd.from_fraction(other)
-        if isinstance(other, QuadSurd):
-            return other
-        return None
-
-    def _same_field(self, other: "QuadSurd") -> int:
-        if self.is_rational:
-            return other.D
-        if other.is_rational:
-            return self.D
-        if self.D != other.D:
-            raise ValueError("surd arithmetic requires matching radicands")
-        return self.D
-
-    def __add__(self, other) -> "QuadSurd":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        D = self._same_field(o)
-        return QuadSurd(
-            self.p * o.r + o.p * self.r,
-            self.q * o.r + o.q * self.r,
-            D,
-            self.r * o.r,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadSurd":
-        return QuadSurd(-self.p, -self.q, self.D, self.r)
-
-    def __sub__(self, other) -> "QuadSurd":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "QuadSurd":
-        return (-self) + other
-
-    def __mul__(self, other) -> "QuadSurd":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        D = self._same_field(o)
-        return QuadSurd(
-            self.p * o.p + self.q * o.q * D,
-            self.p * o.q + self.q * o.p,
-            D,
-            self.r * o.r,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadSurd":
-        norm = self.p * self.p - self.q * self.q * self.D
-        if norm == 0:
-            raise ZeroDivisionError("surd is zero")
-        return QuadSurd(self.p * self.r, -self.q * self.r, self.D, norm)
-
-    def __truediv__(self, other) -> "QuadSurd":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        self._same_field(o)
-        return self * o.inverse()
-
-    def __rtruediv__(self, other) -> "QuadSurd":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     # -- rendering -----------------------------------------------------------
 
@@ -513,14 +430,23 @@ def periodic_cf_expansion(x: QuadSurd) -> tuple[tuple[int, ...], tuple[int, ...]
 
 
 def cf_eval_periodic(preperiod: Sequence[int], period: Sequence[int]) -> QuadSurd:
-    """Exact value of the continued fraction [preperiod; period, period, ...]."""
+    """Exact value of the continued fraction [preperiod; period, period, ...].
+
+    The period's convergent matrix fixes alpha = (P + sqrt(N))/Q.  The
+    preperiod's convergent matrix [[A, B], [C, D]] maps it to
+    (A alpha + B)/(C alpha + D), which with u = A P + B Q and v = C P + D Q is
+    (u v - A C N + (A D - B C) Q sqrt(N)) / (v^2 - C^2 N): one surd, whose
+    denominator is nonzero because alpha is irrational.  The first preperiod
+    entry may be any integer; the others must be >= 1, as in cf_matrix.
+    """
     if not period:
         raise ValueError("period must be nonempty")
     m = cf_matrix(period)  # c >= 1, as every entry is >= 1
-    x = QuadSurd(m.a - m.d, 1, m.trace() ** 2 - 4 * m.det(), 2 * m.c)
-    for a in reversed(list(preperiod)):
-        x = a + 1 / x
-    return x
+    P, Q, N = m.a - m.d, 2 * m.c, m.trace() ** 2 - 4 * m.det()
+    pre = tuple(preperiod)
+    M = Mat2(pre[0], 1, 1, 0) * cf_matrix(pre[1:]) if pre else Mat2.identity()
+    u, v = M.a * P + M.b * Q, M.c * P + M.d * Q
+    return QuadSurd(u * v - M.a * M.c * N, M.det() * Q, N, v * v - M.c * M.c * N)
 
 
 def period_divides_block(period: Sequence[int], block: Sequence[int]) -> bool:

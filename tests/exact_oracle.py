@@ -1,12 +1,19 @@
-"""Reference surd rounding that the integer paths in gmspec.exact are checked
+"""Reference routines that the integer paths in gmspec.exact are checked
 against.
 
-Both routines refine the enclosing `Fraction` intervals of
+The first two refine the enclosing `Fraction` intervals of
 `QuadSurd.interval`; neither uses the integer floor of gmspec.exact.
 
 * `_decimal_interval` renders a surd to `sig` significant digits by doubling
   the interval's precision until both ends round alike.
 * `floor_interval` floors a surd the same way, until both ends floor alike.
+
+The last two work on the fields (p, q, D, r) of (p + q*sqrt(D))/r.
+
+* `cf_eval_nested` evaluates a periodic continued fraction as
+  a + 1/(a' + 1/(...)), one canonical surd per preperiod entry, without
+  `cf_matrix` or its Moebius form.
+* `shift` adds a rational to a surd.
 """
 
 from __future__ import annotations
@@ -59,3 +66,32 @@ def floor_interval(x: QuadSurd) -> int:
         if flo == fhi:
             return flo
         bits *= 2
+
+
+def _plus_inverse(a: int, x: QuadSurd) -> QuadSurd:
+    """a + 1/x = a + r (p - q sqrt(D)) / (p^2 - q^2 D)."""
+    norm = x.p * x.p - x.q * x.q * x.D
+    return QuadSurd(a * norm + x.r * x.p, -x.r * x.q, x.D, norm)
+
+
+def cf_eval_nested(preperiod, period) -> QuadSurd:
+    """[preperiod; period, period, ...] with the preperiod folded in from the
+    right, as x = a + 1/x on surds.
+
+    The purely periodic tail alpha = [period; alpha] has the convergents
+    h/k of the period as its Moebius action, so
+    k alpha^2 + (k' - h) alpha - h' = 0 with h', k' the previous convergent.
+    """
+    h, h1, k, k1 = 1, 0, 0, 1  # convergents h/k and h1/k1 before any entry
+    for a in period:
+        h, h1, k, k1 = a * h + h1, h, a * k + k1, k
+    x = QuadSurd(h - k1, 1, (h - k1) ** 2 + 4 * h1 * k, 2 * k)
+    for a in reversed(preperiod):
+        x = _plus_inverse(a, x)
+    return x
+
+
+def shift(x: QuadSurd, f: Fraction) -> QuadSurd:
+    """x + f for a rational f."""
+    return QuadSurd(x.p * f.denominator + f.numerator * x.r, x.q * f.denominator, x.D,
+                    x.r * f.denominator)

@@ -276,3 +276,17 @@ def test_label_size_limit_is_on_num_plus_den(capsys):
 def test_joined_streams_a_join(parts):
     want = "<" + ",".join(parts) + ">" if parts else "none"
     assert "".join(cli._joined(parts, "<", ",", ">", "none")) == want
+
+
+def test_seq_size_limit_is_on_entries_and_bits(capsys):
+    ones = ",".join(["1"] * 2 * LABEL_SIZE_LIMIT)
+    assert run(["alpha", "--seq", ones]) == 0
+    capsys.readouterr()
+    for cmd in ("lagrange", "alpha", "qform"):
+        _one_line_domain_error(capsys, [cmd, "--seq", ones + ",1"])
+        _one_line_domain_error(capsys, [cmd, "--seq", str(2**5000)])
+    # the bit budget: 4 * LABEL_SIZE_LIMIT bits over all entries, 4 bits per 8
+    eights = ",".join(["8"] * LABEL_SIZE_LIMIT)
+    assert run(["qform", "--seq", eights]) == 0
+    capsys.readouterr()
+    _one_line_domain_error(capsys, ["qform", "--seq", eights + ",1"])

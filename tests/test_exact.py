@@ -56,6 +56,10 @@ def test_canonicalize_fixtures():
     assert (y.p, y.q, y.D, y.r) == (0, 2, 723, 9)
     z = surd_canonicalize(3, 0, 5, 3)
     assert (z.p, z.q, z.D, z.r) == (1, 0, 1, 1)
+    # 3^2 * 1093^2 * 10751837: the square of 3 brings it below 10^14, and the
+    # rest of the split finds 1093^2
+    w = surd_canonicalize(0, 1, 115602041881917, 1)
+    assert (w.p, w.q, w.D, w.r) == (0, 3279, 10751837, 1)
 
 
 def test_canonicalize_negative_denominator_and_gcd():
@@ -97,14 +101,6 @@ def test_surd_arithmetic_and_ordering_agree_with_floats():
             assert (float(x) < float(y)) == (surd_cmp(x, y) < 0)
 
 
-def test_surd_field_ops():
-    phi = QuadSurd(1, 1, 5, 2)
-    assert phi * phi == phi + 1  # golden ratio identity
-    assert 1 / phi == phi - 1
-    assert phi + phi.conjugate() == 1
-    assert phi * phi.conjugate() == -1
-
-
 def test_periodic_cf_fixtures():
     assert periodic_cf_expansion(QuadSurd(11, 1, 221, 10)) == ((), (2, 1, 1, 2))
     assert periodic_cf_expansion(QuadSurd(1, 1, 2, 1)) == ((), (2,))
@@ -127,6 +123,14 @@ def test_cf_roundtrip_random():
         pre, per = periodic_cf_expansion(x)
         assert cf_eval_periodic(pre, per) == x
         assert all(a >= 1 for a in per)
+
+
+def test_cf_eval_periodic_preperiod_entries():
+    # the first entry may be any integer, the later ones must be >= 1
+    assert cf_eval_periodic((0,), (2,)) == QuadSurd(-1, 1, 2, 1)
+    assert cf_eval_periodic((-3, 1), (2,)) == QuadSurd(-6, 1, 2, 2)
+    with pytest.raises(ValueError):
+        cf_eval_periodic((1, 0), (2,))
 
 
 def test_period_divides_block():
@@ -228,6 +232,14 @@ def test_decimal_mantissa_matches_sympy_rounding():
 
 def test_square_split_matches_factorint():
     sympy = pytest.importorskip("sympy")
+
+    def split(n):
+        want_s = want_d = 1
+        for p, e in sympy.factorint(n).items():
+            want_s *= p ** (e // 2)
+            want_d *= p ** (e % 2)
+        return want_s, want_d
+
     rng = random.Random(14)
     cases = [rng.randrange(1, _FULL_FACTOR_BOUND) for _ in range(2000)]
     primes = (46399, 46411, 46441, 99991, 1000003, 9999991)
@@ -238,11 +250,18 @@ def test_square_split_matches_factorint():
         s, d = _square_split(n)
         assert s * s * d == n, n
         if n < _FULL_FACTOR_BOUND:
-            want_s = want_d = 1
-            for p, e in sympy.factorint(n).items():
-                want_s *= p ** (e // 2)
-                want_d *= p ** (e % 2)
-            assert (s, d) == (want_s, want_d), n
+            assert (s, d) == split(n), n
+    # above the bound, s0^2 d0 with d0 below it and s0 made of 2..13: taking
+    # out those squares brings the cofactor below the bound, where the split
+    # is exhaustive, also for a large square factor of d0
+    for _ in range(600):
+        p = rng.choice((1, 1093, 46441, 1000003))
+        d0 = p * p * rng.randrange(1, _FULL_FACTOR_BOUND // (p * p))
+        s0 = 1
+        while s0 * s0 * d0 < _FULL_FACTOR_BOUND:
+            s0 *= rng.choice((2, 3, 5, 7, 11, 13))
+        want_s, want_d = split(d0)
+        assert _square_split(s0 * s0 * d0) == (s0 * want_s, want_d), (s0, d0)
 
 
 def test_str_format():

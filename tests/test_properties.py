@@ -1,8 +1,9 @@
 """Property-based checks over the exact-arithmetic kernel."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exact_oracle import cf_eval_nested
 from gmspec.exact import QuadSurd, cf_eval_periodic, cf_matrix, periodic_cf_expansion, surd_cmp
 from gmspec.snake import build_snake_graph, continuant, count_matchings_bruteforce
 
@@ -26,6 +27,10 @@ def test_cf_matrix_determinant(s):
     assert cf_matrix(s).det() == (-1) ** len(s)
 
 
+def _fields(x: QuadSurd) -> tuple[int, int, int, int]:
+    return x.p, x.q, x.D, x.r
+
+
 @given(surds, surds)
 def test_cmp_antisymmetry(x, y):
     assert surd_cmp(x, y) == -surd_cmp(y, x)
@@ -38,12 +43,6 @@ def test_eq_consistency(x, y):
         assert hash(x) == hash(y)
 
 
-@given(surds)
-def test_conjugate_sum_and_product_are_rational(x):
-    assert (x + x.conjugate()).is_rational
-    assert (x * x.conjugate()).is_rational
-
-
 @given(
     st.integers(min_value=-8, max_value=8),
     st.integers(min_value=-6, max_value=6).filter(lambda q: q != 0),
@@ -54,7 +53,25 @@ def test_conjugate_sum_and_product_are_rational(x):
 def test_expansion_roundtrip(p, q, d, r):
     x = QuadSurd(p, q, d, r)
     pre, per = periodic_cf_expansion(x)
-    assert cf_eval_periodic(pre, per) == x
+    y = cf_eval_periodic(pre, per)
+    assert y == x
+    assert _fields(y) == _fields(cf_eval_nested(pre, per))
+
+
+@given(
+    st.one_of(
+        st.just(()),
+        st.tuples(st.integers(min_value=-50, max_value=50), seqs).map(lambda t: (t[0], *t[1])),
+    ),
+    st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=20).map(tuple),
+)
+@example((-7, 3), (9,) * 16)  # N > 10^30
+# N = 2^4 3^4 5^2 41^2 613^2 * 2618: the squares of 2, 3 and 5 bring it below
+# 10^14 with (41 * 613)^2 still in it
+@example((0,), (9, 1, 1, 14, 1, 1, 9, 1, 2, 1, 1, 8, 10, 8, 1, 1, 2, 1))
+@settings(max_examples=300)
+def test_moebius_evaluation_matches_nested_oracle(pre, per):
+    assert _fields(cf_eval_periodic(pre, per)) == _fields(cf_eval_nested(pre, per))
 
 
 @given(st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=4).map(tuple))
