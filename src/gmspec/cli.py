@@ -38,6 +38,12 @@ USAGE_ERROR, DOMAIN_ERROR, VERIFY_ERROR = 1, 2, 3
 # longest label block, with 4 * LABEL_SIZE_LIMIT bits over all its entries.
 LABEL_SIZE_LIMIT = 1024
 
+# Largest `spectrum --depth`, for --k and --kmax alike.  A tree has
+# 2^(depth+1) - 1 vertices, so each level doubles the work and the output;
+# the K = 4 trees have no window cut.  At this depth `--k 1,2,0 --format json`
+# writes 126 MB and `--k 2,3,4` 173 MB, as larger coefficients lengthen n.
+SPECTRUM_DEPTH_LIMIT = 14
+
 
 class _OutError(Exception):
     """The --out file could not be written."""
@@ -267,6 +273,8 @@ def _dispatch(args) -> int:
 
 
 def _spectrum_cmd(args) -> int:
+    if args.depth > SPECTRUM_DEPTH_LIMIT:
+        raise ValueError(f"depth too large: at most {SPECTRUM_DEPTH_LIMIT}")
     k = _ints_of(args.k, 3, _K_EXPECTED)
     if args.kmax is not None:
         hits = transition_scan(args.kmax, args.depth)

@@ -11,14 +11,15 @@ the distinct values returned become `SpectrumElement`s, with their
 
 The window scan over [3, c_F) uses the Markoff-tree growth argument (cf.
 Bombieri, "Continued fractions and the Markoff tree", Expo. Math. 2007):
-n grows strictly down every branch, and with K = 3 + k1 + k2 + k3 every
-value at n is at least sqrt((K*n - max k)^2 - 4)/n, which increases with n,
-so a subtree whose bound reaches c_F is not walked.  Values below 3 are
-skipped on the integers (Delta < 9 n^2); only the rest become surds.
+n grows strictly down every branch, and the value sqrt((K*n - k_i)^2 - 4)/n,
+K = 3 + k1 + k2 + k3, increases with n.  So in each (K, k_i) class the
+window is one interval of n; elements are tested against its ends on the
+integers, and only the hits become surds.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -274,20 +275,16 @@ def enumerate_spectrum(
     return [_element(*row) for row in _distinct_values(k, depth)]
 
 
-def _window_cut(k: tuple[int, int, int]) -> int | None:
-    """Least n with sqrt((K*n - max k)^2 - 4)/n >= c_F, K = 3 + k1 + k2 + k3,
-    by exact comparisons; None when K <= 4.
-
-    The value at (n, i) is sqrt((K*n - k_i)^2 - 4)/n >= that bound, whose
-    square (K - max k/n)^2 - 4/n^2 increases with n toward K.  So no vertex
-    with middle value >= the cut lies in the window; for K <= 4 the bound
-    stays below K < c_F and nothing is cut.
+def _window_cut(big_k: int, c: int) -> int | None:
+    """Least n with sqrt((K*n - c)^2 - 4)/n >= c_F for K = big_k, by exact
+    comparisons; None when K <= 4.  With c = k_i it is the end of the class
+    (K, c): the value's square (K - c/n)^2 - 4/n^2 increases with n toward K,
+    as K*n > c, and for K <= 4 it stays below K < c_F.
     """
-    big_k, m = 3 + sum(k), max(k)
     if big_k <= 4:
         return None
     n = 1
-    while QuadSurd(0, 1, (big_k * n - m) ** 2 - 4, n) < FREIMAN_CONSTANT:
+    while QuadSurd(0, 1, (big_k * n - c) ** 2 - 4, n) < FREIMAN_CONSTANT:
         n += 1
     return n
 
@@ -299,22 +296,25 @@ def transition_scan(
     coefficient triples with max component <= kmax.
 
     Results are (triple, element) pairs sorted by triple then value, the same
-    as filtering `enumerate_spectrum(k, depth)`: the walk under
-    `_window_cut(k)` drops only vertices above the window.  The triple
-    (0,0,0), the only one with K = 3, is not walked: its Delta = 9n^2 - 4 <
-    9n^2 keeps every value below 3.  See TRANSITION_CAVEAT for what the scan
-    certifies.
+    as filtering `enumerate_spectrum(k, depth)`.  In each (K, k_i) class the
+    window is the n-interval 9n^2 <= Delta, n < `_window_cut(K, k_i)`: rows
+    are tested on their integers, only hits become surds, and the walk is cut
+    at the end of (K, max k), the greatest of the triple's ends.  (0,0,0), the
+    only triple with K = 3, is not walked: Delta = 9n^2 - 4 keeps every value
+    below 3.  See TRANSITION_CAVEAT for what the scan certifies.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    end = functools.cache(_window_cut)  # this scan's class ends, by (K, k_i)
     out: list[tuple[tuple[int, int, int], SpectrumElement]] = []
     for k in itertools.product(range(kmax + 1), repeat=3):
         if k == (0, 0, 0):
             continue
-        for delta, n, *rest in _distinct_values(k, depth, _window_cut(k)):
-            if delta < 9 * n * n:
-                continue
-            el = _element(delta, n, *rest)
-            if el.value < FREIMAN_CONSTANT:
-                out.append((k, el))
+        big_k = 3 + sum(k)
+        for delta, n, pos, *rest in _distinct_values(k, depth, end(big_k, max(k))):
+            cut = end(big_k, k[pos - 1])
+            if delta >= 9 * n * n and (cut is None or n < cut):
+                out.append((k, _element(delta, n, pos, *rest)))
     return out

@@ -4,7 +4,7 @@ import pytest
 
 import cli_oracle
 from gmspec import cli
-from gmspec.cli import LABEL_SIZE_LIMIT, run
+from gmspec.cli import LABEL_SIZE_LIMIT, SPECTRUM_DEPTH_LIMIT, run
 from gmspec.gmtree import ALL_SIGMAS, format_sigma
 from gmspec.spectrum import enumerate_spectrum, transition_scan
 
@@ -140,8 +140,23 @@ def test_empty_seq_is_a_domain_error(capsys):
 def test_negative_spectrum_depth_is_a_domain_error(capsys):
     _one_line_domain_error(capsys, ["spectrum", "--depth", "-1"])
     _one_line_domain_error(capsys, ["spectrum", "--kmax", "1", "--depth", "-1"])
+    _one_line_domain_error(capsys, ["spectrum", "--kmax", "0", "--depth", "-1"])
     _one_line_domain_error(capsys, ["spectrum", "--kmax", "-1"])
     _one_line_domain_error(capsys, ["spectrum", "--k", "a,b,c"])
+
+
+def test_spectrum_depth_limit_is_checked_before_any_walk(capsys, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("walked past the depth limit")
+
+    over = str(SPECTRUM_DEPTH_LIMIT + 1)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "enumerate_spectrum", no_walk)
+        m.setattr(cli, "transition_scan", no_walk)
+        _one_line_domain_error(capsys, ["spectrum", "--k", "0,0,1", "--depth", over])
+        _one_line_domain_error(capsys, ["spectrum", "--kmax", "1", "--depth", over])
+    assert run(["spectrum", "--kmax", "0", "--depth", str(SPECTRUM_DEPTH_LIMIT)]) == 0
+    assert capsys.readouterr().out.startswith("note: ")
 
 
 MALFORMED_ARGV = [

@@ -74,6 +74,24 @@ def test_moebius_evaluation_matches_nested_oracle(pre, per):
     assert _fields(cf_eval_periodic(pre, per)) == _fields(cf_eval_nested(pre, per))
 
 
+def _class_value(big_k, c, n):
+    return QuadSurd(0, 1, (big_k * n - c) ** 2 - 4, n)
+
+
+@given(
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=10**4),
+    st.integers(min_value=1, max_value=10**12),
+)
+@example(0, 0, 1)
+@example(5, 0, 1)  # K = 3 + c, the least K a class with k_i = c has
+def test_class_value_increases_with_n(c, extra, n):
+    # the lemma behind the window scan: in the class (K, k_i = c) the value
+    # sqrt((K n - c)^2 - 4)/n grows with n, so the window is an n-interval
+    big_k = 3 + c + extra
+    assert _class_value(big_k, c, n) < _class_value(big_k, c, n + 1)
+
+
 @given(st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=4).map(tuple))
 @settings(max_examples=60, deadline=None)
 def test_matching_oracle(s):

@@ -325,7 +325,8 @@ def reference_transition_scan(kmax, depth):
 
 
 @pytest.mark.parametrize(
-    "kmax, depths", [(0, range(7)), (1, range(7)), (2, range(7)), (3, range(5))]
+    "kmax, depths",
+    [(0, range(7)), (1, range(7)), (2, range(7)), (3, range(5)), (4, range(4))],
 )
 def test_transition_scan_matches_unpruned_reference(kmax, depths):
     for depth in depths:
@@ -335,18 +336,22 @@ def test_transition_scan_matches_unpruned_reference(kmax, depths):
         assert _rows(el for _, el in got) == _rows(el for _, el in want)
 
 
-def _growth_bound(k, n):
-    return QuadSurd(0, 1, ((3 + sum(k)) * n - max(k)) ** 2 - 4, n)
+def _class_value(big_k, c, n):
+    return QuadSurd(0, 1, (big_k * n - c) ** 2 - 4, n)
 
 
 def test_window_cut_is_the_least_n_whose_bound_reaches_c_f():
+    # every class (K, k_i) of every triple: the cut is the least n whose
+    # value reaches c_F, and K <= 4 has none
     for k in itertools.product(range(6), repeat=3):
-        cut = _window_cut(k)
-        if 3 + sum(k) <= 4:
-            assert cut is None
-            continue
-        assert not _growth_bound(k, cut) < FREIMAN_CONSTANT
-        assert cut == 1 or _growth_bound(k, cut - 1) < FREIMAN_CONSTANT
+        big_k = 3 + sum(k)
+        for c in set(k):
+            cut = _window_cut(big_k, c)
+            if big_k <= 4:
+                assert cut is None
+                continue
+            assert not _class_value(big_k, c, cut) < FREIMAN_CONSTANT
+            assert cut == 1 or _class_value(big_k, c, cut - 1) < FREIMAN_CONSTANT
 
 
 def test_pruned_walk_keeps_only_the_root_once_k_sum_exceeds_one():
@@ -354,7 +359,7 @@ def test_pruned_walk_keeps_only_the_root_once_k_sum_exceeds_one():
     for k in itertools.product(range(6), repeat=3):
         if sum(k) <= 1:
             continue
-        cut = _window_cut(k)
+        cut = _window_cut(3 + sum(k), max(k))
         assert cut is not None
         for sigma in ALL_SIGMAS:
             assert len(_walk_tree(GMParams(*k, sigma), 40, cut)) == 1
