@@ -10,6 +10,8 @@ import argparse
 import csv
 import itertools
 import json
+import os
+import stat
 import sys
 from typing import Iterable, Iterator
 
@@ -36,6 +38,8 @@ USAGE_ERROR, DOMAIN_ERROR, VERIFY_ERROR = 1, 2, 3
 # bounds the work of every label command; `lagrange`, the slowest, takes about
 # a second at the limit.  A --seq block may have as many entries as the
 # longest label block, with 4 * LABEL_SIZE_LIMIT bits over all its entries.
+# The label num/den is the segment from the origin to (den, num), so
+# `distance` takes points with |dx| + |dy| at most LABEL_SIZE_LIMIT.
 LABEL_SIZE_LIMIT = 1024
 
 # Largest `spectrum --depth`, for --k and --kmax alike.  A tree has
@@ -43,6 +47,10 @@ LABEL_SIZE_LIMIT = 1024
 # the K = 4 trees have no window cut.  At this depth `--k 1,2,0 --format json`
 # writes 126 MB and `--k 2,3,4` 173 MB, as larger coefficients lengthen n.
 SPECTRUM_DEPTH_LIMIT = 14
+
+# Largest `spectrum --kmax`.  The scan visits (kmax + 1)^3 triples, so its
+# cost grows as kmax^3.
+SPECTRUM_KMAX_LIMIT = 30
 
 
 class _OutError(Exception):
@@ -88,13 +96,21 @@ def _emit(args, lines: Iterable[str], payload) -> None:
     """Write the output to --out or stdout one row at a time: the text lines,
     or the payload (one dict, or an iterable of dicts with the same keys) as
     JSON or CSV.  The bytes are those of the joined lines, of
-    json.dumps(payload, indent=2) or of csv.DictWriter, ending in a newline."""
+    json.dumps(payload, indent=2) or of csv.DictWriter, ending in a newline.
+    A row that fails removes the --out file if that path is a regular file."""
     if not args.out:
         _write(sys.stdout, args.format, lines, payload)
         return
     try:
         with open(args.out, "w") as fh:
-            _write(fh, args.format, lines, payload)
+            try:
+                _write(fh, args.format, lines, payload)
+            except BaseException:
+                # a device or a link, such as /dev/stdout, keeps what was written
+                opened = os.fstat(fh.fileno())
+                if stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, os.lstat(args.out)):
+                    os.remove(args.out)
+                raise
     except OSError as exc:
         raise _OutError(exc) from exc
 
@@ -261,7 +277,10 @@ def _dispatch(args) -> int:
         _emit(args, [str(q)], {"a": str(q.a), "b": str(q.b), "c": str(q.c)})
     elif cmd == "distance":
         pt = "expected a lattice point 'x,y'"
-        d = gm_distance(_ints_of(args.src, 2, pt), _ints_of(args.dst, 2, pt), _params_of(args))
+        (x0, y0), (x1, y1) = _ints_of(args.src, 2, pt), _ints_of(args.dst, 2, pt)
+        if abs(x1 - x0) + abs(y1 - y0) > LABEL_SIZE_LIMIT:
+            raise ValueError(f"segment too long: |dx| + |dy| must be at most {LABEL_SIZE_LIMIT}")
+        d = gm_distance((x0, y0), (x1, y1), _params_of(args))
         _emit(args, [str(d)], {"distance": d})
     elif cmd == "spectrum":
         return _spectrum_cmd(args)
@@ -277,6 +296,8 @@ def _spectrum_cmd(args) -> int:
         raise ValueError(f"depth too large: at most {SPECTRUM_DEPTH_LIMIT}")
     k = _ints_of(args.k, 3, _K_EXPECTED)
     if args.kmax is not None:
+        if args.kmax > SPECTRUM_KMAX_LIMIT:
+            raise ValueError(f"kmax too large: at most {SPECTRUM_KMAX_LIMIT}")
         hits = transition_scan(args.kmax, args.depth)
         lines = itertools.chain([f"note: {TRANSITION_CAVEAT}"], (
             f"k=({kk[0]},{kk[1]},{kk[2]}) {el.value} = {el.value.decimal()}"

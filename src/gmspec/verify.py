@@ -1,14 +1,13 @@
 """Desk-scale verification suites bundling the library's cross-identities.
 
-The heavy suites share one cached grid: for each coefficient arrangement
-kappa = (k_sigma(1), k_sigma(2), k_sigma(3)), one integer walk of its tree to
-the requested depth gives an array of entries in the label order of
-`grid_fractions(depth)`.  An entry holds the admissible sequence, the tree
-data (n, u, position), the convergent matrix of the sequence, the closed-form
-matrix, and the minimal lower-left entry over all cyclic rotations.  Trees
-with the same kappa are identical up to a relabeling of positions, so every
-(triple, permutation) pair resolves to one cached array; t -> 1/t reads the
-reversed arrangement's array at a cached mirror index.
+The grid suites (factorization, rotation, duality) read one cached grid per
+coefficient arrangement kappa = (k_sigma(1), k_sigma(2), k_sigma(3)), made by
+one integer walk of its tree: each entry holds its label t, the tree data
+(n, u, k_t), the convergent and closed-form matrices of t, and the minimal
+lower-left entry over the cyclic rotations of its admissible sequence.  Trees
+with the same kappa are identical up to a relabeling of positions, so one
+loop, `_cases`, serves every (triple, permutation) pair from the cache, and
+t -> 1/t reads the reversed arrangement's grid at the mirror index.
 """
 
 from __future__ import annotations
@@ -16,7 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from itertools import repeat
+from typing import Callable, Iterable, Iterator
 
 from .cohn import closed_form_entries
 from .exact import QuadSurd, cf_matrix
@@ -80,28 +80,21 @@ def grid_fractions(depth: int = GRID_DEPTH) -> list[IrreducibleFraction]:
 
 @dataclass(frozen=True, slots=True)
 class GridEntry:
-    s: tuple[int, ...]
+    t: IrreducibleFraction
     n: int
-    pos_id: int  # position under the identity arrangement
     u: int
     k_t: int
     coeff_sum: int
-    cf: tuple[int, int, int, int]  # convergent matrix of s, row-major
+    cf: tuple[int, int, int, int]  # convergent matrix of s(t), row-major
     closed: tuple[int, int, int, int]
-    rot_min_c: int  # minimal (2,1) entry over cyclic rotations of s
-
-
-@lru_cache(maxsize=None)
-def _labels(depth: int) -> tuple[IrreducibleFraction, ...]:
-    return tuple(grid_fractions(depth))
+    rot_min_c: int  # minimal (2,1) entry over cyclic rotations of s(t)
 
 
 @lru_cache(maxsize=None)
 def _mirror(depth: int) -> tuple[int, ...]:
-    """For each label in `_labels(depth)`, the index of its reciprocal."""
-    labels = _labels(depth)
-    index = {t: i for i, t in enumerate(labels)}
-    return tuple(index[t.reciprocal()] for t in labels)
+    """For each interior grid label, the index of its reciprocal: t -> 1/t
+    swaps the L and R children, so it reverses each level of the walk."""
+    return tuple(j for d in range(depth + 1) for j in reversed(range(2**d - 1, 2 ** (d + 1) - 1)))
 
 
 def _rotation_min_c(seq: tuple[int, ...], m: tuple[int, int, int, int]) -> int:
@@ -122,39 +115,43 @@ def _rotation_min_c(seq: tuple[int, ...], m: tuple[int, int, int, int]) -> int:
     return best
 
 
-def _entry(t: IrreducibleFraction, params: GMParams, n: int, pos: int, u: int) -> GridEntry:
-    k_t = params.k_at(pos)
-    K = params.coeff_sum
-    s = admissible_sequence(t, params)
-    m = cf_matrix(s)
-    cf = (m.a, m.b, m.c, m.d)
-    closed = closed_form_entries(n, u, k_t, K)
-    rot_min = _rotation_min_c(s, cf)
-    return GridEntry(s, n, pos, u, k_t, K, cf, (closed.a, closed.b, closed.c, closed.d), rot_min)
-
-
 @lru_cache(maxsize=None)
 def _grid(kappa: tuple[int, int, int], depth: int) -> tuple[GridEntry, ...]:
-    """The entries of `_labels(depth)` under kappa, from one walk of its tree."""
+    """The entries under kappa from one walk of its tree: every interior label
+    with depth <= depth, breadth-first, then 1/0 from the root's right pair,
+    where u = 1 by definition."""
     params = GMParams(*kappa, IDENTITY)
+    K = params.coeff_sum
+    walk = _walk_tree(params, depth)
+    vertices = [
+        (IrreducibleFraction(ln + rn, ld + rd), n, pos, c * pow(a, -1, n) % n)
+        for ln, ld, rn, rd, (a, _, n, pos, c, _) in walk
+    ]
+    vertices.append((IrreducibleFraction(1, 0), *walk[0][4][4:], 1))
     out = []
-    for t, (ln, ld, rn, rd, vertex) in zip(_labels(depth), _walk_tree(params, depth), strict=True):
-        assert (t.num, t.den) == (ln + rn, ld + rd), "walk and labels out of step"
-        a, _, n, pos, c, _ = vertex
-        out.append(_entry(t, params, n, pos, c * pow(a, -1, n) % n))
+    for t, n, pos, u in vertices:
+        k_t = params.k_at(pos)
+        s = admissible_sequence(t, params)
+        m = cf_matrix(s)
+        cf = (m.a, m.b, m.c, m.d)
+        c = closed_form_entries(n, u, k_t, K)
+        out.append(GridEntry(t, n, u, k_t, K, cf, (c.a, c.b, c.c, c.d), _rotation_min_c(s, cf)))
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _infinity_entry(kappa: tuple[int, int, int]) -> GridEntry:
-    """The entry of the boundary label 1/0, which only factorization checks:
-    the root's right pair, n = 1 at position 3 under the identity, with
-    u = 1 by definition."""
-    return _entry(IrreducibleFraction(1, 0), GMParams(*kappa, IDENTITY), 1, 3, 1)
-
-
-def _kappa(triple: tuple[int, int, int], sigma: Sigma) -> tuple[int, int, int]:
-    return GMParams(*triple, sigma).kappa
+def _cases(
+    depth: int, triples: Iterable[tuple[int, int, int]] | None
+) -> Iterator[tuple[tuple[int, int, int], Sigma, GridEntry, GridEntry | None]]:
+    """Every (triple, sigma, e, e_star) over `triples` (default grid_triples()),
+    label by label with 1/0 last: e is t's entry under (triple, sigma), e_star
+    1/t's under the reversed arrangement, or None at 1/0 (0/1 is off the grid)."""
+    mirror = _mirror(depth)
+    for triple in grid_triples() if triples is None else triples:
+        for sigma in ALL_SIGMAS:
+            kappa = GMParams(*triple, sigma).kappa
+            star = _grid(kappa[::-1], depth)
+            stars = [star[j] for j in mirror] + [None]
+            yield from zip(repeat(triple), repeat(sigma), _grid(kappa, depth), stars)
 
 
 # ---------------------------------------------------------------------------
@@ -171,27 +168,17 @@ def factorization_suite(
     The label 0/1 is excluded from the factorization identity (the closed
     form there is not a convergent product); 1/0 is included.
     """
-    labels = _labels(depth) + (IrreducibleFraction(1, 0),)
-    triples = list(triples) if triples is not None else grid_triples()
     checked = 0
-    for triple in triples:
-        for sigma in ALL_SIGMAS:
-            kap = _kappa(triple, sigma)
-            for t, e in zip(labels, _grid(kap, depth) + (_infinity_entry(kap),)):
-                if e.cf != e.closed:
-                    return [
-                        CheckResult(
-                            "factorization",
-                            False,
-                            f"t={t} k={triple} sigma={sigma}: {e.cf} != {e.closed}",
-                        )
-                    ]
-                m11, m12, m21, m22 = e.closed
-                if m11 * m22 - m12 * m21 != 1:
-                    return [CheckResult("determinant", False, f"t={t} k={triple}")]
-                if m11 + m22 != e.coeff_sum * e.n - e.k_t:
-                    return [CheckResult("trace", False, f"t={t} k={triple}")]
-                checked += 1
+    for triple, sigma, e, _ in _cases(depth, triples):
+        if e.cf != e.closed:
+            detail = f"t={e.t} k={triple} sigma={sigma}: {e.cf} != {e.closed}"
+            return [CheckResult("factorization", False, detail)]
+        m11, m12, m21, m22 = e.closed
+        if m11 * m22 - m12 * m21 != 1:
+            return [CheckResult("determinant", False, f"t={e.t} k={triple}")]
+        if m11 + m22 != e.coeff_sum * e.n - e.k_t:
+            return [CheckResult("trace", False, f"t={e.t} k={triple}")]
+        checked += 1
     return [
         CheckResult(name, True, f"{checked} cases")
         for name in ("factorization", "determinant", "trace")
@@ -211,22 +198,23 @@ def snake_suite(exhaustive_sum: int = 12, random_count: int = 200) -> list[Check
             for rest in compositions(total - first):
                 yield (first, *rest)
 
+    def sequences():
+        for total in range(exhaustive_sum + 1):
+            yield from compositions(total)
+        rng = random.Random(GRID_SEED)
+        for _ in range(random_count):
+            total = rng.randint(exhaustive_sum + 1, SNAKE_RANDOM_SUM)
+            seq = []
+            while total:
+                x = rng.randint(1, min(total, 6))
+                seq.append(x)
+                total -= x
+            yield tuple(seq)
+
     checked = 0
-    for total in range(0, exhaustive_sum + 1):
-        for seq in compositions(total):
-            if continuant(seq) != count_matchings_bruteforce(build_snake_graph(seq)):
-                return [CheckResult("snake-oracle", False, f"seq={seq}")]
-            checked += 1
-    rng = random.Random(GRID_SEED)
-    for _ in range(random_count):
-        total = rng.randint(exhaustive_sum + 1, SNAKE_RANDOM_SUM)
-        seq = []
-        while total:
-            x = rng.randint(1, min(total, 6))
-            seq.append(x)
-            total -= x
+    for seq in sequences():
         if continuant(seq) != count_matchings_bruteforce(build_snake_graph(seq)):
-            return [CheckResult("snake-oracle", False, f"seq={tuple(seq)}")]
+            return [CheckResult("snake-oracle", False, f"seq={seq}")]
         checked += 1
     return [CheckResult("snake-oracle", True, f"{checked} sequences")]
 
@@ -241,20 +229,14 @@ def rotation_suite(
     """The tail of the sequence itself minimizes the rotation-tail matching
     counts, on the same grid as the factorization suite; plus the fixed
     ten-tail example at t = 2/5 under (1,2,0)."""
-    labels = _labels(depth)
-    triples = list(triples) if triples is not None else grid_triples()
     checked = 0
-    for triple in triples:
-        for sigma in ALL_SIGMAS:
-            kap = _kappa(triple, sigma)
-            for t, e in zip(labels, _grid(kap, depth)):
-                if e.rot_min_c != e.cf[2]:
-                    return [
-                        CheckResult(
-                            "rotation-minimality", False, f"t={t} k={triple} sigma={sigma}"
-                        )
-                    ]
-                checked += 1
+    for triple, sigma, e, e_star in _cases(depth, triples):
+        if e_star is None:
+            continue
+        if e.rot_min_c != e.cf[2]:
+            detail = f"t={e.t} k={triple} sigma={sigma}"
+            return [CheckResult("rotation-minimality", False, detail)]
+        checked += 1
     out = [CheckResult("rotation-minimality", True, f"{checked} cases")]
     s = admissible_sequence(IrreducibleFraction(2, 5), GMParams(1, 2, 0))
     tails = tuple(continuant(w) for w in rotation_tails(s))
@@ -283,26 +265,20 @@ def duality_suite(
     A small subsample recomputes the three values as full surds through the
     public API.
     """
-    labels, mirror = _labels(depth), _mirror(depth)
-    triples = list(triples) if triples is not None else grid_triples()
     checked = 0
-    for triple in triples:
-        for sigma in ALL_SIGMAS:
-            kap = _kappa(triple, sigma)
-            # the reciprocal label's entry in the tree with the reversed arrangement
-            star = _grid(kap[::-1], depth)
-            for t, e, j in zip(labels, _grid(kap, depth), mirror):
-                if e.cf[2] != e.n or e.rot_min_c != e.n:
-                    return [CheckResult("main-theorem", False, f"t={t} k={triple}")]
-                e_star = star[j]
-                tr = e.cf[0] + e.cf[3]
-                tr_s = e_star.cf[0] + e_star.cf[3]
-                if (tr * tr - 4) * e_star.rot_min_c**2 != (tr_s * tr_s - 4) * e.rot_min_c**2:
-                    return [CheckResult("lagrange-duality", False, f"t={t} k={triple}")]
-                # u_t = n_t - u*(1/t) - k_t
-                if e.u != e.n - e_star.u - e.k_t:
-                    return [CheckResult("characteristic-duality", False, f"t={t} k={triple}")]
-                checked += 1
+    for triple, _, e, e_star in _cases(depth, triples):
+        if e_star is None:
+            continue
+        if e.cf[2] != e.n or e.rot_min_c != e.n:
+            return [CheckResult("main-theorem", False, f"t={e.t} k={triple}")]
+        tr = e.cf[0] + e.cf[3]
+        tr_s = e_star.cf[0] + e_star.cf[3]
+        if (tr * tr - 4) * e_star.rot_min_c**2 != (tr_s * tr_s - 4) * e.rot_min_c**2:
+            return [CheckResult("lagrange-duality", False, f"t={e.t} k={triple}")]
+        # u_t = n_t - u*(1/t) - k_t
+        if e.u != e.n - e_star.u - e.k_t:
+            return [CheckResult("characteristic-duality", False, f"t={e.t} k={triple}")]
+        checked += 1
     out = [
         CheckResult(name, True, f"{checked} cases")
         for name in ("main-theorem", "lagrange-duality", "characteristic-duality")
@@ -371,13 +347,11 @@ def transition_suite(kmax: int = 5, depth: int = 8) -> list[CheckResult]:
             else f"scan {len(scanned)} values, expected {len(expected)}",
         )
     ]
-    witnesses = [
-        el
+    ok = any(
+        el.value == two_sqrt5 and el.n == 4 and el.pos == el.params.sigma[1]
         for k, el in scan
-        if k == (0, 0, 2) and el.value == two_sqrt5 and el.params.k1 == 0
-        and el.params.k2 == 0 and el.params.k3 == 2
-    ]
-    ok = any(el.n == 4 and el.pos == el.params.sigma[1] for el in witnesses)
+        if k == (0, 0, 2)
+    )
     out.append(
         CheckResult(
             "transition-witness",
@@ -391,8 +365,6 @@ def transition_suite(kmax: int = 5, depth: int = 8) -> list[CheckResult]:
     return out
 
 
-SUITE_NAMES = ("factorization", "snake", "rotation", "duality", "squares", "transition")
-
 _SUITES: dict[str, Callable[[], list[CheckResult]]] = {
     "factorization": factorization_suite,
     "snake": snake_suite,
@@ -401,15 +373,13 @@ _SUITES: dict[str, Callable[[], list[CheckResult]]] = {
     "squares": squares_suite,
     "transition": transition_suite,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str) -> list[CheckResult]:
     """Run one named suite, or all of them."""
     if name == "all":
-        out: list[CheckResult] = []
-        for suite in SUITE_NAMES:
-            out.extend(_SUITES[suite]())
-        return out
+        return [r for suite in _SUITES.values() for r in suite()]
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     return _SUITES[name]()

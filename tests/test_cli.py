@@ -4,7 +4,7 @@ import pytest
 
 import cli_oracle
 from gmspec import cli
-from gmspec.cli import LABEL_SIZE_LIMIT, SPECTRUM_DEPTH_LIMIT, run
+from gmspec.cli import LABEL_SIZE_LIMIT, SPECTRUM_DEPTH_LIMIT, SPECTRUM_KMAX_LIMIT, run
 from gmspec.gmtree import ALL_SIGMAS, format_sigma
 from gmspec.spectrum import enumerate_spectrum, transition_scan
 
@@ -22,6 +22,18 @@ def test_lagrange_command(capsys):
 def test_distance_command(capsys):
     assert run(["distance", "--from", "0,0", "--to", "3,2", "--k", "1,2,0", "--sigma", "id"]) == 0
     assert capsys.readouterr().out.strip() == "373"
+
+
+def test_distance_is_limited_like_a_label(capsys):
+    # the segment to (dx, dy) is the one of the label dy/dx, so |dx| + |dy| is
+    # limited as num + den is; a negative point is joined to its flag
+    L, h = LABEL_SIZE_LIMIT, LABEL_SIZE_LIMIT // 2
+    for src, dst in (("0,0", f"{L},0"), ("5,-7", f"{5 + h},{-7 - h}"), ("0,0", f"-{L},0")):
+        assert run(["distance", f"--from={src}", f"--to={dst}"]) == 0
+        assert capsys.readouterr().out.strip().isdigit()
+    over = (("0,0", f"{L + 1},0"), ("0,0", f"-{L + 1},0"), ("-3,2", f"{h - 2},{2 - h}"))
+    for src, dst in (*over, ("0,0", "100000,1")):
+        _one_line_domain_error(capsys, ["distance", f"--from={src}", f"--to={dst}"])
 
 
 def test_alpha_command_via_label(capsys):
@@ -155,6 +167,8 @@ def test_spectrum_depth_limit_is_checked_before_any_walk(capsys, monkeypatch):
         m.setattr(cli, "transition_scan", no_walk)
         _one_line_domain_error(capsys, ["spectrum", "--k", "0,0,1", "--depth", over])
         _one_line_domain_error(capsys, ["spectrum", "--kmax", "1", "--depth", over])
+        over_kmax = str(SPECTRUM_KMAX_LIMIT + 1)
+        _one_line_domain_error(capsys, ["spectrum", "--kmax", over_kmax, "--depth", "0"])
     assert run(["spectrum", "--kmax", "0", "--depth", str(SPECTRUM_DEPTH_LIMIT)]) == 0
     assert capsys.readouterr().out.startswith("note: ")
 
@@ -264,13 +278,29 @@ def test_format_sigma_names_each_permutation_and_rejects_the_rest():
             format_sigma(bad)
 
 
+# k3 = 10^1200: the first row's integers exceed Python's int-to-str digit
+# limit, so the error comes while the rows are being written
+_HUGE_K = "0,0,1" + "0" * 1200
+
+
 def test_domain_error_leaves_no_out_file(tmp_path, capsys):
     target = tmp_path / "F"
     for fmt in FORMATS:
-        _one_line_domain_error(
-            capsys, ["--format", fmt, "spectrum", "--depth", "-1", "--out", str(target)]
-        )
-        assert not target.exists()
+        for argv in (
+            ["spectrum", "--depth", "-1", "--out", str(target)],
+            ["--out", str(target), "spectrum", "--k", _HUGE_K, "--depth", "0"],
+        ):
+            _one_line_domain_error(capsys, ["--format", fmt, *argv])
+            assert list(tmp_path.iterdir()) == []
+
+
+def test_late_error_keeps_a_linked_out_file(tmp_path, capsys):
+    # --out through a link (as /dev/stdout is) keeps what was written, as stdout does
+    target, link = tmp_path / "F", tmp_path / "link"
+    link.symlink_to(target)
+    argv = ["--out", str(link), "spectrum", "--k", _HUGE_K, "--depth", "0"]
+    _one_line_domain_error(capsys, argv)
+    assert link.is_symlink() and target.read_text().startswith("(0 + 1√5)/1 = 2.2360")
 
 
 @pytest.mark.parametrize("cmd", ["seq", "cohn", "node", "lagrange", "alpha", "qform"])

@@ -60,23 +60,20 @@ def _reference_entry(t, kappa):
     closed = closed_form_entries(n, u, k_t, K)
     rot_min = min(cf_matrix(s[i:] + s[:i]).c for i in range(len(s)))
     return verify.GridEntry(
-        s, n, pos, u, k_t, K, (m.a, m.b, m.c, m.d),
+        t, n, u, k_t, K, (m.a, m.b, m.c, m.d),
         (closed.a, closed.b, closed.c, closed.d), rot_min,
     )
 
 
 def test_grid_matches_reference_entries():
-    kappas = {verify._kappa(k, sigma) for k in grid_triples() for sigma in ALL_SIGMAS}
-    labels = grid_fractions(5)
+    # every arrangement of the default grid, interior labels and then 1/0
+    kappas = {GMParams(*k, sigma).kappa for k in grid_triples() for sigma in ALL_SIGMAS}
     for kappa in sorted(kappas):
-        want = [_reference_entry(t, kappa) for t in labels]
+        want = [_reference_entry(t, kappa) for t in grid_fractions(5)]
+        infinity = _reference_entry(IrreducibleFraction(1, 0), kappa)
         for d in range(6):
             got = verify._grid(kappa, d)
-            assert len(got) == 2 ** (d + 1) - 1
-            for t, e, r in zip(labels, got, want):
-                assert e == r, (t, kappa, d)
-        infinity = IrreducibleFraction(1, 0)
-        assert verify._infinity_entry(kappa) == _reference_entry(infinity, kappa), kappa
+            assert got == (*want[: 2 ** (d + 1) - 1], infinity), (kappa, d)
 
 
 def test_grid_suites_beyond_default_depth():
@@ -97,38 +94,49 @@ def _first_entry_plus_one(*fields):
     return change
 
 
+# (suite, index and label of the tampered entry, change, failing check);
+# label 1/2 (index 1) is read before its mirror 2/1, so its own checks fail
+# first, and 1/0 is the last entry
 _WRONG_ENTRIES = [
-    ("factorization", _first_entry_plus_one("closed"), "factorization"),
-    ("factorization", _first_entry_plus_one("cf", "closed"), "determinant"),
-    ("factorization", lambda e: {"k_t": e.k_t + 1}, "trace"),
-    ("rotation", lambda e: {"rot_min_c": e.rot_min_c + 1}, "rotation-minimality"),
-    ("duality", lambda e: {"rot_min_c": e.rot_min_c + 1}, "main-theorem"),
-    ("duality", _first_entry_plus_one("cf"), "lagrange-duality"),
-    ("duality", lambda e: {"u": e.u + 1}, "characteristic-duality"),
+    ("factorization", 1, "1/2", _first_entry_plus_one("closed"), "factorization"),
+    ("factorization", 1, "1/2", _first_entry_plus_one("cf", "closed"), "determinant"),
+    ("factorization", 1, "1/2", lambda e: {"k_t": e.k_t + 1}, "trace"),
+    ("factorization", -1, "1/0", _first_entry_plus_one("closed"), "factorization"),
+    ("rotation", 1, "1/2", lambda e: {"rot_min_c": e.rot_min_c + 1}, "rotation-minimality"),
+    ("duality", 1, "1/2", lambda e: {"rot_min_c": e.rot_min_c + 1}, "main-theorem"),
+    ("duality", 1, "1/2", _first_entry_plus_one("cf"), "lagrange-duality"),
+    ("duality", 1, "1/2", lambda e: {"u": e.u + 1}, "characteristic-duality"),
 ]
 
 
-@pytest.mark.parametrize("suite, change, name", _WRONG_ENTRIES, ids=[c[2] for c in _WRONG_ENTRIES])
-def test_grid_suite_reports_a_wrong_entry(monkeypatch, suite, change, name):
-    # label 1/2 (index 1) is read before its mirror 2/1, so its own checks fail first
+@pytest.mark.parametrize(
+    "suite, index, label, change, name",
+    _WRONG_ENTRIES,
+    ids=[c[4] if c[2] == "1/2" else f"{c[4]}-at-{c[2]}" for c in _WRONG_ENTRIES],
+)
+def test_grid_suite_reports_a_wrong_entry(monkeypatch, suite, index, label, change, name):
     grid = verify._grid
 
     def tampered(kappa, depth):
-        entries = grid(kappa, depth)
-        return entries[:1] + (dataclasses.replace(entries[1], **change(entries[1])),) + entries[2:]
+        entries = list(grid(kappa, depth))
+        entries[index] = dataclasses.replace(entries[index], **change(entries[index]))
+        return tuple(entries)
 
     monkeypatch.setattr(verify, "_grid", tampered)
     kwargs = {"surd_sample_depth": 0} if suite == "duality" else {}
     results = getattr(verify, f"{suite}_suite")(depth=3, triples=[(0, 0, 1)], **kwargs)
     assert [(r.name, r.ok) for r in results] == [(name, False)]
-    assert results[0].detail.startswith("t=1/2 k=(0, 0, 1)")
+    assert results[0].detail.startswith(f"t={label} k=(0, 0, 1)")
 
 
 def test_labels_and_mirror():
+    # the walk's labels are grid_fractions' followed by 1/0, and the mirror
+    # index of each interior label holds its reciprocal
     for d in range(8):
-        labels, mirror = verify._labels(d), verify._mirror(d)
-        assert labels == tuple(grid_fractions(d))
-        assert sorted(mirror) == list(range(len(labels)))
+        labels = [e.t for e in verify._grid((1, 2, 0), d)]
+        assert labels == grid_fractions(d) + [IrreducibleFraction(1, 0)]
+        mirror = verify._mirror(d)
+        assert sorted(mirror) == list(range(len(labels) - 1))
         for i, j in enumerate(mirror):
             assert mirror[j] == i
             assert labels[j] == labels[i].reciprocal()
