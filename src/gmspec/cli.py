@@ -22,6 +22,7 @@ from .cohn import cohn_closed_form, cohn_recursive
 from .lattice import admissible_sequence, gm_distance
 from .spectrum import (
     TRANSITION_CAVEAT,
+    SpectrumElement,
     alpha_fixed_point,
     enumerate_spectrum,
     lagrange_value,
@@ -92,19 +93,21 @@ def _surd_payload(x: QuadSurd) -> dict:
     return {**x.to_json(), "str": str(x), "decimal": x.decimal()}
 
 
-def _emit(args, lines: Iterable[str], payload) -> None:
+def _emit(args, lines: Iterable[str], payload, entries: Iterable[str] | None = None) -> None:
     """Write the output to --out or stdout one row at a time: the text lines,
     or the payload (one dict, or an iterable of dicts with the same keys) as
     JSON or CSV.  The bytes are those of the joined lines, of
     json.dumps(payload, indent=2) or of csv.DictWriter, ending in a newline.
+    `entries`, when given, are the payload's JSON list entries rendered
+    ahead (see `_spectrum_entry`); JSON output writes them in its place.
     A row that fails removes the --out file if that path is a regular file."""
     if not args.out:
-        _write(sys.stdout, args.format, lines, payload)
+        _write(sys.stdout, args.format, lines, payload, entries)
         return
     try:
         with open(args.out, "w") as fh:
             try:
-                _write(fh, args.format, lines, payload)
+                _write(fh, args.format, lines, payload, entries)
             except BaseException:
                 # a device or a link, such as /dev/stdout, keeps what was written
                 opened = os.fstat(fh.fileno())
@@ -115,7 +118,7 @@ def _emit(args, lines: Iterable[str], payload) -> None:
         raise _OutError(exc) from exc
 
 
-def _write(stream, fmt: str, lines: Iterable[str], payload) -> None:
+def _write(stream, fmt: str, lines: Iterable[str], payload, entries) -> None:
     if fmt == "text":
         stream.writelines(_joined(lines, "", "\n", "\n", "\n"))
     elif fmt == "csv":
@@ -129,7 +132,8 @@ def _write(stream, fmt: str, lines: Iterable[str], payload) -> None:
     elif isinstance(payload, dict):
         stream.write(json.dumps(payload, indent=2) + "\n")
     else:
-        stream.writelines(_joined(map(_json_entry, payload), "[\n", ",\n", "\n]\n", "[]\n"))
+        entries = entries or map(_json_entry, payload)
+        stream.writelines(_joined(entries, "[\n", ",\n", "\n]\n", "[]\n"))
 
 
 def _joined(parts: Iterable[str], head: str, sep: str, tail: str, empty: str) -> Iterator[str]:
@@ -141,18 +145,24 @@ def _joined(parts: Iterable[str], head: str, sep: str, tail: str, empty: str) ->
     yield empty if lead is None else tail
 
 
-# The C encoder with the separators that indent=2 puts between the fields of
-# a list entry.
-_FLAT_ENTRY = json.JSONEncoder(separators=(",\n    ", ": "), check_circular=False).encode
-_NESTED = frozenset((dict, list))
-
-
 def _json_entry(row: dict) -> str:
     """A row as json.dumps renders it as an entry of a list with indent=2."""
-    if _NESTED.isdisjoint(map(type, row.values())):
-        return "  {\n    " + _FLAT_ENTRY(row)[1:-1] + "\n  }"
     # json.dumps escapes the newlines inside strings, so each one left is layout
     return "  " + json.dumps(row, indent=2).replace("\n", "\n  ")
+
+
+def _spectrum_entry(el: SpectrumElement) -> str:
+    """_json_entry(el.to_json()), laid out by one template: the keys in
+    to_json's order, the ints as json writes them, and the sigma name, the
+    label num/den and the decimal as ASCII strings with nothing to escape."""
+    k, t, v = el.params, el.t, el.value
+    return (
+        f'  {{\n    "k1": {k.k1},\n    "k2": {k.k2},\n    "k3": {k.k3},\n'
+        f'    "sigma": "{format_sigma(k.sigma)}",\n    "t": "{t.num}/{t.den}",\n'
+        f'    "n": {el.n},\n    "pos": {el.pos},\n'
+        f'    "p": {v.p},\n    "q": {v.q},\n    "D": {v.D},\n    "r": {v.r},\n'
+        f'    "decimal": "{v.decimal()}"\n  }}'
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,15 +313,15 @@ def _spectrum_cmd(args) -> int:
             f"k=({kk[0]},{kk[1]},{kk[2]}) {el.value} = {el.value.decimal()}"
             for kk, el in hits
         ))
-        _emit(args, lines, (el.to_json() for _, el in hits))
-        return 0
-    elems = enumerate_spectrum(k, args.depth)
-    lines = (
-        f"{el.value} = {el.value.decimal()}  (t={el.t}, n={el.n}, pos={el.pos}, "
-        f"sigma={format_sigma(el.params.sigma)})"
-        for el in elems
-    )
-    _emit(args, lines, (el.to_json() for el in elems))
+        elems = [el for _, el in hits]
+    else:
+        elems = enumerate_spectrum(k, args.depth)
+        lines = (
+            f"{el.value} = {el.value.decimal()}  (t={el.t}, n={el.n}, pos={el.pos}, "
+            f"sigma={format_sigma(el.params.sigma)})"
+            for el in elems
+        )
+    _emit(args, lines, (el.to_json() for el in elems), map(_spectrum_entry, elems))
     return 0
 
 

@@ -301,6 +301,8 @@ class QuadSurd:
     def __lt__(self, other: "QuadSurd | int | Fraction") -> bool:
         if isinstance(other, (int, Fraction)):
             other = QuadSurd.from_fraction(other)
+        elif not isinstance(other, QuadSurd):
+            return NotImplemented  # a float is refused, never compared
         return self._cmp(other) < 0
 
     def __hash__(self) -> int:

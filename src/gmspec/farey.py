@@ -53,6 +53,8 @@ class IrreducibleFraction:
         return f"{self.num}/{self.den}"
 
     def __lt__(self, other: "IrreducibleFraction") -> bool:
+        if not isinstance(other, IrreducibleFraction):
+            return NotImplemented
         return self.num * other.den < other.num * self.den
 
     def reciprocal(self) -> "IrreducibleFraction":

@@ -1,11 +1,11 @@
 """The whole-payload CLI renderer that the streaming emitter of gmspec.cli is
 checked against.
 
-* `old_emit` takes the same (args, lines, payload) as `cli._emit`, holds the
-  whole output as one string (`"\\n".join` of the text lines,
-  `json.dumps(payload, indent=2)`, or a buffered `csv.DictWriter` with the
-  trailing newline stripped) and prints it, or writes it to --out, with one
-  newline added.
+* `old_emit` takes the same (args, lines, payload, entries) as `cli._emit`,
+  ignores the pre-rendered JSON entries, holds the whole output as one string
+  (`"\\n".join` of the text lines, `json.dumps(payload, indent=2)`, or a
+  buffered `csv.DictWriter` with the trailing newline stripped) and prints
+  it, or writes it to --out, with one newline added.
 * `old_spectrum_row` builds a spectrum row by merging `QuadSurd.to_json()`,
   with the sigma name found by a scan of every cycle name.
 """
@@ -31,7 +31,7 @@ def _to_csv(payload) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def old_emit(args, lines, payload) -> None:
+def old_emit(args, lines, payload, entries=None) -> None:
     text = "\n".join(lines)
     if not isinstance(payload, dict):
         payload = list(payload)

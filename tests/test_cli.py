@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import cli_oracle
+import gmspec
 from gmspec import cli
 from gmspec.cli import LABEL_SIZE_LIMIT, SPECTRUM_DEPTH_LIMIT, SPECTRUM_KMAX_LIMIT, run
-from gmspec.gmtree import ALL_SIGMAS, format_sigma
-from gmspec.spectrum import enumerate_spectrum, transition_scan
+from gmspec.farey import IrreducibleFraction
+from gmspec.gmtree import ALL_SIGMAS, ALTERNATING, GMParams, format_sigma
+from gmspec.spectrum import enumerate_spectrum, markov_value, transition_scan
 
 
 def test_seq_command(capsys):
@@ -240,9 +245,17 @@ def test_spectrum_bytes_match_the_old_renderer(k, fmt, tmp_path, capsysbinary, m
         _assert_old_bytes(argv, fmt, tmp_path, capsysbinary, monkeypatch)
 
 
+# spectrum-deep's six triples, one arrangement each, as the benchmark runs them
+@pytest.mark.parametrize("k", ["5,1,0", "0,4,2", "3,1,2", "5,0,0", "1,3,1", "2,1,2"])
+def test_benchmark_spectrum_bytes_match_the_old_renderer(k, tmp_path, capsysbinary, monkeypatch):
+    argv = ["spectrum", "--k", k, "--depth", "8"]
+    _assert_old_bytes(argv, "json", tmp_path, capsysbinary, monkeypatch)
+
+
 COMMAND_ARGV = [
     ["spectrum", "--kmax", "0"],
     ["spectrum", "--kmax", "1", "--depth", "3"],
+    ["spectrum", "--kmax", "2", "--depth", "4"],
     ["seq", "--k", "1,2,0", "--sigma", "id", "--t", "2/5"],
     ["lagrange", "--seq", "1,1,1,2,2,2"],
     ["distance", "--from", "0,0", "--to", "3,2", "--k", "1,2,0", "--sigma", "id"],
@@ -268,6 +281,33 @@ def test_spectrum_rows_match_the_old_merged_rows():
     elems += [el for _, el in transition_scan(1, 3)]
     for el in elems:
         assert list(el.to_json().items()) == list(cli_oracle.old_spectrum_row(el).items())
+
+
+def test_spectrum_template_entries_parse_to_the_rows():
+    # the parser, not only the old renderer, reads each entry: a quote or an
+    # escape the template missed would show here
+    elems = [el for k in ((0, 0, 0), (1, 2, 0), (3, 0, 1), (2, 2, 1), (0, 5, 5))
+             for d in (0, 2, 5) for el in enumerate_spectrum(k, d)]
+    elems += [el for _, el in transition_scan(2, 4)]
+    labels = [IrreducibleFraction(0, 1), IrreducibleFraction(1, 0), IrreducibleFraction(3, 5)]
+    elems += [markov_value(t, GMParams(1, 2, 0, s)) for t in labels for s in ALTERNATING]
+    for el in elems:
+        row, entry = el.to_json(), cli._spectrum_entry(el)
+        assert list(json.loads(entry).items()) == list(row.items())
+        assert entry == cli._json_entry(row)
+    assert {el.t for el in elems} >= set(labels)
+    assert {el.params.sigma for el in elems} == set(ALTERNATING)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = os.path.dirname(os.path.dirname(gmspec.__file__))
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    argv = ["seq", "--t", "2/5"]
+    proc = subprocess.run([sys.executable, "-m", "gmspec", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert run(argv) == 0
+    assert (proc.returncode, proc.stdout) == (0, capsys.readouterr().out)
 
 
 def test_format_sigma_names_each_permutation_and_rejects_the_rest():

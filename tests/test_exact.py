@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -74,6 +75,18 @@ def test_cmp_fixtures():
     assert surd_cmp(QuadSurd(11, 1, 221, 10), QuadSurd(11, 1, 221, 10)) == 0
     # equality across representations with unextracted square parts
     assert QuadSurd(0, 1, 12, 2) == QuadSurd(0, 1, 3, 1)
+
+
+def test_ordering_against_a_foreign_type_is_refused():
+    # ints and Fractions are compared exactly; a float is never compared
+    x = QuadSurd(0, 1, 2, 1)
+    assert x < 2 and x >= 1 and x < Fraction(3, 2)
+    with pytest.raises(TypeError):
+        x < 1.5
+    with pytest.raises(TypeError):
+        x >= 1.0
+    with pytest.raises(TypeError):
+        x < "a"
 
 
 def test_cmp_total_order_properties():

@@ -29,6 +29,13 @@ def test_fraction_order_with_infinity():
     assert not F("1/0") < F("1/0")
 
 
+def test_fraction_ordering_against_a_foreign_type_is_refused():
+    with pytest.raises(TypeError):
+        IrreducibleFraction(1, 2) < 3
+    with pytest.raises(TypeError):
+        IrreducibleFraction(1, 2) < Fraction(1, 3)
+
+
 def test_mediant_fixtures():
     assert mediant(F("1/3"), F("1/2")) == F("2/5")
     assert mediant(F("0/1"), F("1/0")) == F("1/1")
