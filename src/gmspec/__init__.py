@@ -13,16 +13,12 @@ from .exact import (
     QuadSurd,
     cf_matrix,
     cf_eval_periodic,
-    period_divides_block,
     periodic_cf_expansion,
-    surd_canonicalize,
     surd_cmp,
 )
 from .farey import (
     FareyTriple,
     IrreducibleFraction,
-    christoffel_word,
-    farey_locate,
     mediant,
 )
 from .gmtree import (
@@ -63,7 +59,6 @@ from .spectrum import (
     enumerate_spectrum,
     lagrange_value,
     markov_sup_exact,
-    markov_sup_numeric,
     markov_value,
     qform_of,
     transition_scan,

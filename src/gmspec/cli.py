@@ -209,9 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="dst", required=True)
 
     p = add_parser("spectrum", help="enumerated spectrum of a coefficient triple")
-    p.add_argument("--k", default="0,0,0")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--k", help="coefficients k1,k2,k3 (default 0,0,0)")
+    g.add_argument("--kmax", type=int, help="scan all triples up to kmax in the transition window")
     p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--kmax", type=int, help="scan all triples up to kmax in the transition window")
 
     p = add_parser("tables", help="recompute and compare all golden table rows")
 
@@ -304,7 +305,6 @@ def _dispatch(args) -> int:
 def _spectrum_cmd(args) -> int:
     if args.depth > SPECTRUM_DEPTH_LIMIT:
         raise ValueError(f"depth too large: at most {SPECTRUM_DEPTH_LIMIT}")
-    k = _ints_of(args.k, 3, _K_EXPECTED)
     if args.kmax is not None:
         if args.kmax > SPECTRUM_KMAX_LIMIT:
             raise ValueError(f"kmax too large: at most {SPECTRUM_KMAX_LIMIT}")
@@ -315,6 +315,7 @@ def _spectrum_cmd(args) -> int:
         ))
         elems = [el for _, el in hits]
     else:
+        k = _ints_of("0,0,0" if args.k is None else args.k, 3, _K_EXPECTED)
         elems = enumerate_spectrum(k, args.depth)
         lines = (
             f"{el.value} = {el.value.decimal()}  (t={el.t}, n={el.n}, pos={el.pos}, "

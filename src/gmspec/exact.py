@@ -20,11 +20,9 @@ __all__ = [
     "Mat2",
     "QuadSurd",
     "cf_matrix",
-    "surd_canonicalize",
     "surd_cmp",
     "periodic_cf_expansion",
     "cf_eval_periodic",
-    "period_divides_block",
     "decimal_str",
 ]
 
@@ -224,11 +222,6 @@ class QuadSurd:
     def is_rational(self) -> bool:
         return self.q == 0
 
-    def to_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("not a rational value")
-        return Fraction(self.p, self.r)
-
     def squared_fraction(self) -> Fraction:
         """Exact value of x**2, defined only when p = 0 or q = 0."""
         if self.p == 0:
@@ -324,11 +317,6 @@ class QuadSurd:
 
     def to_json(self) -> dict[str, int]:
         return {"p": self.p, "q": self.q, "D": self.D, "r": self.r}
-
-
-def surd_canonicalize(p: int, q: int, D: int, r: int) -> QuadSurd:
-    """Canonical form of (p + q*sqrt(D))/r; D >= 0, r != 0."""
-    return QuadSurd(p, q, D, r)
 
 
 def surd_cmp(x: QuadSurd, y: QuadSurd) -> int:
@@ -449,11 +437,3 @@ def cf_eval_periodic(preperiod: Sequence[int], period: Sequence[int]) -> QuadSur
     M = Mat2(pre[0], 1, 1, 0) * cf_matrix(pre[1:]) if pre else Mat2.identity()
     u, v = M.a * P + M.b * Q, M.c * P + M.d * Q
     return QuadSurd(u * v - M.a * M.c * N, M.det() * Q, N, v * v - M.c * M.c * N)
-
-
-def period_divides_block(period: Sequence[int], block: Sequence[int]) -> bool:
-    """True iff block is period repeated a whole number of times."""
-    p, b = tuple(period), tuple(block)
-    if not p or len(b) % len(p):
-        return False
-    return p * (len(b) // len(p)) == b

@@ -1,4 +1,4 @@
-"""Irreducible fractions, the Farey tree, and Christoffel lattice words.
+"""Irreducible fractions and the Farey tree.
 
 Fractions live in [0, oo]; 1/0 stands for the point at infinity and compares
 greater than every finite fraction.  Tree navigation runs along the
@@ -17,9 +17,7 @@ __all__ = [
     "FareyTriple",
     "FAREY_ROOT",
     "mediant",
-    "farey_locate",
     "farey_path",
-    "christoffel_word",
 ]
 
 
@@ -131,52 +129,3 @@ def farey_path(t: IrreducibleFraction) -> tuple[str, ...]:
     for i, d in enumerate(digits):
         path.extend(("R" if i % 2 == 0 else "L") * d)
     return tuple(path)
-
-
-def farey_locate(t: IrreducibleFraction) -> tuple[tuple[str, ...], FareyTriple]:
-    """Path and tree vertex whose middle entry is t, for t in (0, oo)."""
-    path = farey_path(t)
-    node = FAREY_ROOT
-    for step in path:
-        node = node.child(step)
-    assert node.mid == t
-    return path, node
-
-
-def christoffel_word(t: IrreducibleFraction) -> str:
-    """Lattice-path word over {p, q, r} for the segment (0,0) -> (den, num).
-
-    At each grid-line crossing the lattice point immediately to the right of
-    the crossing is recorded; joining consecutive recorded points gives unit
-    steps of slope 0 (letter p), 1 (letter q) or infinity (letter r).
-    """
-    a, b = t.num, t.den
-    if a == 0:
-        return "p"
-    if b == 0:
-        return "r"
-    points: list[tuple[int, int]] = [(0, 0)]
-    crossings: list[tuple[int, int, tuple[int, int]]] = []
-    for i in range(1, b):
-        # vertical line x=i, point below the crossing; key = position * a*b
-        crossings.append((i * a, 0, (i, a * i // b)))
-    for j in range(1, a):
-        # horizontal line y=j, point right of the crossing
-        crossings.append((j * b, 1, (-(-b * j // a), j)))
-    crossings.sort()
-    for _, _, pt in crossings:
-        if pt != points[-1]:
-            points.append(pt)
-    if points[-1] != (b, a):
-        points.append((b, a))
-    letters = []
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        dx, dy = x1 - x0, y1 - y0
-        if dy == 0:
-            letters.append("p" * dx)
-        elif dx == 0:
-            letters.append("r" * dy)
-        else:
-            assert dx == dy, f"non-unit step {(dx, dy)} in Christoffel path"
-            letters.append("q" * dx)
-    return "".join(letters)

@@ -44,13 +44,9 @@ Point = tuple[int, int]
 
 @dataclass(frozen=True)
 class SnakeGraph:
-    """Tiles in placement order plus the derived vertex and edge sets.
-
-    steps[i] is 'R' or 'U': where tile i+1 sits relative to tile i.
-    """
+    """Tiles in placement order plus the derived vertex and edge sets."""
 
     tiles: tuple[Point, ...]
-    steps: tuple[str, ...]
     vertices: tuple[Point, ...]
     edges: tuple[tuple[Point, Point], ...]
 
@@ -76,13 +72,12 @@ def build_snake_graph(entries: Sequence[int]) -> SnakeGraph:
     seq = _check_entries(entries)
     total = sum(seq)
     if total == 0:
-        return SnakeGraph((), (), (), ())
+        return SnakeGraph((), (), ())
     if total == 1:
         vs = ((0, 0), (1, 0))
-        return SnakeGraph((), (), vs, ((vs[0], vs[1]),))
+        return SnakeGraph((), vs, ((vs[0], vs[1]),))
     joins = _sign_word(seq)[1:-1]
     tiles: list[Point] = [(0, 0)]
-    steps: list[str] = []
     direction = "R"
     for i in range(len(joins)):
         if i > 0:
@@ -90,7 +85,6 @@ def build_snake_graph(entries: Sequence[int]) -> SnakeGraph:
                 direction = "U" if direction == "R" else "R"
         x, y = tiles[-1]
         tiles.append((x + 1, y) if direction == "R" else (x, y + 1))
-        steps.append(direction)
     vset: set[Point] = set()
     eset: set[tuple[Point, Point]] = set()
     for x, y in tiles:
@@ -98,7 +92,7 @@ def build_snake_graph(entries: Sequence[int]) -> SnakeGraph:
         vset.update(corners)
         for u, v in zip(corners, corners[1:] + corners[:1]):
             eset.add((min(u, v), max(u, v)))
-    return SnakeGraph(tuple(tiles), tuple(steps), tuple(sorted(vset)), tuple(sorted(eset)))
+    return SnakeGraph(tuple(tiles), tuple(sorted(vset)), tuple(sorted(eset)))
 
 
 def count_matchings_bruteforce(graph: SnakeGraph) -> int:

@@ -40,7 +40,6 @@ __all__ = [
     "alpha_fixed_point",
     "markov_value",
     "qform_of",
-    "markov_sup_numeric",
     "markov_sup_exact",
     "enumerate_spectrum",
     "transition_scan",
@@ -166,25 +165,13 @@ def qform_of(entries: Sequence[int]) -> QForm:
 
 
 # ---------------------------------------------------------------------------
-# numeric supremum scan for a form
+# bounded-box supremum for a form
 # ---------------------------------------------------------------------------
 
 def _int_form(q: QForm) -> tuple[int, int, int, int]:
     """(R, A, B, C) with q(x,y) = (A x^2 + B xy + C y^2)/R and R > 0."""
     r = math.lcm(q.a.denominator, q.b.denominator, q.c.denominator)
     return r, int(q.a * r), int(q.b * r), int(q.c * r)
-
-
-def markov_sup_numeric(q: QForm, bound: int) -> float:
-    """Max of sqrt(disc)/|q(x,y)| over 0 < max(|x|,|y|) <= bound.
-
-    A lower bound for the supremum over all lattice points.  Returns inf when
-    the form vanishes at a scanned point.
-    """
-    exact = markov_sup_exact(q, bound)
-    if exact is None:
-        return math.inf
-    return float(exact)
 
 
 def markov_sup_exact(q: QForm, bound: int) -> QuadSurd | None:

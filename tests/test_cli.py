@@ -104,6 +104,16 @@ def test_csv_bytes(argv, want, capsys):
 def test_usage_error_exit_code(capsys):
     assert run(["frobnicate"]) == 1
     assert run(["seq", "--k", "1,2,0"]) == 1  # missing --t
+    # --k names one tree and --kmax a scan over all triples: never both
+    for argv in (
+        ["spectrum", "--k", "1,2,0", "--kmax", "0", "--depth", "0"],
+        ["spectrum", "--kmax", "1", "--k", "1,2"],
+        ["spectrum", "--k", "0,0,0", "--kmax", "1"],
+    ):
+        capsys.readouterr()
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "not allowed with argument" in err
 
 
 def test_domain_error_exit_code(capsys):
@@ -253,6 +263,7 @@ def test_benchmark_spectrum_bytes_match_the_old_renderer(k, tmp_path, capsysbina
 
 
 COMMAND_ARGV = [
+    ["spectrum", "--depth", "3"],
     ["spectrum", "--kmax", "0"],
     ["spectrum", "--kmax", "1", "--depth", "3"],
     ["spectrum", "--kmax", "2", "--depth", "4"],

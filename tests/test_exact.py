@@ -12,9 +12,7 @@ from gmspec.exact import (
     _floor_surd,
     _square_split,
     decimal_str,
-    period_divides_block,
     periodic_cf_expansion,
-    surd_canonicalize,
     surd_cmp,
 )
 from exact_oracle import _decimal_interval, floor_interval
@@ -51,15 +49,15 @@ def test_cf_matrix_determinant_parity():
 
 
 def test_canonicalize_fixtures():
-    x = surd_canonicalize(0, 18, 723, 81)
+    x = QuadSurd(0, 18, 723, 81)
     assert (x.p, x.q, x.D, x.r) == (0, 2, 723, 9)
-    y = surd_canonicalize(0, 1, 234252, 81)
+    y = QuadSurd(0, 1, 234252, 81)
     assert (y.p, y.q, y.D, y.r) == (0, 2, 723, 9)
-    z = surd_canonicalize(3, 0, 5, 3)
+    z = QuadSurd(3, 0, 5, 3)
     assert (z.p, z.q, z.D, z.r) == (1, 0, 1, 1)
     # 3^2 * 1093^2 * 10751837: the square of 3 brings it below 10^14, and the
     # rest of the split finds 1093^2
-    w = surd_canonicalize(0, 1, 115602041881917, 1)
+    w = QuadSurd(0, 1, 115602041881917, 1)
     assert (w.p, w.q, w.D, w.r) == (0, 3279, 10751837, 1)
 
 
@@ -144,13 +142,6 @@ def test_cf_eval_periodic_preperiod_entries():
     assert cf_eval_periodic((-3, 1), (2,)) == QuadSurd(-6, 1, 2, 2)
     with pytest.raises(ValueError):
         cf_eval_periodic((1, 0), (2,))
-
-
-def test_period_divides_block():
-    assert period_divides_block((2,), (2, 2))
-    assert period_divides_block((2, 1), (2, 1, 2, 1))
-    assert not period_divides_block((2, 1), (2, 1, 2))
-    assert not period_divides_block((2, 1), (1, 2, 1, 2))
 
 
 def test_decimal_rendering():

@@ -3,14 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from gmspec.farey import (
-    FAREY_ROOT,
-    FareyTriple,
-    IrreducibleFraction,
-    christoffel_word,
-    farey_locate,
-    mediant,
-)
+from gmspec.farey import FAREY_ROOT, FareyTriple, IrreducibleFraction, mediant
+from farey_oracle import christoffel_word, farey_locate
 
 F = IrreducibleFraction.parse
 

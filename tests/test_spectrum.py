@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gmspec.exact import QuadSurd, cf_eval_periodic, periodic_cf_expansion, period_divides_block
+from gmspec.exact import QuadSurd, cf_eval_periodic, periodic_cf_expansion
 from gmspec.farey import IrreducibleFraction
 from gmspec.gmtree import (
     ALL_SIGMAS,
@@ -25,7 +25,6 @@ from gmspec.spectrum import (
     enumerate_spectrum,
     lagrange_value,
     markov_sup_exact,
-    markov_sup_numeric,
     markov_value,
     qform_of,
     transition_scan,
@@ -74,7 +73,7 @@ def test_alpha_roundtrip_through_expansion():
         alpha = alpha_fixed_point(seq)
         pre, per = periodic_cf_expansion(alpha)
         assert pre == ()
-        assert period_divides_block(per, seq)
+        assert per * (len(seq) // len(per)) == seq
 
 
 def test_markov_value_fixtures():
@@ -100,21 +99,18 @@ def test_markov_sup_small_bounds():
     q = qform_of((1, 1))
     # any bound: |Q| >= ... at (1,0) value sqrt(5)/1
     assert markov_sup_exact(q, 1) == QuadSurd(0, 1, 5, 1)
-    assert abs(markov_sup_numeric(q, 100) - 5**0.5) < 1e-2
+    assert abs(float(markov_sup_exact(q, 100)) - 5**0.5) < 1e-2
     q = qform_of((2, 1, 1, 2))
-    got = markov_sup_numeric(q, 1000)
+    got = float(markov_sup_exact(q, 1000))
     want = float(QuadSurd(0, 1, 221, 5))
     assert want - 1e-3 < got <= want + 1e-12
 
 
 def test_markov_sup_degenerate_form_reports_infinite():
-    import math
-
     from gmspec.spectrum import QForm
 
     # (x - y)(x + 2y) vanishes at (1, 1)
     q = QForm(Fraction(1), Fraction(1), Fraction(-2))
-    assert markov_sup_numeric(q, 5) == math.inf
     assert markov_sup_exact(q, 5) is None
 
 
