@@ -1,13 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 domain error (bad mathematical
-input), 3 verification failure.
+Exit codes: 0 success, 1 usage error or output that could not be written,
+2 domain error (bad mathematical input), 3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import os
@@ -55,7 +56,7 @@ SPECTRUM_KMAX_LIMIT = 30
 
 
 class _OutError(Exception):
-    """The --out file could not be written."""
+    """The output, to stdout or to --out, could not be written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,11 +64,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
-
-
-def _add_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", default="0,0,0", help="coefficients k1,k2,k3 (default 0,0,0)")
-    p.add_argument("--sigma", default="id", help="permutation in cycle notation (default id)")
 
 
 _K_EXPECTED = "--k expects three comma-separated integers"
@@ -89,10 +85,6 @@ def _params_of(args) -> GMParams:
     return GMParams(*_ints_of(args.k, 3, _K_EXPECTED), parse_sigma(args.sigma))
 
 
-def _surd_payload(x: QuadSurd) -> dict:
-    return {**x.to_json(), "str": str(x), "decimal": x.decimal()}
-
-
 def _emit(args, lines: Iterable[str], payload, entries: Iterable[str] | None = None) -> None:
     """Write the output to --out or stdout one row at a time: the text lines,
     or the payload (one dict, or an iterable of dicts with the same keys) as
@@ -101,10 +93,11 @@ def _emit(args, lines: Iterable[str], payload, entries: Iterable[str] | None = N
     `entries`, when given, are the payload's JSON list entries rendered
     ahead (see `_spectrum_entry`); JSON output writes them in its place.
     A row that fails removes the --out file if that path is a regular file."""
-    if not args.out:
-        _write(sys.stdout, args.format, lines, payload, entries)
-        return
     try:
+        if not args.out:
+            _write(sys.stdout, args.format, lines, payload, entries)
+            sys.stdout.flush()
+            return
         with open(args.out, "w") as fh:
             try:
                 _write(fh, args.format, lines, payload, entries)
@@ -165,58 +158,58 @@ def _spectrum_entry(el: SpectrumElement) -> str:
     )
 
 
+@functools.cache  # one parser per process
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json", "csv"), default=argparse.SUPPRESS
-    )
+    common.add_argument("--format", choices=("text", "json", "csv"), default=argparse.SUPPRESS)
     common.add_argument(
         "--out", default=argparse.SUPPRESS, help="write output to this path instead of stdout"
     )
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--k", default="0,0,0", help="coefficients k1,k2,k3 (default 0,0,0)")
+    params.add_argument("--sigma", default="id", help="permutation in cycle notation (default id)")
     top = _Parser(prog="gmspec", description=__doc__, parents=[common])
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_parser(name: str, help: str):  # noqa: A002 - argparse's own keyword
-        return sub.add_parser(name, help=help, parents=[common])
+    # handler(args) runs the subcommand and returns its exit code, None for 0
+    def add_parser(name: str, handler, what: str, *parents: argparse.ArgumentParser):
+        p = sub.add_parser(name, help=what, parents=[common, *parents])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = add_parser("seq", help="admissible sequence of a fraction label")
-    _add_params(p)
+    p = add_parser("seq", _seq_cmd, "admissible sequence of a fraction label", params)
     p.add_argument("--t", required=True)
 
-    p = add_parser("cohn", help="matrix attached to a fraction label")
-    _add_params(p)
+    p = add_parser("cohn", _cohn_cmd, "matrix attached to a fraction label", params)
     p.add_argument("--t", required=True)
     p.add_argument("--method", choices=("closed", "recursive"), default="closed")
 
-    p = add_parser("node", help="solution-tree vertex at a fraction label")
-    _add_params(p)
+    p = add_parser("node", _node_cmd, "solution-tree vertex at a fraction label", params)
     p.add_argument("--t", required=True)
 
-    for name, what in (
-        ("lagrange", "spectrum value of a periodic block"),
-        ("alpha", "purely periodic value of a block"),
-        ("qform", "quadratic form attached to a block"),
+    for name, handler, what in (
+        ("lagrange", _lagrange_cmd, "spectrum value of a periodic block"),
+        ("alpha", _alpha_cmd, "purely periodic value of a block"),
+        ("qform", _qform_cmd, "quadratic form attached to a block"),
     ):
-        p = add_parser(name, help=what)
-        _add_params(p)
+        p = add_parser(name, handler, what, params)
         g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--seq")
         g.add_argument("--t")
 
-    p = add_parser("distance", help="lattice distance between two points")
-    _add_params(p)
+    p = add_parser("distance", _distance_cmd, "lattice distance between two points", params)
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dst", required=True)
 
-    p = add_parser("spectrum", help="enumerated spectrum of a coefficient triple")
+    p = add_parser("spectrum", _spectrum_cmd, "enumerated spectrum of a coefficient triple")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--k", help="coefficients k1,k2,k3 (default 0,0,0)")
     g.add_argument("--kmax", type=int, help="scan all triples up to kmax in the transition window")
     p.add_argument("--depth", type=int, default=4)
 
-    p = add_parser("tables", help="recompute and compare all golden table rows")
+    add_parser("tables", _tables_cmd, "recompute and compare all golden table rows")
 
-    p = add_parser("verify", help="run an invariant suite")
+    p = add_parser("verify", _verify_cmd, "run an invariant suite")
     p.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
     return top
 
@@ -241,68 +234,68 @@ def _label_of(args) -> IrreducibleFraction:
 
 
 def run(argv: list[str]) -> int:
-    top = build_parser()
     try:
-        args = top.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # the output flags may come before or after the subcommand
     args.format = getattr(args, "format", "text")
     args.out = getattr(args, "out", None)
     try:
-        return _dispatch(args)
-    except (ValueError, ZeroDivisionError) as exc:
+        return args.handler(args) or 0
+    except (ValueError, ZeroDivisionError, _OutError) as exc:
         print(f"gmspec: {exc}", file=sys.stderr)
-        return DOMAIN_ERROR
-    except _OutError as exc:
-        print(f"gmspec: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return USAGE_ERROR if isinstance(exc, _OutError) else DOMAIN_ERROR
 
 
-def _dispatch(args) -> int:
-    cmd = args.command
-    if cmd == "seq":
-        s = admissible_sequence(_label_of(args), _params_of(args))
-        _emit(args, [",".join(map(str, s))], {"t": args.t, "s": list(s)})
-    elif cmd == "cohn":
-        t = _label_of(args)
-        fn = cohn_closed_form if args.method == "closed" else cohn_recursive
-        m: Mat2 = fn(t, _params_of(args))
-        _emit(args, [str(m)], {"t": args.t, "matrix": m.to_list()})
-    elif cmd == "node":
-        node = gm_node(_label_of(args), _params_of(args))
-        _emit(args, [str(node)], {
-            "t": args.t,
-            "left": [node.left.value, node.left.pos],
-            "mid": [node.mid.value, node.mid.pos],
-            "right": [node.right.value, node.right.pos],
-        })
-    elif cmd == "lagrange":
-        val = lagrange_value(_block_of(args))
-        _emit(args, [str(val)], _surd_payload(val))
-    elif cmd == "alpha":
-        val = alpha_fixed_point(_block_of(args))
-        _emit(args, [str(val)], _surd_payload(val))
-    elif cmd == "qform":
-        q = qform_of(_block_of(args))
-        _emit(args, [str(q)], {"a": str(q.a), "b": str(q.b), "c": str(q.c)})
-    elif cmd == "distance":
-        pt = "expected a lattice point 'x,y'"
-        (x0, y0), (x1, y1) = _ints_of(args.src, 2, pt), _ints_of(args.dst, 2, pt)
-        if abs(x1 - x0) + abs(y1 - y0) > LABEL_SIZE_LIMIT:
-            raise ValueError(f"segment too long: |dx| + |dy| must be at most {LABEL_SIZE_LIMIT}")
-        d = gm_distance((x0, y0), (x1, y1), _params_of(args))
-        _emit(args, [str(d)], {"distance": d})
-    elif cmd == "spectrum":
-        return _spectrum_cmd(args)
-    elif cmd == "tables":
-        return _tables_cmd(args)
-    elif cmd == "verify":
-        return _verify_cmd(args)
-    return 0
+def _seq_cmd(args) -> None:
+    s = admissible_sequence(_label_of(args), _params_of(args))
+    _emit(args, [",".join(map(str, s))], {"t": args.t, "s": list(s)})
 
 
-def _spectrum_cmd(args) -> int:
+def _cohn_cmd(args) -> None:
+    fn = cohn_closed_form if args.method == "closed" else cohn_recursive
+    m: Mat2 = fn(_label_of(args), _params_of(args))
+    _emit(args, [str(m)], {"t": args.t, "matrix": m.to_list()})
+
+
+def _node_cmd(args) -> None:
+    node = gm_node(_label_of(args), _params_of(args))
+    _emit(args, [str(node)], {
+        "t": args.t,
+        "left": [node.left.value, node.left.pos],
+        "mid": [node.mid.value, node.mid.pos],
+        "right": [node.right.value, node.right.pos],
+    })
+
+
+def _lagrange_cmd(args) -> None:
+    _emit_surd(args, lagrange_value(_block_of(args)))
+
+
+def _alpha_cmd(args) -> None:
+    _emit_surd(args, alpha_fixed_point(_block_of(args)))
+
+
+def _emit_surd(args, x: QuadSurd) -> None:
+    _emit(args, [str(x)], {**x.to_json(), "str": str(x), "decimal": x.decimal()})
+
+
+def _qform_cmd(args) -> None:
+    q = qform_of(_block_of(args))
+    _emit(args, [str(q)], {"a": str(q.a), "b": str(q.b), "c": str(q.c)})
+
+
+def _distance_cmd(args) -> None:
+    pt = "expected a lattice point 'x,y'"
+    (x0, y0), (x1, y1) = _ints_of(args.src, 2, pt), _ints_of(args.dst, 2, pt)
+    if abs(x1 - x0) + abs(y1 - y0) > LABEL_SIZE_LIMIT:
+        raise ValueError(f"segment too long: |dx| + |dy| must be at most {LABEL_SIZE_LIMIT}")
+    d = gm_distance((x0, y0), (x1, y1), _params_of(args))
+    _emit(args, [str(d)], {"distance": d})
+
+
+def _spectrum_cmd(args) -> None:
     if args.depth > SPECTRUM_DEPTH_LIMIT:
         raise ValueError(f"depth too large: at most {SPECTRUM_DEPTH_LIMIT}")
     if args.kmax is not None:
@@ -323,7 +316,6 @@ def _spectrum_cmd(args) -> int:
             for el in elems
         )
     _emit(args, lines, (el.to_json() for el in elems), map(_spectrum_entry, elems))
-    return 0
 
 
 def _tables_cmd(args) -> int:
@@ -350,7 +342,15 @@ def _verify_cmd(args) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()  # fails again after a write error, or after --help
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit-time flush
+        if code == 0:
+            print(f"gmspec: {exc}", file=sys.stderr)
+            code = USAGE_ERROR
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

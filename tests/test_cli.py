@@ -1,3 +1,6 @@
+import argparse
+import errno
+import io
 import json
 import os
 import subprocess
@@ -386,3 +389,104 @@ def test_seq_size_limit_is_on_entries_and_bits(capsys):
     assert run(["qform", "--seq", eights]) == 0
     capsys.readouterr()
     _one_line_domain_error(capsys, ["qform", "--seq", eights + ",1"])
+
+
+# -- the parser: output flags, one parser per process, one handler each -----
+
+SUBCOMMANDS = ("seq", "cohn", "node", "lagrange", "alpha", "qform", "distance", "spectrum",
+               "tables", "verify")
+
+
+def test_output_flags_may_follow_the_subcommand(tmp_path, capsysbinary):
+    def stdout_of(*argv):
+        assert run([str(a) for a in argv]) == 0
+        return capsysbinary.readouterr().out
+
+    seq = ("seq", "--t", "1/2")
+    text, as_json = stdout_of(*seq), stdout_of("--format", "json", *seq)
+    assert text != as_json
+    assert stdout_of(*seq, "--format", "json") == as_json
+    assert stdout_of("--format", "json", *seq, "--format", "text") == text  # the later one wins
+    before, after, unused, last = (tmp_path / name for name in ("b", "a", "u", "l"))
+    assert stdout_of("--out", before, *seq) == stdout_of(*seq, "--out", after) == b""
+    assert before.read_bytes() == after.read_bytes() == text
+    assert stdout_of("--out", unused, *seq, "--out", last) == b""
+    assert not unused.exists() and last.read_bytes() == text
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    assert run(["seq", "--t", "1/2"]) == 0  # builds the parser if no earlier test did
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    for argv in (["seq", "--t", "1/2"], ["spectrum", "--depth", "1"], ["bogus"], ["tables", "-h"]):
+        run(argv)
+    assert built == []
+
+
+def test_each_subcommand_parses_to_its_own_handler():
+    top = cli.build_parser()
+    (sub,) = (a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(SUBCOMMANDS)
+    handlers = [p.get_default("handler") for p in sub.choices.values()]
+    assert all(map(callable, handlers)) and len(set(handlers)) == len(handlers)
+
+
+@pytest.mark.parametrize("cmd", SUBCOMMANDS)
+def test_subcommand_help_exits_0(cmd, capsys):
+    assert run([cmd, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: gmspec {cmd} ")
+
+
+# -- a failed write to stdout ends in one line --------------------------------
+
+def _assert_one_line_exit_1(argv, errno_code, stdout, unbuffered, closed_early=False):
+    """gmspec argv in its own process, stdout buffered as a shell gives it or
+    not, exits 1 with one stderr line naming the errno."""
+    src = os.path.dirname(os.path.dirname(gmspec.__file__))
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen([sys.executable, "-m", "gmspec", *argv], env=env, stdout=stdout,
+                            stderr=subprocess.PIPE, text=True)
+    if closed_early:  # as `| head -1` does, with far more than a pipe buffer still to come
+        proc.stdout.readline()
+        proc.stdout.close()
+    err = proc.communicate(timeout=60)[1]
+    assert proc.returncode == 1 and err.startswith("gmspec: ") and err.count("\n") == 1, err
+    assert f"[Errno {errno_code}]" in err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_pipe_ends_in_one_line(unbuffered):
+    argv = ["spectrum", "--k", "1,2,0", "--depth", "10"]
+    _assert_one_line_exit_1(argv, errno.EPIPE, subprocess.PIPE, unbuffered, closed_early=True)
+
+
+# argparse drops a failed --help write itself, so only a buffered one fails at the end
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, unbuffered", [
+    (["seq", "--t", "1/2"], ""), (["seq", "--t", "1/2"], "1"), (["seq", "--help"], ""),
+], ids=["seq", "seq-unbuffered", "help"])
+def test_full_stdout_ends_in_one_line(argv, unbuffered):
+    with open("/dev/full", "w") as full:
+        _assert_one_line_exit_1(argv, errno.ENOSPC, full, unbuffered)
+
+
+class _FullStdout(io.StringIO):
+    """Takes every write and fails every flush, as a full disk does."""
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_run_flushes_stdout_and_reports_a_failure(monkeypatch, capsys):
+    # in process, run itself reports what main would only see at its exit
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    assert run(["seq", "--t", "1/2"]) == 1
+    assert capsys.readouterr().err == f"gmspec: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
