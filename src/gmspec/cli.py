@@ -65,6 +65,10 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
+    def _print_message(self, message, file=None):  # argparse's drops an OSError
+        if message:
+            (file or sys.stderr).write(message)
+
 
 _K_EXPECTED = "--k expects three comma-separated integers"
 
@@ -238,6 +242,9 @@ def run(argv: list[str]) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except OSError as exc:  # --help to a stdout that fails
+        print(f"gmspec: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     # the output flags may come before or after the subcommand
     args.format = getattr(args, "format", "text")
     args.out = getattr(args, "out", None)
@@ -301,12 +308,11 @@ def _spectrum_cmd(args) -> None:
     if args.kmax is not None:
         if args.kmax > SPECTRUM_KMAX_LIMIT:
             raise ValueError(f"kmax too large: at most {SPECTRUM_KMAX_LIMIT}")
-        hits = transition_scan(args.kmax, args.depth)
+        elems = transition_scan(args.kmax, args.depth)
         lines = itertools.chain([f"note: {TRANSITION_CAVEAT}"], (
-            f"k=({kk[0]},{kk[1]},{kk[2]}) {el.value} = {el.value.decimal()}"
-            for kk, el in hits
+            f"k=({el.params.k1},{el.params.k2},{el.params.k3}) {el.value} = {el.value.decimal()}"
+            for el in elems
         ))
-        elems = [el for _, el in hits]
     else:
         k = _ints_of("0,0,0" if args.k is None else args.k, 3, _K_EXPECTED)
         elems = enumerate_spectrum(k, args.depth)

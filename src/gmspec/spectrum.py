@@ -276,26 +276,24 @@ def _window_cut(big_k: int, c: int) -> int | None:
     return n
 
 
-def transition_scan(
-    kmax: int, depth: int
-) -> list[tuple[tuple[int, int, int], SpectrumElement]]:
+def transition_scan(kmax: int, depth: int) -> list[SpectrumElement]:
     """Every enumerated spectrum element with value in [3, c_F), over all
     coefficient triples with max component <= kmax.
 
-    Results are (triple, element) pairs sorted by triple then value, the same
-    as filtering `enumerate_spectrum(k, depth)`.  In each (K, k_i) class the
-    window is the n-interval 9n^2 <= Delta, n < `_window_cut(K, k_i)`: rows
-    are tested on their integers, only hits become surds, and the walk is cut
-    at the end of (K, max k), the greatest of the triple's ends.  (0,0,0), the
-    only triple with K = 3, is not walked: Delta = 9n^2 - 4 keeps every value
-    below 3.  See TRANSITION_CAVEAT for what the scan certifies.
+    Elements are sorted by triple (k1, k2, k3) of `el.params`, then by value,
+    the same as filtering `enumerate_spectrum(k, depth)`.  In each (K, k_i)
+    class the window is the n-interval 9n^2 <= Delta, n < `_window_cut(K, k_i)`:
+    rows are tested on their integers, only hits become surds, and the walk is
+    cut at the end of (K, max k), the greatest of the triple's ends.  (0,0,0),
+    the only triple with K = 3, is not walked: Delta = 9n^2 - 4 keeps every
+    value below 3.  See TRANSITION_CAVEAT for what the scan certifies.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     end = functools.cache(_window_cut)  # this scan's class ends, by (K, k_i)
-    out: list[tuple[tuple[int, int, int], SpectrumElement]] = []
+    out: list[SpectrumElement] = []
     for k in itertools.product(range(kmax + 1), repeat=3):
         if k == (0, 0, 0):
             continue
@@ -303,5 +301,5 @@ def transition_scan(
         for delta, n, pos, *rest in _distinct_values(k, depth, end(big_k, max(k))):
             cut = end(big_k, k[pos - 1])
             if delta >= 9 * n * n and (cut is None or n < cut):
-                out.append((k, _element(delta, n, pos, *rest)))
+                out.append(_element(delta, n, pos, *rest))
     return out

@@ -13,7 +13,7 @@ from importlib import resources
 
 from .exact import QuadSurd
 from .farey import IrreducibleFraction
-from .gmtree import GMParams, gm_pair, parse_sigma
+from .gmtree import GMParams, parse_sigma
 from .lattice import admissible_sequence
 from .spectrum import alpha_fixed_point, lagrange_value, markov_value
 
@@ -69,15 +69,14 @@ def check_row(row: TableRow) -> RowResult:
     s = admissible_sequence(row.t, row.params)
     if s != row.s:
         bad.append(f"s: computed {s}")
-    n = gm_pair(row.t, row.params).value
-    if n != row.n:
-        bad.append(f"n: computed {n}")
+    el = markov_value(row.t, row.params)
+    if el.n != row.n:
+        bad.append(f"n: computed {el.n}")
     alpha = alpha_fixed_point(s)
     if alpha != row.alpha:
         bad.append(f"alpha: computed {alpha}")
-    value = markov_value(row.t, row.params).value
-    if value != row.value:
-        bad.append(f"L: computed {value}")
+    if el.value != row.value:
+        bad.append(f"L: computed {el.value}")
     lag = lagrange_value(s)
     if lag != row.value:
         bad.append(f"L via rotations: computed {lag}")

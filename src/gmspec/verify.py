@@ -19,9 +19,9 @@ from itertools import repeat
 from typing import Callable, Iterable, Iterator
 
 from .cohn import closed_form_entries
-from .exact import QuadSurd, cf_matrix
-from .farey import FAREY_ROOT, FareyTriple, IrreducibleFraction
-from .gmtree import ALL_SIGMAS, GMParams, IDENTITY, Sigma, _walk_tree, enumerate_tree
+from .exact import cf_matrix
+from .farey import IrreducibleFraction
+from .gmtree import ALL_SIGMAS, GMParams, IDENTITY, Sigma, _walk_tree
 from .lattice import admissible_sequence
 from .snake import build_snake_graph, continuant, count_matchings_bruteforce, rotation_tails
 from .spectrum import (
@@ -64,14 +64,12 @@ def grid_triples(extra: int = 20) -> list[tuple[int, int, int]]:
 
 
 def grid_fractions(depth: int = GRID_DEPTH) -> list[IrreducibleFraction]:
-    """All interior tree labels with depth <= depth (2^(depth+1) - 1 of them)."""
-    out: list[IrreducibleFraction] = []
-    level: list[FareyTriple] = [FAREY_ROOT]
-    for d in range(depth + 1):
-        out.extend(tr.mid for tr in level)
-        if d < depth:
-            level = [tr.child(s) for tr in level for s in ("L", "R")]
-    return out
+    """All interior tree labels with depth <= depth (2^(depth+1) - 1 of them),
+    in the order of the integer walk; labels do not depend on the coefficients."""
+    return [
+        IrreducibleFraction(ln + rn, ld + rd)
+        for ln, ld, rn, rd, _ in _walk_tree(GMParams(0, 0, 0), depth)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +298,11 @@ def squares_suite(depth: int = 8) -> list[CheckResult]:
     """Squares of the plain tree values sit at the same positions in the
     all-twos tree, and tripling is a bijection between the enumerated
     spectra."""
-    plain = enumerate_tree(GMParams(0, 0, 0), depth)
-    twos = enumerate_tree(GMParams(2, 2, 2), depth)
-    for (t1, node1), (t2, node2) in zip(plain, twos):
-        assert t1 == t2
-        if (
-            node1.mid.value ** 2 != node2.mid.value
-            or node1.mid.pos != node2.mid.pos
-        ):
-            return [CheckResult("squares", False, f"t={t1}")]
+    plain = _walk_tree(GMParams(0, 0, 0), depth)
+    twos = _walk_tree(GMParams(2, 2, 2), depth)
+    for (ln, ld, rn, rd, (_, _, n1, i1, _, _)), (*_, (_, _, n2, i2, _, _)) in zip(plain, twos):
+        if n1 * n1 != n2 or i1 != i2:
+            return [CheckResult("squares", False, f"t={ln + rn}/{ld + rd}")]
     out = [CheckResult("squares", True, f"{len(plain)} vertices")]
     s0 = enumerate_spectrum((0, 0, 0), depth)
     s2 = enumerate_spectrum((2, 2, 2), depth)
@@ -329,15 +323,9 @@ def transition_suite(kmax: int = 5, depth: int = 8) -> list[CheckResult]:
     """The window scan over all triples up to kmax reproduces the enumerated
     (0,0,1) spectrum minus sqrt(5), plus 2*sqrt(5) witnessed at n = 4."""
     scan = transition_scan(kmax, depth)
-    scanned = {el.sort_key() for _, el in scan}
-    sqrt5 = QuadSurd(0, 1, 5, 1)
-    expected = {
-        el.sort_key()
-        for el in enumerate_spectrum((0, 0, 1), depth)
-        if el.value != sqrt5
-    }
-    two_sqrt5 = QuadSurd(0, 2, 5, 1)
-    expected.add(two_sqrt5.squared_fraction())
+    scanned = {el.sort_key() for el in scan}
+    # exact value keys: sqrt(5) squares to 5 and 2*sqrt(5) to 20
+    expected = {el.sort_key() for el in enumerate_spectrum((0, 0, 1), depth)} - {5} | {20}
     out = [
         CheckResult(
             "transition-window",
@@ -348,9 +336,9 @@ def transition_suite(kmax: int = 5, depth: int = 8) -> list[CheckResult]:
         )
     ]
     ok = any(
-        el.value == two_sqrt5 and el.n == 4 and el.pos == el.params.sigma[1]
-        for k, el in scan
-        if k == (0, 0, 2)
+        el.sort_key() == 20 and el.n == 4 and el.pos == el.params.sigma[1]
+        for el in scan
+        if (el.params.k1, el.params.k2, el.params.k3) == (0, 0, 2)
     )
     out.append(
         CheckResult(
@@ -359,8 +347,8 @@ def transition_suite(kmax: int = 5, depth: int = 8) -> list[CheckResult]:
             "2*sqrt(5) from (n, i) = (4, sigma(2)) under (0,0,2)" if ok else "witness missing",
         )
     )
-    # window bounds are exact surd comparisons against the stored endpoint
-    lo_ok = all(el.value >= 3 and el.value < FREIMAN_CONSTANT for _, el in scan)
+    # surd comparisons against 3 and c_F, independent of the scan's integer window test
+    lo_ok = all(el.value >= 3 and el.value < FREIMAN_CONSTANT for el in scan)
     out.append(CheckResult("transition-bounds", lo_ok, f"{len(scan)} scan hits"))
     return out
 

@@ -4,6 +4,9 @@ against.
 * `farey_locate` reaches the vertex with middle entry t by applying
   `FareyTriple.child` along `farey_path(t)` from the root, so the path read
   off the continued-fraction digits is checked against the mediant descent.
+* `farey_grid_fractions` lists the interior labels level by level with
+  `FareyTriple.child`, the adjacency-checked mediant walk that the integer
+  walk behind `gmspec.verify.grid_fractions` is checked against.
 * `christoffel_word` spells the lattice path under the segment
   (0,0) -> (den, num) over {p, q, r} from its grid-line crossings.  Under
   the substitution q -> (2,2), r -> (1,1) it gives the admissible sequence
@@ -23,6 +26,17 @@ def farey_locate(t: IrreducibleFraction) -> tuple[tuple[str, ...], FareyTriple]:
         node = node.child(step)
     assert node.mid == t
     return path, node
+
+
+def farey_grid_fractions(depth: int) -> list[IrreducibleFraction]:
+    """All interior tree labels with depth <= depth (2^(depth+1) - 1 of them)."""
+    out: list[IrreducibleFraction] = []
+    level: list[FareyTriple] = [FAREY_ROOT]
+    for d in range(depth + 1):
+        out.extend(tr.mid for tr in level)
+        if d < depth:
+            level = [tr.child(s) for tr in level for s in ("L", "R")]
+    return out
 
 
 def christoffel_word(t: IrreducibleFraction) -> str:

@@ -74,7 +74,7 @@ def test_window_scan_json_rows_are_the_reference_scan_rows(capsys):
     from test_spectrum import reference_transition_scan
 
     assert run(["--format", "json", "spectrum", "--kmax", "1", "--depth", "3"]) == 0
-    rows = [el.to_json() for _, el in reference_transition_scan(1, 3)]
+    rows = [el.to_json() for el in reference_transition_scan(1, 3)]
     assert capsys.readouterr().out == json.dumps(rows, indent=2) + "\n"
 
 
@@ -292,7 +292,7 @@ def test_command_bytes_match_the_old_renderer(argv, fmt, tmp_path, capsysbinary,
 def test_spectrum_rows_match_the_old_merged_rows():
     elems = [el for k in ((0, 0, 0), (1, 2, 0), (0, 0, 5), (2, 2, 1))
              for el in enumerate_spectrum(k, 5)]
-    elems += [el for _, el in transition_scan(1, 3)]
+    elems += transition_scan(1, 3)
     for el in elems:
         assert list(el.to_json().items()) == list(cli_oracle.old_spectrum_row(el).items())
 
@@ -302,7 +302,7 @@ def test_spectrum_template_entries_parse_to_the_rows():
     # escape the template missed would show here
     elems = [el for k in ((0, 0, 0), (1, 2, 0), (3, 0, 1), (2, 2, 1), (0, 5, 5))
              for d in (0, 2, 5) for el in enumerate_spectrum(k, d)]
-    elems += [el for _, el in transition_scan(2, 4)]
+    elems += transition_scan(2, 4)
     labels = [IrreducibleFraction(0, 1), IrreducibleFraction(1, 0), IrreducibleFraction(3, 5)]
     elems += [markov_value(t, GMParams(1, 2, 0, s)) for t in labels for s in ALTERNATING]
     for el in elems:
@@ -468,11 +468,11 @@ def test_closed_stdout_pipe_ends_in_one_line(unbuffered):
     _assert_one_line_exit_1(argv, errno.EPIPE, subprocess.PIPE, unbuffered, closed_early=True)
 
 
-# argparse drops a failed --help write itself, so only a buffered one fails at the end
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv, unbuffered", [
     (["seq", "--t", "1/2"], ""), (["seq", "--t", "1/2"], "1"), (["seq", "--help"], ""),
-], ids=["seq", "seq-unbuffered", "help"])
+    (["seq", "--help"], "1"),
+], ids=["seq", "seq-unbuffered", "help", "help-unbuffered"])
 def test_full_stdout_ends_in_one_line(argv, unbuffered):
     with open("/dev/full", "w") as full:
         _assert_one_line_exit_1(argv, errno.ENOSPC, full, unbuffered)

@@ -257,14 +257,18 @@ def test_remark_strict_inclusion_witness():
     assert val < FREIMAN_CONSTANT
 
 
+def _triple(el):
+    return (el.params.k1, el.params.k2, el.params.k3)
+
+
 def test_transition_scan_tiny():
     hits = transition_scan(1, 3)
-    vals = {el.sort_key() for _, el in hits}
+    vals = {el.sort_key() for el in hits}
     assert QuadSurd(0, 2, 3, 1).squared_fraction() in vals
     assert QuadSurd(0, 1, 5, 1).squared_fraction() not in vals
     # (0,0,0) must contribute nothing; (0,1,1) exactly 2*sqrt(3)
-    assert all(k != (0, 0, 0) for k, _ in hits)
-    from_011 = {el.sort_key() for k, el in hits if k == (0, 1, 1)}
+    assert all(_triple(el) != (0, 0, 0) for el in hits)
+    from_011 = {el.sort_key() for el in hits if _triple(el) == (0, 1, 1)}
     assert from_011 == {QuadSurd(0, 2, 3, 1).squared_fraction()}
 
 
@@ -316,7 +320,7 @@ def reference_transition_scan(kmax, depth):
             if el.value < three:
                 continue
             if el.value < FREIMAN_CONSTANT:
-                out.append((k, el))
+                out.append(el)
     return out
 
 
@@ -328,8 +332,8 @@ def test_transition_scan_matches_unpruned_reference(kmax, depths):
     for depth in depths:
         got = transition_scan(kmax, depth)
         want = reference_transition_scan(kmax, depth)
-        assert [k for k, _ in got] == [k for k, _ in want]
-        assert _rows(el for _, el in got) == _rows(el for _, el in want)
+        assert [el.params for el in got] == [el.params for el in want]
+        assert _rows(got) == _rows(want)
 
 
 def _class_value(big_k, c, n):

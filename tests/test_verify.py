@@ -10,12 +10,20 @@ from gmspec.farey import IrreducibleFraction
 from gmspec.gmtree import ALL_SIGMAS, GMParams, IDENTITY, characteristic_number, gm_pair
 from gmspec.lattice import admissible_sequence
 from gmspec.verify import (
+    CheckResult,
     grid_fractions,
     grid_triples,
     run_suite,
     squares_suite,
     snake_suite,
+    transition_suite,
 )
+from farey_oracle import farey_grid_fractions
+
+
+def test_grid_fractions_match_the_farey_triple_walk():
+    for d in range(9):
+        assert grid_fractions(d) == farey_grid_fractions(d)
 
 
 def test_grid_shapes():
@@ -127,6 +135,45 @@ def test_grid_suite_reports_a_wrong_entry(monkeypatch, suite, index, label, chan
     results = getattr(verify, f"{suite}_suite")(depth=3, triples=[(0, 0, 1)], **kwargs)
     assert [(r.name, r.ok) for r in results] == [(name, False)]
     assert results[0].detail.startswith(f"t={label} k=(0, 0, 1)")
+
+
+def test_squares_suite_reports_a_wrong_vertex(monkeypatch):
+    walk = verify._walk_tree
+
+    def tampered(params, depth, n_cut=None):
+        out = walk(params, depth, n_cut)
+        if params == GMParams(2, 2, 2):
+            ln, ld, rn, rd, (a, h, b, i, c, j) = out[5]  # the vertex labeled 3/2
+            out[5] = (ln, ld, rn, rd, (a, h, b + 1, i, c, j))
+        return out
+
+    monkeypatch.setattr(verify, "_walk_tree", tampered)
+    assert squares_suite(depth=3) == [CheckResult("squares", False, "t=3/2")]
+
+
+def _suite_without(monkeypatch, drop):
+    """transition_suite(2, 4) by result name, over a scan without the rows
+    that `drop` picks."""
+    scan = [el for el in verify.transition_scan(2, 4) if not drop(el)]
+    monkeypatch.setattr(verify, "transition_scan", lambda kmax, depth: scan)
+    return {r.name: (r.ok, r.detail) for r in transition_suite(2, 4)}
+
+
+def test_transition_suite_reports_a_missing_witness(monkeypatch):
+    # 2*sqrt(5) stays in the window from (0,2,0) and (2,0,0)
+    results = _suite_without(monkeypatch, lambda el: (
+        (el.params.k1, el.params.k2, el.params.k3) == (0, 0, 2) and el.n == 4
+    ))
+    assert results["transition-witness"] == (False, "witness missing")
+    assert results["transition-window"] == (True, "49 window values")
+
+
+def test_transition_suite_reports_a_missing_value(monkeypatch):
+    # every permutation of a triple witnesses its values, so a value goes
+    # missing only with all its rows
+    first = verify.transition_scan(2, 4)[0].value
+    results = _suite_without(monkeypatch, lambda el: el.value == first)
+    assert results["transition-window"] == (False, "scan 48 values, expected 49")
 
 
 def test_labels_and_mirror():
