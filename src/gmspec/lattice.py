@@ -21,10 +21,13 @@ Both come from one crossing-event engine in two parts.  `_skeleton` traces
 p(c) = a + c*d + eps*u for 0 < c < 1 (a a lattice point, d and u integer
 vectors, eps infinitesimal) across the vertical, horizontal and antidiagonal
 lines strictly between a and a + d, plus those through a under the start-line
-rule.  It is free of kappa: one byte per sign entry (each crossed edge's kind
-and side, each triangle's sign), cached per segment (a, d, u, start, closing).
-On every call `_crossing_signs` maps those bytes through a table built from
-kappa, and drops the edges whose multiplicity is zero.
+rule.  It is free of kappa: the runs of the sign string, alternating in sign
+from a plus run (empty when the string starts with minus), as four counts each
+(triangles, h, d and v edges) in one flat array('I'), cached per segment (a, d,
+u, start, closing).  On every call `_runs` weighs each run as t + kh*h + kd*d +
+kv*v; a run of edges whose multiplicity is zero weighs 0 and vanishes, and its
+neighbours, which share a sign, join.  Only `segment_sign_sequence` still
+run-length encodes signs, to merge or pin its two endpoint signs.
 
 Crossings are keyed by c as an integer (zeroth order, first order in eps)
 pair, and an integer coordinate of a crossing point is floored by the sign of
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from typing import Literal, Sequence
 
 from .farey import IrreducibleFraction
@@ -84,11 +88,15 @@ def _tie_down(first_order: int) -> int:
     return first_order < 0
 
 
+_EMPTY_RUN = array("I", (0, 0, 0, 0))
+
+
 @functools.lru_cache(maxsize=1 << 8)
-def _skeleton(a: Point, d: Point, u: Point, start: bool, closing: Edge | None) -> bytes:
-    """Kappa-free sign string of p(c) = a + c*d + eps*u, a byte per entry: 0 (1)
-    a triangle signed + (-), or 2 + 2*kind (+1 iff right of the curve) an edge of
-    kind 0, 1, 2 (h, d, v).  A closing edge adds only the triangle before it."""
+def _skeleton(a: Point, d: Point, u: Point, start: bool, closing: Edge | None) -> array:
+    """Kappa-free runs of the sign string of p(c) = a + c*d + eps*u, four counts
+    per run (triangles, h, d and v edges), alternating +, -, +, ... from a first
+    run that is empty iff the string starts with -.  A closing edge adds only
+    the triangle before it.  The cached array is shared: read it, never write."""
     (ax, ay), (dx, dy), (ux, uy) = a, d, u
     s = dx + dy
     cross_du = dx * uy - dy * ux
@@ -98,46 +106,69 @@ def _skeleton(a: Point, d: Point, u: Point, start: bool, closing: Edge | None) -
     scale = abs((dx or 1) * (dy or 1) * (s or 1))  # c * scale is an integer pair
 
     # the curve meets x = i at y = (base + i*dy)/dx + eps*cross_du/dx, and y = j
-    # (x + y = m) at x = (n*dx - base)/q - eps*cross_du/q with n, q = j, dy (m, s)
+    # (x + y = m) at x = (n*dx - base)/q - eps*cross_du/q with n, q = j, dy (m, s);
+    # c * scale steps by scale // dx (scale // q) per line, exactly; an event's
+    # kind is its edge's slot in a run: 1, 2, 3 for h, d, v
     events: list[tuple[int, int, int, Edge]] = []
+    step = scale // (dx or 1)
+    c1 = -ux * step
     for i in _lines(ax, ax + dx, start):
         y, r = divmod(base + i * dy, dx)
         if not r:
             y -= _tie_down(cross_du * dx)
-        events.append(((i - ax) * scale // dx, -ux * scale // dx, 6, ((i, y), (i, y + 1))))
-    for code, q, lo, w in ((2, dy, ay, 0), (4, s, ax + ay, 1)):  # y = j, x + y = m
+        events.append(((i - ax) * step, c1, 3, ((i, y), (i, y + 1))))
+    for kind, q, lo, w in ((1, dy, ay, 0), (2, s, ax + ay, 1)):  # y = j, x + y = m
+        step = scale // (q or 1)
+        c1 = -(uy + w * ux) * step
         for n in _lines(lo, lo + q, start):
             x, r = divmod(n * dx - base, q)
             if not r:
                 x -= _tie_down(-cross_du * q)
             y = n - w * x
-            edge = ((x, y), (x + 1, y - w))
-            events.append(((n - lo) * scale // q, -(uy + w * ux) * scale // q, code, edge))
+            events.append(((n - lo) * step, c1, kind, ((x, y), (x + 1, y - w))))
     events.sort()
     if closing is not None:
         events.append((scale, 0, 0, closing))  # at c = 1; signs only the triangle before it
-    skel = bytearray()
+    runs = array("I", _EMPTY_RUN)
+    plus = True  # the sign of the last run
     k0 = k1 = prev = None
-    for c0, c1, code, edge in events:
+    for c0, c1, kind, edge in events:
         if prev is not None:
             assert c0 != k0 or c1 != k1, "two crossings share a key"
             vx, vy = _shared_vertex(prev, edge)
-            skel.append(2 * (dx * vy - dy * vx) < lim)
-        if code:
+            if (2 * (dx * vy - dy * vx) < lim) is plus:  # minus iff the vertex is right
+                runs += _EMPTY_RUN
+                plus = not plus
+            runs[-4] += 1
+        if kind:
             (px, py), (qx, qy) = edge
-            skel.append(code + (dx * (py + qy) - dy * (px + qx) < lim))
+            if (dx * (py + qy) - dy * (px + qx) < lim) is not plus:  # plus iff right
+                runs += _EMPTY_RUN
+                plus = not plus
+            runs[kind - 4] += 1
         k0, k1, prev = c0, c1, edge
-    return bytes(skel)
+    return runs
 
 
-def _crossing_signs(
+def _runs(
     a: Point, d: Point, u: Point, kappa: tuple[int, int, int], start: bool, closing: Edge | None
 ) -> list[int]:
-    """Sign string of p(c) = a + c*d + eps*u as nonzero signed counts: +k for
-    k plus signs, -k for k minus signs; kappa is (h, d, v) edge multiplicity."""
+    """Run lengths of the sign string of p(c) = a + c*d + eps*u under the (h, d,
+    v) edge multiplicity kappa, signed as the skeleton's: +, -, +, ... from a
+    first run that is 0 iff the string starts with - (or is empty).  A later
+    run left empty by zero multiplicities is dropped and its neighbours join."""
     kh, kd, kv = kappa
-    table = (1, -1, -kh, kh, -kd, kd, -kv, kv)
-    return [mult for code in _skeleton(a, d, u, start, closing) if (mult := table[code])]
+    it = iter(_skeleton(a, d, u, start, closing))
+    runs = [t + kh * h + kd * dg + kv * v for t, h, dg, v in zip(it, it, it, it)]
+    if 0 not in runs[1:]:
+        return runs
+    joined = runs[:1]  # signed by index parity too
+    for i, n in enumerate(runs[1:], 1):  # runs[i] has joined[-1]'s sign iff len - i is odd
+        if n and (len(joined) - i) % 2:
+            joined[-1] += n
+        elif n:
+            joined.append(n)
+    return joined
 
 
 def admissible_sequence(t: IrreducibleFraction, params: GMParams) -> tuple[int, ...]:
@@ -156,7 +187,8 @@ def admissible_sequence(t: IrreducibleFraction, params: GMParams) -> tuple[int, 
     if t.is_infinity:
         return (1 + kap[0] + kap[1], 1)
     a, b = t.num, t.den
-    return _rle(_crossing_signs((0, 0), (b, a), (-1, 0), kap, True, ((b - 1, a), (b, a))))
+    runs = _runs((0, 0), (b, a), (-1, 0), kap, True, ((b - 1, a), (b, a)))
+    return tuple(runs if runs[0] else runs[1:])
 
 
 _UNIT_STEPS = {(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)}
@@ -192,7 +224,8 @@ def segment_sign_sequence(
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
-    parts = _crossing_signs(a, (dx, dy), u, params.kappa, False, None)
+    runs = _runs(a, (dx, dy), u, params.kappa, False, None)
+    parts = [-n if i % 2 else n for i, n in enumerate(runs) if n]
     first = 1 if parts and parts[0] > 0 else -1
     last = (1 if parts[-1] > 0 else -1) if parts else first
     start = first if endpoints[0] == "merge" else int(endpoints[0])

@@ -88,10 +88,9 @@ def build_snake_graph(entries: Sequence[int]) -> SnakeGraph:
     vset: set[Point] = set()
     eset: set[tuple[Point, Point]] = set()
     for x, y in tiles:
-        corners = ((x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1))
-        vset.update(corners)
-        for u, v in zip(corners, corners[1:] + corners[:1]):
-            eset.add((min(u, v), max(u, v)))
+        sw, se, ne, nw = (x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)
+        vset.update((sw, se, ne, nw))
+        eset.update(((sw, se), (se, ne), (nw, ne), (sw, nw)))  # each pair already sorted
     return SnakeGraph(tuple(tiles), tuple(sorted(vset)), tuple(sorted(eset)))
 
 

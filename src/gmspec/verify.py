@@ -4,7 +4,9 @@ The grid suites (factorization, rotation, duality) read one cached grid per
 coefficient arrangement kappa = (k_sigma(1), k_sigma(2), k_sigma(3)), made by
 one integer walk of its tree: each entry holds its label t, the tree data
 (n, u, k_t), the convergent and closed-form matrices of t, and the minimal
-lower-left entry over the cyclic rotations of its admissible sequence.  Trees
+lower-left entry over the cyclic rotations of its admissible sequence, found by
+conjugating the convergent matrix by one entry's matrix [[x, 1], [1, 0]] per
+rotation step (small-by-large products only, no matrix per rotation).  Trees
 with the same kappa are identical up to a relabeling of positions, so one
 loop, `_cases`, serves every (triple, permutation) pair from the cache, and
 t -> 1/t reads the reversed arrangement's grid at the mirror index.
@@ -85,7 +87,7 @@ class GridEntry:
     coeff_sum: int
     cf: tuple[int, int, int, int]  # convergent matrix of s(t), row-major
     closed: tuple[int, int, int, int]
-    rot_min_c: int  # minimal (2,1) entry over cyclic rotations of s(t)
+    rot_min_c: int  # least (2,1) entry over rotations of s(t), cf conjugated entry by entry
 
 
 @lru_cache(maxsize=None)
@@ -96,20 +98,17 @@ def _mirror(depth: int) -> tuple[int, ...]:
 
 
 def _rotation_min_c(seq: tuple[int, ...], m: tuple[int, int, int, int]) -> int:
-    m11, m12, m21, m22 = m
-    best = m21
-    pa, pc = 1, 0
-    pb, pd = 0, 1
-    sign = 1
+    """Least (2,1) entry of A_i^-1 ... A_1^-1 M A_1 ... A_i over the rotations,
+    M the convergent matrix of seq and A_i = [[x_i, 1], [1, 0]]: one conjugation
+    per step, A^-1 [[a, b], [c, d]] A = [[cx + d, c], [(a - cx - d)x + b, a - cx]]."""
+    a, b, c, d = m
+    best = c
     for x in seq[:-1]:
-        pa, pb = pa * x + pb, pa
-        pc, pd = pc * x + pd, pc
-        sign = -sign
-        # (2,1) entry of P^-1 M P for the prefix P = [[pa,pb],[pc,pd]]
-        val = sign * (m21 * pa * pa - m12 * pc * pc + (m22 - m11) * pa * pc)
-        assert val > 0, "rotation entry must be a positive matching count"
-        if val < best:
-            best = val
+        cx = c * x
+        a, b, c, d = cx + d, c, (a - cx - d) * x + b, a - cx
+        assert c > 0, "rotation entry must be a positive matching count"
+        if c < best:
+            best = c
     return best
 
 

@@ -1,0 +1,50 @@
+"""Reference snake-graph builder that gmspec.snake.build_snake_graph is
+checked against.
+
+It walks each tile's four corners cyclically and orders every edge's two
+endpoints with min/max; the fast builder lists each tile's edges already
+ordered instead.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from gmspec.snake import SnakeGraph, _check_entries, _sign_word
+
+Point = tuple[int, int]
+
+
+def build_snake_graph(entries: Sequence[int]) -> SnakeGraph:
+    """The snake graph of a positive integer sequence.
+
+    The full alternating sign word (a_1 minuses, a_2 pluses, ...) loses its
+    first and last signs; the survivors label the joins between consecutive
+    tiles.  Equal adjacent join signs force a turn, unequal signs continue
+    straight; the first join goes right.  The empty sequence gives the empty
+    graph and (1) gives a single edge.
+    """
+    seq = _check_entries(entries)
+    total = sum(seq)
+    if total == 0:
+        return SnakeGraph((), (), ())
+    if total == 1:
+        vs = ((0, 0), (1, 0))
+        return SnakeGraph((), vs, ((vs[0], vs[1]),))
+    joins = _sign_word(seq)[1:-1]
+    tiles: list[Point] = [(0, 0)]
+    direction = "R"
+    for i in range(len(joins)):
+        if i > 0:
+            if joins[i] == joins[i - 1]:
+                direction = "U" if direction == "R" else "R"
+        x, y = tiles[-1]
+        tiles.append((x + 1, y) if direction == "R" else (x, y + 1))
+    vset: set[Point] = set()
+    eset: set[tuple[Point, Point]] = set()
+    for x, y in tiles:
+        corners = ((x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1))
+        vset.update(corners)
+        for u, v in zip(corners, corners[1:] + corners[:1]):
+            eset.add((min(u, v), max(u, v)))
+    return SnakeGraph(tuple(tiles), tuple(sorted(vset)), tuple(sorted(eset)))

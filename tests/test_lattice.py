@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from gmspec.exact import cf_matrix
 from gmspec.farey import IrreducibleFraction
 from gmspec.gmtree import ALL_SIGMAS, GMParams, gm_pair, parse_sigma
 from gmspec.lattice import (
-    _crossing_signs,
+    _runs,
     _shared_vertex,
     _skeleton,
     admissible_sequence,
@@ -253,6 +254,43 @@ def test_skeleton_is_shared_across_kappa_and_matches_the_oracle():
             assert cold == warm == admissible_sequence_with_delta(t, params), (t, kappa)
 
 
+# arrangements with one or two zero multiplicities, under which a run made
+# only of edges of those kinds is empty and joins its neighbours
+ZERO_KAPPAS = [k for k in itertools.product(range(3), repeat=3) if k.count(0) in (1, 2)]
+
+
+def _drops_a_run(a, d, u, kappa, start, closing):
+    return len(_runs(a, d, u, kappa, start, closing)) < len(_skeleton(a, d, u, start, closing)) // 4
+
+
+def test_zero_multiplicities_match_the_concrete_delta_walk():
+    # every run of a label's string holds a triangle, so none is dropped here
+    for t in grid_fractions(7):
+        for kappa in ZERO_KAPPAS:
+            params = GMParams(*kappa)
+            want = admissible_sequence_with_delta(t, params)
+            assert admissible_sequence(t, params) == want, (t, kappa)
+
+
+def test_pinned_segments_with_empty_runs_match_the_reference():
+    dropped = 0
+    for (dx, dy), side, kappa, ends in itertools.product(
+        itertools.product(range(-5, 6), repeat=2),
+        ("left", "right"),
+        ZERO_KAPPAS,
+        ((1, -1), (-1, 1), (1, 1), (-1, "merge")),
+    ):
+        if (dx, dy) == (0, 0):
+            continue
+        a, params = (2, -3), GMParams(*kappa)
+        b = (a[0] + dx, a[1] + dy)
+        want = reference_segment_sign_sequence(a, b, params, side, ends)
+        assert segment_sign_sequence(a, b, params, side, ends) == want, (b, side, kappa, ends)
+        if math.gcd(dx, dy) == 1:
+            dropped += _drops_a_run(a, (dx, dy), (0, 0), kappa, False, None)
+    assert dropped
+
+
 def test_second_kappa_on_a_label_is_a_cache_hit():
     _skeleton.cache_clear()
     admissible_sequence(F("5/8"), GMParams(1, 2, 0))
@@ -270,10 +308,10 @@ def test_skeleton_cache_is_keyed_by_the_whole_segment():
         cold = []
         for u, start in variants:
             _skeleton.cache_clear()
-            cold.append(_crossing_signs(a, (dx, dy), u, (1, 2, 0), start, None))
+            cold.append(_runs(a, (dx, dy), u, (1, 2, 0), start, None))
         assert len({tuple(c) for c in cold}) == len(variants)
         _skeleton.cache_clear()
-        warm = [_crossing_signs(a, (dx, dy), u, (1, 2, 0), start, None) for u, start in variants]
+        warm = [_runs(a, (dx, dy), u, (1, 2, 0), start, None) for u, start in variants]
         assert warm == cold, (a, (dx, dy))
 
 

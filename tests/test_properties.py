@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from exact_oracle import cf_eval_nested
 from gmspec.exact import QuadSurd, cf_eval_periodic, cf_matrix, periodic_cf_expansion, surd_cmp
 from gmspec.snake import build_snake_graph, continuant, count_matchings_bruteforce
+from gmspec.verify import _rotation_min_c
 
 seqs = st.lists(st.integers(min_value=1, max_value=9), min_size=0, max_size=7).map(tuple)
 surds = st.builds(
@@ -101,3 +102,11 @@ def test_matching_oracle(s):
 @given(seqs)
 def test_continuant_reversal(s):
     assert continuant(s) == continuant(s[::-1])
+
+
+@given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=80).map(tuple))
+@settings(deadline=None)
+def test_rotation_minimum_over_any_block(s):
+    m = cf_matrix(s)
+    want = min(cf_matrix(s[i:] + s[:i]).c for i in range(len(s)))
+    assert _rotation_min_c(s, (m.a, m.b, m.c, m.d)) == want

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+import snake_oracle
 from gmspec.snake import (
+    BRUTE_FORCE_TILE_BOUND,
     build_snake_graph,
     continuant,
     count_matchings_bruteforce,
@@ -49,18 +51,35 @@ def test_bruteforce_bound():
         count_matchings_bruteforce(build_snake_graph((18,)))
 
 
-def test_oracle_exhaustive_small():
-    def compositions(total):
-        if total == 0:
-            yield ()
-            return
-        for first in range(1, total + 1):
-            for rest in compositions(total - first):
-                yield (first, *rest)
+def compositions(total):
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first, *rest)
 
+
+def test_oracle_exhaustive_small():
     for total in range(0, 10):
         for seq in compositions(total):
             assert continuant(seq) == count_matchings_bruteforce(build_snake_graph(seq))
+
+
+def test_build_matches_the_corner_walk_builder():
+    # tiles, vertices and edges as the corner-walk builder makes them: every
+    # composition with sum <= 12, then seeded sequences up to the brute-force bound
+    rng = random.Random(33)
+    seqs = [seq for total in range(13) for seq in compositions(total)]
+    for _ in range(300):
+        total = rng.randint(13, BRUTE_FORCE_TILE_BOUND + 1)  # total - 1 tiles
+        seq = []
+        while total:
+            seq.append(rng.randint(1, min(total, 5)))
+            total -= seq[-1]
+        seqs.append(tuple(seq))
+    for seq in seqs:
+        assert build_snake_graph(seq) == snake_oracle.build_snake_graph(seq), seq
 
 
 def test_reversal_invariance():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import sys
 
 import pytest
@@ -207,7 +208,8 @@ def test_grid_case_counts():
 
 def test_default_grid_traces_each_label_once():
     # every arrangement after the first reuses the skeletons of the 255
-    # labels, so the default grid must fit in the skeleton cache
+    # labels, so the default grid must fit in the skeleton cache; above depth
+    # 7 the labels would outnumber it and every arrangement would trace them all
     for name, mod in list(sys.modules.items()):
         if name == "gmspec" or name.startswith("gmspec."):
             for obj in vars(mod).values():
@@ -215,5 +217,17 @@ def test_default_grid_traces_each_label_once():
                     obj.cache_clear()
     assert all(r.ok for r in verify.factorization_suite())
     info = lattice._skeleton.cache_info()
-    assert info.misses == len(grid_fractions(verify.GRID_DEPTH)) == 255
+    labels = len(grid_fractions(verify.GRID_DEPTH))
+    assert info.misses == labels == 2 ** (verify.GRID_DEPTH + 1) - 1 == 255 <= info.maxsize
     assert info.hits > 0
+
+
+def test_rotation_minimum_is_the_least_rotation_entry():
+    # the conjugation steps against a convergent matrix per rotation
+    for kappa in itertools.product(range(4), repeat=3):
+        params = GMParams(*kappa)
+        for e in verify._grid(kappa, 5):
+            s = admissible_sequence(e.t, params)
+            want = min(cf_matrix(s[i:] + s[:i]).c for i in range(len(s)))
+            assert verify._rotation_min_c(s, e.cf) == e.rot_min_c == want, (e.t, kappa)
+
