@@ -3,11 +3,14 @@
 Values are quadratic surds sqrt(Delta)/n with
 Delta(n, i) = ((3 + k1 + k2 + k3) * n - k_i)^2 - 4, so the two integers
 (Delta, n) settle a value's identity and its order.  Enumeration walks the
-solution trees for the even permutations only (the full union is unchanged)
-and carries every element as plain integers: the walk, the deduplication by
-exact value and the ascending sort never build a surd or a Fraction.  Only
-the distinct values returned become `SpectrumElement`s, with their
-`QuadSurd` and label.
+solution trees for the even permutations only (the full union is unchanged),
+and of two trees that are mirror images under t -> 1/t only the first.  It
+carries every element as plain integers and never builds a surd or a
+Fraction to deduplicate or sort: in each class c = k_i the value increases
+with n, so a class is deduplicated by n and sorted by n, and the at most
+three class runs are merged by the exact test Delta_1 * n_2^2 vs
+Delta_2 * n_1^2.  Only the distinct values returned become
+`SpectrumElement`s, with their `QuadSurd` and label.
 
 The window scan over [3, c_F) uses the Markoff-tree growth argument (cf.
 Bombieri, "Continued fractions and the Markoff tree", Expo. Math. 2007):
@@ -24,10 +27,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from .exact import QuadSurd, _floor_surd, cf_eval_periodic, cf_matrix
-from .farey import IrreducibleFraction
+from .farey import IrreducibleFraction, farey_path
 from .gmtree import ALTERNATING, GMParams, _walk_tree, format_sigma, gm_pair
 
 __all__ = [
@@ -214,28 +218,75 @@ def _distinct_values(
     k: tuple[int, int, int], depth: int, n_cut: int | None = None
 ) -> list[tuple[int, int, int, int, int, GMParams]]:
     """Sorted (Delta, n, pos, num, den, params) of `enumerate_spectrum(k,
-    depth)`, with the trees walked under `n_cut` (see `_walk_tree`)."""
-    seen: dict[tuple[int, int], tuple] = {}
+    depth)`, with the trees walked under `n_cut` (see `_walk_tree`).
+
+    A witness's class is c = k_pos.  Inside a class the value
+    sqrt((K*n - c)^2 - 4)/n strictly increases with n (see `_window_cut`), so
+    equal values have equal n: each class keeps the first witness of each n
+    in a dict keyed by n, and Delta is computed once per kept n.  Sorted by
+    n, each class is an ascending run; `_merge` joins the runs.  A tree whose
+    kappa, or kappa reversed, is that of a tree already walked is skipped:
+    t -> 1/t maps the walk of the reversed kappa onto the walk of kappa with
+    L and R swapped, so it would only repeat earlier witnesses' (Delta, n).
+    """
+    big_k = 3 + sum(k)
+    classes: dict[int, dict[int, tuple]] = {c: {} for c in k}
+    by_pos = (None, *(classes[c] for c in k))
+    walked: set[tuple[int, int, int]] = set()
     for sigma in ALTERNATING:
         params = GMParams(*k, sigma)
-        big_k = params.coeff_sum
+        if params.kappa in walked:
+            continue
+        walked |= {params.kappa, params.kappa[::-1]}
         walk = _walk_tree(params, depth, n_cut)
         # the boundary labels 0/1 and 1/0 carry the root's outer pairs
         root = walk[0][4]
         witnesses = [(0, 1, root[0], root[1]), (1, 0, root[4], root[5])]
         witnesses += [(ln + rn, ld + rd, node[2], node[3]) for ln, ld, rn, rd, node in walk]
         for num, den, n, pos in witnesses:
-            delta = (big_k * n - k[pos - 1]) ** 2 - 4
-            n2 = n * n
-            g = math.gcd(delta, n2)
-            key = (delta // g, n2 // g)
-            if key not in seen:
-                seen[key] = (delta, n, pos, num, den, params)
-    # Distinct reduced pairs d1/m1 != d2/m2 differ by at least 1/(m1*m2), so
-    # floor(2^bits * d/m) with 2^bits >= max(m)^2 is strictly increasing in
-    # the value: an exact integer sort key, with no tie to break.
-    bits = 2 * max(m for _, m in seen).bit_length()
-    return [seen[key] for key in sorted(seen, key=lambda dm: (dm[0] << bits) // dm[1])]
+            first = by_pos[pos]
+            if n not in first:
+                first[n] = ((big_k * n - k[pos - 1]) ** 2 - 4, n, pos, num, den, params)
+    del walk, witnesses, by_pos  # so that each class dict goes once its run is sorted
+    runs = [sorted(classes.pop(c).values(), key=itemgetter(1)) for c in list(classes)]
+    return functools.reduce(_merge, runs)
+
+
+def _merge(a: list[tuple], b: list[tuple]) -> list[tuple]:
+    """Two runs of rows (Delta, n, ...), each ascending in sqrt(Delta)/n, as
+    one ascending run, by the exact test Delta_a * n_b^2 vs Delta_b * n_a^2.
+    Of two equal values only the one walked first is kept."""
+    out = []
+    i = j = 0
+    len_a, len_b = len(a), len(b)
+    while i < len_a and j < len_b:
+        x, y = a[i], b[j]
+        side = x[0] * y[1] * y[1] - y[0] * x[1] * x[1]
+        if side < 0:
+            out.append(x)
+            i += 1
+        elif side > 0:
+            out.append(y)
+            j += 1
+        else:
+            out.append(min(x, y, key=_walk_order))
+            i += 1
+            j += 1
+    out += a[i:]
+    out += b[j:]
+    return out
+
+
+def _walk_order(row: tuple) -> tuple:
+    """Where `_distinct_values` walks a row's witness: by tree in `ALTERNATING`
+    order, then 0/1 and 1/0, then the tree's vertices breadth-first, left
+    (L, the lesser label) before right."""
+    *_, num, den, params = row
+    tree = ALTERNATING.index(params.sigma)
+    if num == 0 or den == 0:
+        return tree, 0, den == 0
+    path = farey_path(IrreducibleFraction(num, den))
+    return tree, 1 + len(path), path
 
 
 def _element(
@@ -253,11 +304,14 @@ def enumerate_spectrum(
     The permutation ranges over the even permutations (the union over all
     six is the same set), in `ALTERNATING` order; each tree contributes its
     two boundary labels 0/1 and 1/0 first, then its vertices breadth-first.
-    Every element is walked as plain integers (label, n, pos) and keyed by
-    its reduced pair (Delta/g, n^2/g), g = gcd(Delta, n^2), which is the
-    exact value squared in lowest terms; the first witness of each value is
-    kept.  The distinct values are sorted ascending by an integer key exact
-    on this set, and only they are built into `SpectrumElement`s.
+    Of each value the witness first in this order is kept.  A tree whose
+    kappa reversed is that of an earlier tree is not walked: it is that
+    tree's mirror image under t -> 1/t and has no value of its own.  Every
+    element is walked as plain integers (label, n, pos) and grouped by its
+    class k_pos, where equal values have equal n; each class is sorted by n
+    and the classes are merged by exact integer comparisons of
+    Delta_1 * n_2^2 and Delta_2 * n_1^2 (see `_distinct_values`).  Only the
+    distinct values, ascending, are built into `SpectrumElement`s.
     """
     return [_element(*row) for row in _distinct_values(k, depth)]
 

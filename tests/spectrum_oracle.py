@@ -1,0 +1,42 @@
+"""The spectrum row builder that the per-class merge of gmspec.spectrum is
+checked against.
+
+* `distinct_values` is the former `spectrum._distinct_values`: it walks all
+  three `ALTERNATING` trees, keys every witness by its gcd-reduced pair
+  (Delta/g, n^2/g), keeps the first witness of each key, and sorts the keys by
+  the exact integer key (Delta << bits) // n^2 with 2^bits >= max(n^2)^2.
+"""
+
+from __future__ import annotations
+
+import math
+
+from gmspec.gmtree import ALTERNATING, GMParams, _walk_tree
+
+
+def distinct_values(
+    k: tuple[int, int, int], depth: int, n_cut: int | None = None
+) -> list[tuple[int, int, int, int, int, GMParams]]:
+    """Sorted (Delta, n, pos, num, den, params) of `enumerate_spectrum(k,
+    depth)`, with the trees walked under `n_cut` (see `_walk_tree`)."""
+    seen: dict[tuple[int, int], tuple] = {}
+    for sigma in ALTERNATING:
+        params = GMParams(*k, sigma)
+        big_k = params.coeff_sum
+        walk = _walk_tree(params, depth, n_cut)
+        # the boundary labels 0/1 and 1/0 carry the root's outer pairs
+        root = walk[0][4]
+        witnesses = [(0, 1, root[0], root[1]), (1, 0, root[4], root[5])]
+        witnesses += [(ln + rn, ld + rd, node[2], node[3]) for ln, ld, rn, rd, node in walk]
+        for num, den, n, pos in witnesses:
+            delta = (big_k * n - k[pos - 1]) ** 2 - 4
+            n2 = n * n
+            g = math.gcd(delta, n2)
+            key = (delta // g, n2 // g)
+            if key not in seen:
+                seen[key] = (delta, n, pos, num, den, params)
+    # Distinct reduced pairs d1/m1 != d2/m2 differ by at least 1/(m1*m2), so
+    # floor(2^bits * d/m) with 2^bits >= max(m)^2 is strictly increasing in
+    # the value: an exact integer sort key, with no tie to break.
+    bits = 2 * max(m for _, m in seen).bit_length()
+    return [seen[key] for key in sorted(seen, key=lambda dm: (dm[0] << bits) // dm[1])]

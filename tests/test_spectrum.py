@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import spectrum_oracle
 from gmspec.exact import QuadSurd, cf_eval_periodic, periodic_cf_expansion
 from gmspec.farey import IrreducibleFraction
 from gmspec.gmtree import (
@@ -19,6 +20,8 @@ from gmspec.lattice import admissible_sequence
 from gmspec.spectrum import (
     FREIMAN_CONSTANT,
     SpectrumElement,
+    _distinct_values,
+    _walk_order,
     _window_cut,
     alpha_fixed_point,
     ell_periodic,
@@ -295,14 +298,101 @@ def _rows(elems):
     ]
 
 
+# the triples of the spectrum-deep benchmark workload, three with distinct
+# entries and three with two equal ones
+_DEEP_TRIPLES = ((0, 1, 5), (0, 2, 4), (1, 2, 3), (0, 0, 5), (1, 1, 3), (2, 2, 1))
+
+
 @pytest.mark.parametrize(
     "k, depths",
-    [(k, range(5)) for k in grid_triples()]
-    + [(k, (6,)) for k in ((0, 1, 5), (0, 2, 4), (1, 2, 3), (0, 0, 5), (1, 1, 3), (2, 2, 1))],
+    [(k, range(5)) for k in grid_triples()] + [(k, (6,)) for k in _DEEP_TRIPLES],
 )
 def test_enumerate_spectrum_matches_reference(k, depths):
     for depth in depths:
         assert _rows(enumerate_spectrum(k, depth)) == _rows(_reference_spectrum(k, depth))
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        [(k, depth, False) for k in grid_triples() for depth in range(8)],
+        [(k, 8, False) for k in _DEEP_TRIPLES],
+        [(k, 6, True) for k in itertools.product(range(4), repeat=3) if 3 + sum(k) >= 5],
+    ],
+    ids=["grid-triples", "spectrum-deep", "window-cut"],
+)
+def test_distinct_values_match_the_gcd_key_oracle(cases):
+    for k, depth, cut in cases:
+        n_cut = _window_cut(3 + sum(k), max(k)) if cut else None
+        got = _distinct_values(k, depth, n_cut)
+        assert got == spectrum_oracle.distinct_values(k, depth, n_cut), (k, depth, n_cut)
+
+
+def _witnesses_in_walk_order(k, depth):
+    """An element per witness: each even tree's 0/1 and 1/0, then its
+    vertices breadth-first."""
+    for sigma in ALTERNATING:
+        params = GMParams(*k, sigma)
+        labels = [F("0/1"), F("1/0")] + [t for t, _ in enumerate_tree(params, depth)]
+        yield from (markov_value(t, params) for t in labels)
+
+
+def test_walk_order_ranks_the_witnesses_as_walked():
+    for k in ((0, 1, 5), (2, 2, 1), (3, 3, 3)):
+        keys = [
+            _walk_order((None, el.n, el.pos, el.t.num, el.t.den, el.params))
+            for el in _witnesses_in_walk_order(k, 5)
+        ]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys), k
+
+
+@pytest.mark.parametrize("k", sorted(set(itertools.permutations((0, 2, 4)))))
+def test_a_cross_class_tie_keeps_the_witness_walked_first(k):
+    # K = 9: sqrt(9^2 - 4)/1 in class 0 equals sqrt(79^2 - 4)/9 in class 2
+    for depth in range(2, 6):
+        ties = [el for el in _witnesses_in_walk_order(k, depth) if el.sort_key() == 77]
+        assert {el.params.k_at(el.pos) for el in ties} == {0, 2}
+        rows = [el for el in enumerate_spectrum(k, depth) if el.sort_key() == 77]
+        assert _rows(rows) == _rows(ties[:1])
+
+
+@pytest.mark.parametrize("k, walks", [((0, 1, 5), 3), ((1, 1, 3), 2), ((2, 2, 2), 1)])
+def test_mirror_trees_are_walked_once(monkeypatch, k, walks):
+    sigmas = []
+
+    def counted(params, depth, n_cut=None):
+        sigmas.append(params.sigma)
+        return _walk_tree(params, depth, n_cut)
+
+    monkeypatch.setattr("gmspec.spectrum._walk_tree", counted)
+    enumerate_spectrum(k, 3)
+    assert len(sigmas) == walks
+
+
+def _tree_values(params, depth):
+    """The (Delta, n) of a tree's 0/1, 1/0 and vertices to depth."""
+    walk = _walk_tree(params, depth)
+    root = walk[0][4]
+    pairs = [root[:2], root[4:]] + [node[2:4] for *_, node in walk]
+    return {((params.coeff_sum * n - params.k_at(pos)) ** 2 - 4, n) for n, pos in pairs}
+
+
+def test_a_skipped_tree_has_the_values_of_the_tree_it_mirrors():
+    skipped = 0
+    for k in itertools.product(range(6), repeat=3):
+        trees = [GMParams(*k, sigma) for sigma in ALTERNATING]
+        for j, params in enumerate(trees):
+            kappas = (params.kappa, params.kappa[::-1])
+            mirrored = [earlier for earlier in trees[:j] if earlier.kappa in kappas]
+            if not mirrored:
+                continue
+            skipped += 1
+            for depth in range(7):
+                want = _tree_values(mirrored[0], depth)
+                assert _tree_values(params, depth) == want, (k, params.sigma, depth)
+    # one tree for each of the 90 triples with exactly two equal entries, two
+    # for each of the 6 with three
+    assert skipped == 90 + 2 * 6
 
 
 @functools.lru_cache(maxsize=None)
