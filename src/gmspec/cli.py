@@ -14,7 +14,7 @@ import json
 import os
 import stat
 import sys
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .exact import Mat2, QuadSurd
 from .farey import IrreducibleFraction
@@ -37,9 +37,12 @@ USAGE_ERROR, DOMAIN_ERROR, VERIFY_ERROR = 1, 2, 3
 
 # Largest num + den of a --t label.  A label's admissible sequence has at most
 # 2 (num + den) entries and its tree values about 2.5 (num + den) bits, so this
-# bounds the work of every label command; `lagrange`, the slowest, takes about
-# a second at the limit.  A --seq block may have as many entries as the
-# longest label block, with 4 * LABEL_SIZE_LIMIT bits over all its entries.
+# bounds the work of every label command.  `lagrange`, the slowest, is cubic in
+# the block length: on a 2-core Xeon under CPython 3.11 it takes 0.9-1.3 s on
+# the 2,046-entry blocks of 1/1023, 1.0-1.4 s on a 2,048-entry --seq, and
+# 0.26 s on the 1,026-entry block of 511/513 under (1,2,0).  A --seq block may
+# have as many entries as the longest label block, with 4 * LABEL_SIZE_LIMIT
+# bits over all its entries.
 # The label num/den is the segment from the origin to (den, num), so
 # `distance` takes points with |dx| + |dy| at most LABEL_SIZE_LIMIT.
 LABEL_SIZE_LIMIT = 1024
@@ -89,22 +92,27 @@ def _params_of(args) -> GMParams:
     return GMParams(*_ints_of(args.k, 3, _K_EXPECTED), parse_sigma(args.sigma))
 
 
-def _emit(args, lines: Iterable[str], payload, entries: Iterable[str] | None = None) -> None:
+def _emit(
+    args, lines: Iterable[str], payload, entries: Iterable[str] | None = None,
+    fields: Sequence[str] | None = None,
+) -> None:
     """Write the output to --out or stdout one row at a time: the text lines,
     or the payload (one dict, or an iterable of dicts with the same keys) as
     JSON or CSV.  The bytes are those of the joined lines, of
     json.dumps(payload, indent=2) or of csv.DictWriter, ending in a newline.
     `entries`, when given, are the payload's JSON list entries rendered
-    ahead (see `_spectrum_entry`); JSON output writes them in its place.
+    ahead (see `_spectrum_entries`); JSON output writes them in its place.
+    `fields`, when given, are the rows' keys, and CSV writes them as the
+    header even when there is no row; otherwise the first row's keys are.
     A row that fails removes the --out file if that path is a regular file."""
     try:
         if not args.out:
-            _write(sys.stdout, args.format, lines, payload, entries)
+            _write(sys.stdout, args.format, lines, payload, entries, fields)
             sys.stdout.flush()
             return
         with open(args.out, "w") as fh:
             try:
-                _write(fh, args.format, lines, payload, entries)
+                _write(fh, args.format, lines, payload, entries, fields)
             except BaseException:
                 # a device or a link, such as /dev/stdout, keeps what was written
                 opened = os.fstat(fh.fileno())
@@ -115,13 +123,13 @@ def _emit(args, lines: Iterable[str], payload, entries: Iterable[str] | None = N
         raise _OutError(exc) from exc
 
 
-def _write(stream, fmt: str, lines: Iterable[str], payload, entries) -> None:
+def _write(stream, fmt: str, lines: Iterable[str], payload, entries, fields) -> None:
     if fmt == "text":
         stream.writelines(_joined(lines, "", "\n", "\n", "\n"))
     elif fmt == "csv":
         rows = iter([payload] if isinstance(payload, dict) else payload)
-        first = next(rows, {})  # its keys are the header
-        w = csv.DictWriter(stream, fieldnames=list(first))
+        first = next(rows, {})
+        w = csv.DictWriter(stream, fieldnames=list(fields or first))
         w.writeheader()
         if first:
             w.writerow(first)
@@ -148,18 +156,27 @@ def _json_entry(row: dict) -> str:
     return "  " + json.dumps(row, indent=2).replace("\n", "\n  ")
 
 
-def _spectrum_entry(el: SpectrumElement) -> str:
-    """_json_entry(el.to_json()), laid out by one template: the keys in
-    to_json's order, the ints as json writes them, and the sigma name, the
-    label num/den and the decimal as ASCII strings with nothing to escape."""
-    k, t, v = el.params, el.t, el.value
-    return (
-        f'  {{\n    "k1": {k.k1},\n    "k2": {k.k2},\n    "k3": {k.k3},\n'
-        f'    "sigma": "{format_sigma(k.sigma)}",\n    "t": "{t.num}/{t.den}",\n'
-        f'    "n": {el.n},\n    "pos": {el.pos},\n'
-        f'    "p": {v.p},\n    "q": {v.q},\n    "D": {v.D},\n    "r": {v.r},\n'
-        f'    "decimal": "{v.decimal()}"\n  }}'
-    )
+def _spectrum_entries(elems: Iterable[SpectrumElement]) -> Iterator[str]:
+    """_json_entry(el.to_json()) of each element, laid out by one template:
+    the keys in to_json's order, the ints as json writes them, and the sigma
+    name, the label num/den and the decimal as ASCII strings with nothing to
+    escape.  The head up to the label, (k1, k2, k3, sigma), is rendered once
+    per params of this call, not once per row."""
+    heads: dict[GMParams, str] = {}
+    for el in elems:
+        head = heads.get(el.params)
+        if head is None:
+            k = el.params
+            head = heads[k] = (
+                f'  {{\n    "k1": {k.k1},\n    "k2": {k.k2},\n    "k3": {k.k3},\n'
+                f'    "sigma": "{format_sigma(k.sigma)}",\n    "t": "'
+            )
+        t, v = el.t, el.value
+        yield (
+            f'{head}{t.num}/{t.den}",\n    "n": {el.n},\n    "pos": {el.pos},\n'
+            f'    "p": {v.p},\n    "q": {v.q},\n    "D": {v.D},\n    "r": {v.r},\n'
+            f'    "decimal": "{v.decimal()}"\n  }}'
+        )
 
 
 @functools.cache  # one parser per process
@@ -321,7 +338,8 @@ def _spectrum_cmd(args) -> None:
             f"sigma={format_sigma(el.params.sigma)})"
             for el in elems
         )
-    _emit(args, lines, (el.to_json() for el in elems), map(_spectrum_entry, elems))
+    _emit(args, lines, (el.to_json() for el in elems), _spectrum_entries(elems),
+          SpectrumElement.FIELDS)
 
 
 def _tables_cmd(args) -> int:

@@ -4,6 +4,11 @@ Arbitrary-precision 2x2 integer matrices, canonical quadratic irrationals
 (p + q*sqrt(D))/r with a total exact order, and regular continued-fraction
 machinery (convergent matrices, periodic expansion of quadratic surds).
 
+`QuadSurd(p, q, D, r)` is the general constructor.  A spectrum row's value
+sqrt(Delta)/n is built by `_sqrt_over`, which skips the perfect-square test
+and the general branches because Delta = (K*n - k_i)^2 - 4 is never a
+square, and rendered by `decimal_str`'s path for p = 0, q > 0: one isqrt.
+
 All values are immutable; every operation is pure and thread-safe.
 """
 
@@ -52,6 +57,7 @@ def _floor_surd(p: int, q: int, N: int, r: int) -> int:
 # cofactor keeps any square factor other than those of 2..13.  Comparisons
 # never rely on square-freeness, so this is purely cosmetic.
 _FULL_FACTOR_BOUND = 10**14
+_SMALL_SQUARES = tuple((p, p * p) for p in (2, 3, 5, 7, 11, 13))
 _CUBE_ROOT_PRIMES: list[int] = []  # the primes below 46416, sieved on first use
 
 
@@ -70,22 +76,30 @@ def _cube_root_primes() -> list[int]:
 def _square_split(n: int) -> tuple[int, int]:
     """Return (s, d) with n = s*s*d, extracting the square part of n >= 1.
 
-    d is square-free whenever d < _FULL_FACTOR_BOUND.  While the cofactor is
-    at or above the bound only the squares of 2..13 are taken out.  Once it
-    is below, trial division takes out every prime p with p**3 <= n, n being
-    the shrinking cofactor.  Each prime factor of what is left then exceeds
-    its cube root, so there are at most two of them (three would multiply to
-    more than it): the cofactor is 1, a prime, a product of two distinct
-    primes or a prime squared, and one perfect-square test tells these
-    apart.  Every such p is below 46416, since 46416**3 > 10**14.
+    d is square-free whenever d < _FULL_FACTOR_BOUND (see `_nonsquare_split`).
     """
     r = math.isqrt(n)
     if r * r == n:
         return r, 1
+    return _nonsquare_split(n)
+
+
+def _nonsquare_split(n: int) -> tuple[int, int]:
+    """`_square_split` of an n > 1 that is not a perfect square; d > 1.
+
+    While the cofactor is at or above _FULL_FACTOR_BOUND only the squares of
+    2..13 are taken out.  Once it is below, trial division takes out every
+    prime p with p**3 <= n, n being the shrinking cofactor.  Each prime
+    factor of what is left then exceeds its cube root, so there are at most
+    two of them (three would multiply to more than it): the cofactor is 1, a
+    prime, a product of two distinct primes or a prime squared, and one
+    perfect-square test tells these apart.  Every such p is below 46416,
+    since 46416**3 > 10**14.
+    """
     s = 1
-    for p in (2, 3, 5, 7, 11, 13):
-        while n >= _FULL_FACTOR_BOUND and n % (p * p) == 0:
-            n //= p * p
+    for p, pp in _SMALL_SQUARES:
+        while n >= _FULL_FACTOR_BOUND and n % pp == 0:
+            n //= pp
             s *= p
     if n >= _FULL_FACTOR_BOUND:  # not a perfect square, as n was none
         return s, n
@@ -319,6 +333,26 @@ class QuadSurd:
         return {"p": self.p, "q": self.q, "D": self.D, "r": self.r}
 
 
+def _sqrt_over(delta: int, n: int) -> QuadSurd:
+    """QuadSurd(0, 1, delta, n) for a delta > 1 that is not a perfect square
+    and an n >= 1, built without `QuadSurd.__init__`'s general branches.
+
+    With delta = s*s*d from `_nonsquare_split`, d > 1, the canonical form is
+    (0, s/g, d, n/g) with g = gcd(s, n).  A spectrum value has
+    delta = m^2 - 4 with m = K*n - k_i >= K - k_i >= 3 (K = 3 + k1 + k2 + k3,
+    n >= 1), and m^2 - 4 = j^2 would need (m - j)(m + j) = 4 with two factors
+    of one parity, so m - j = m + j = 2 and m = 2: delta is never a square.
+    """
+    s, d = _nonsquare_split(delta)
+    g = math.gcd(s, n)
+    x = object.__new__(QuadSurd)
+    object.__setattr__(x, "p", 0)
+    object.__setattr__(x, "q", s // g)
+    object.__setattr__(x, "D", d)
+    object.__setattr__(x, "r", n // g)
+    return x
+
+
 def surd_cmp(x: QuadSurd, y: QuadSurd) -> int:
     """Exact three-way comparison: -1, 0, or 1."""
     return x._cmp(y)
@@ -331,31 +365,40 @@ def decimal_str(x: QuadSurd, sig: int = 12) -> str:
     taken at a k that leaves at least sig digits, settles the rest in
     integers: the digit count of m2 >> 1 = floor(|x|*10^k) fixes the
     exponent, and dropping the spare digits of m2 then (m2 + 1) >> 1 rounds
-    half up.
+    half up.  A surd sqrt(N)/r (p = 0, q > 0, N = q^2 D), such as every
+    spectrum value, takes its exponent bound from bit lengths and m2 from one
+    isqrt; only a mixed surd needs its sign and the cancellation of its terms.
     """
     if sig < 1:
         raise ValueError("sig must be >= 1")
     p, q, D, r = x.p, x.q, x.D, x.r
-    if p == 0 and q == 0:
+    if p == 0 and q > 0:  # log2 x > (bits(N) - 1)/2 - bits(r)
+        N = q * q * D
+        e = ((N.bit_length() - 1) // 2 - r.bit_length()) * 30103 // 100000 - 1
+        k = sig - 1 - e
+        m2 = math.isqrt(4 * 100**k * N) // r if k >= 0 else math.isqrt(4 * N) // (r * 10**-k)
+        neg = False
+    elif p == 0 and q == 0:
         return "0." + "0" * (sig - 1)
-    neg = (p < 0 or q < 0) and _floor_surd(p, q, D, 1) < 0  # sign of p + q sqrt(D)
-    if neg:
-        p, q = -p, -q
-    # an integer L < log2|x|; when p and q differ in sign the terms cancel,
-    # so bound |x| = |p^2 - q^2 D| / (r (|p| + |q| sqrt(D))) instead
-    n2 = (q * q * D).bit_length()
-    if q >= 0 and p >= 0:
-        L = max(p.bit_length() - 1, (n2 - 1) // 2) - r.bit_length()
     else:
-        top = max(abs(p).bit_length(), (n2 + 1) // 2)
-        L = (p * p - q * q * D).bit_length() - 2 - top - r.bit_length()
-    e = L * 30103 // 100000 - 1  # at most the exponent of |x|, as log10(2) ~ 0.30103
-    k = sig - 1 - e
-    if k >= 0:
-        scale = 2 * 10**k
-        m2 = _floor_surd(p * scale, q * scale, D, r)
-    else:
-        m2 = _floor_surd(2 * p, 2 * q, D, r * 10**-k)
+        neg = (p < 0 or q < 0) and _floor_surd(p, q, D, 1) < 0  # sign of p + q sqrt(D)
+        if neg:
+            p, q = -p, -q
+        # an integer L < log2|x|; when p and q differ in sign the terms cancel,
+        # so bound |x| = |p^2 - q^2 D| / (r (|p| + |q| sqrt(D))) instead
+        n2 = (q * q * D).bit_length()
+        if q >= 0 and p >= 0:
+            L = max(p.bit_length() - 1, (n2 - 1) // 2) - r.bit_length()
+        else:
+            top = max(abs(p).bit_length(), (n2 + 1) // 2)
+            L = (p * p - q * q * D).bit_length() - 2 - top - r.bit_length()
+        e = L * 30103 // 100000 - 1  # at most the exponent of |x|, as log10(2) ~ 0.30103
+        k = sig - 1 - e
+        if k >= 0:
+            scale = 2 * 10**k
+            m2 = _floor_surd(p * scale, q * scale, D, r)
+        else:
+            m2 = _floor_surd(2 * p, 2 * q, D, r * 10**-k)
     spare = len(str(m2 >> 1)) - sig
     return _format_sig((m2 // 10**spare + 1) >> 1, e + spare, sig, neg)
 
@@ -367,8 +410,10 @@ def _format_sig(n: int, e: int, sig: int, neg: bool) -> str:
     if len(digits) > sig:  # rounding bumped 999.. to 1000..
         digits = digits[:sig]
         e += 1
-    mantissa = digits[0] + "." + digits[1:]
-    out = f"{mantissa}e{e:+03d}" if (e < -4 or e >= sig) else _place_point(digits, e)
+    if e < -4 or e >= sig:
+        out = f"{digits[0]}.{digits[1:]}e{e:+03d}"
+    else:
+        out = _place_point(digits, e)
     return ("-" if neg else "") + out
 
 

@@ -10,7 +10,10 @@ Fraction to deduplicate or sort: in each class c = k_i the value increases
 with n, so a class is deduplicated by n and sorted by n, and the at most
 three class runs are merged by the exact test Delta_1 * n_2^2 vs
 Delta_2 * n_1^2.  Only the distinct values returned become
-`SpectrumElement`s, with their `QuadSurd` and label.
+`SpectrumElement`s, with their `QuadSurd` and label, in `_element`; the
+decimal is rendered only when a row is written.  Delta = m^2 - 4 with
+m = K*n - k_i >= 3 is never a perfect square, so the surd comes from
+`exact._sqrt_over`: one square split of Delta and one gcd with n.
 
 The window scan over [3, c_F) uses the Markoff-tree growth argument (cf.
 Bombieri, "Continued fractions and the Markoff tree", Expo. Math. 2007):
@@ -28,9 +31,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Sequence
+from typing import ClassVar, Sequence
 
-from .exact import QuadSurd, _floor_surd, cf_eval_periodic, cf_matrix
+from .exact import QuadSurd, _floor_surd, _sqrt_over, cf_eval_periodic, cf_matrix
 from .farey import IrreducibleFraction, farey_path
 from .gmtree import ALTERNATING, GMParams, _walk_tree, format_sigma, gm_pair
 
@@ -84,9 +87,14 @@ class QForm:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectrumElement:
     """A spectrum value together with one witness (tree, label, pair)."""
+
+    # the keys of to_json, in order: a spectrum row's JSON keys and CSV header
+    FIELDS: ClassVar[tuple[str, ...]] = (
+        "k1", "k2", "k3", "sigma", "t", "n", "pos", "p", "q", "D", "r", "decimal"
+    )
 
     value: QuadSurd
     n: int
@@ -98,21 +106,11 @@ class SpectrumElement:
         return self.value.squared_fraction()
 
     def to_json(self) -> dict:
-        v = self.value
-        return {
-            "k1": self.params.k1,
-            "k2": self.params.k2,
-            "k3": self.params.k3,
-            "sigma": format_sigma(self.params.sigma),
-            "t": str(self.t),
-            "n": self.n,
-            "pos": self.pos,
-            "p": v.p,
-            "q": v.q,
-            "D": v.D,
-            "r": v.r,
-            "decimal": v.decimal(),
-        }
+        k, v = self.params, self.value
+        return dict(zip(self.FIELDS, (
+            k.k1, k.k2, k.k3, format_sigma(k.sigma), str(self.t), self.n, self.pos,
+            v.p, v.q, v.D, v.r, v.decimal(),
+        )))
 
 
 def _nonempty(entries: Sequence[int]) -> tuple[int, ...]:
@@ -158,7 +156,7 @@ def markov_value(t: IrreducibleFraction, params: GMParams) -> SpectrumElement:
     pair = gm_pair(t, params)
     n = pair.value
     delta = (params.coeff_sum * n - params.k_at(pair.pos)) ** 2 - 4
-    return SpectrumElement(QuadSurd(0, 1, delta, n), n, pair.pos, t, params)
+    return SpectrumElement(_sqrt_over(delta, n), n, pair.pos, t, params)
 
 
 def qform_of(entries: Sequence[int]) -> QForm:
@@ -240,14 +238,16 @@ def _distinct_values(
         walked |= {params.kappa, params.kappa[::-1]}
         walk = _walk_tree(params, depth, n_cut)
         # the boundary labels 0/1 and 1/0 carry the root's outer pairs
-        root = walk[0][4]
-        witnesses = [(0, 1, root[0], root[1]), (1, 0, root[4], root[5])]
-        witnesses += [(ln + rn, ld + rd, node[2], node[3]) for ln, ld, rn, rd, node in walk]
-        for num, den, n, pos in witnesses:
+        a, h, _, _, b, i = walk[0][4]
+        for num, den, n, pos in ((0, 1, a, h), (1, 0, b, i)):
             first = by_pos[pos]
             if n not in first:
                 first[n] = ((big_k * n - k[pos - 1]) ** 2 - 4, n, pos, num, den, params)
-    del walk, witnesses, by_pos  # so that each class dict goes once its run is sorted
+        for ln, ld, rn, rd, (_, _, n, pos, _, _) in walk:
+            first = by_pos[pos]
+            if n not in first:
+                first[n] = ((big_k * n - k[pos - 1]) ** 2 - 4, n, pos, ln + rn, ld + rd, params)
+    del walk, by_pos  # so that each class dict goes once its run is sorted
     runs = [sorted(classes.pop(c).values(), key=itemgetter(1)) for c in list(classes)]
     return functools.reduce(_merge, runs)
 
@@ -293,7 +293,7 @@ def _element(
     delta: int, n: int, pos: int, num: int, den: int, params: GMParams
 ) -> SpectrumElement:
     t = IrreducibleFraction(num, den)
-    return SpectrumElement(QuadSurd(0, 1, delta, n), n, pos, t, params)
+    return SpectrumElement(_sqrt_over(delta, n), n, pos, t, params)
 
 
 def enumerate_spectrum(
@@ -325,7 +325,7 @@ def _window_cut(big_k: int, c: int) -> int | None:
     if big_k <= 4:
         return None
     n = 1
-    while QuadSurd(0, 1, (big_k * n - c) ** 2 - 4, n) < FREIMAN_CONSTANT:
+    while _sqrt_over((big_k * n - c) ** 2 - 4, n) < FREIMAN_CONSTANT:
         n += 1
     return n
 

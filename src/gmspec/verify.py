@@ -106,9 +106,10 @@ def _rotation_min_c(seq: tuple[int, ...], m: tuple[int, int, int, int]) -> int:
     for x in seq[:-1]:
         cx = c * x
         a, b, c, d = cx + d, c, (a - cx - d) * x + b, a - cx
-        assert c > 0, "rotation entry must be a positive matching count"
         if c < best:
             best = c
+    # best is the least entry, the first one included, so this checks them all
+    assert best > 0, "rotation entry must be a positive matching count"
     return best
 
 

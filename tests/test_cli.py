@@ -12,9 +12,16 @@ import cli_oracle
 import gmspec
 from gmspec import cli
 from gmspec.cli import LABEL_SIZE_LIMIT, SPECTRUM_DEPTH_LIMIT, SPECTRUM_KMAX_LIMIT, run
+from gmspec.exact import _FULL_FACTOR_BOUND
 from gmspec.farey import IrreducibleFraction
 from gmspec.gmtree import ALL_SIGMAS, ALTERNATING, GMParams, format_sigma
-from gmspec.spectrum import enumerate_spectrum, markov_value, transition_scan
+from gmspec.spectrum import (
+    SpectrumElement,
+    _distinct_values,
+    enumerate_spectrum,
+    markov_value,
+    transition_scan,
+)
 
 
 def test_seq_command(capsys):
@@ -89,8 +96,9 @@ def test_spectrum_csv_schema(capsys):
 @pytest.mark.parametrize(
     "argv, want",
     [
-        # an empty payload: an empty header row and nothing else
-        (["--format", "csv", "spectrum", "--kmax", "0"], "\r\n"),
+        # an empty spectrum: the spectrum header row and nothing else
+        (["--format", "csv", "spectrum", "--kmax", "0"],
+         "k1,k2,k3,sigma,t,n,pos,p,q,D,r,decimal\r\n"),
         # list-valued cells
         (
             ["--format", "csv", "node", "--t", "2/3", "--k", "1,2,0"],
@@ -102,6 +110,15 @@ def test_spectrum_csv_schema(capsys):
 def test_csv_bytes(argv, want, capsys):
     assert run(argv) == 0
     assert capsys.readouterr().out == want
+
+
+def test_empty_spectrum_csv_has_the_spectrum_header(capsys):
+    assert run(["--format", "csv", "spectrum", "--kmax", "0"]) == 0
+    empty = capsys.readouterr().out
+    assert run(["--format", "csv", "spectrum", "--k", "0,0,1", "--depth", "1"]) == 0
+    header = capsys.readouterr().out.splitlines(keepends=True)[0]
+    assert empty == header == ",".join(SpectrumElement.FIELDS) + "\r\n"
+    assert tuple(enumerate_spectrum((0, 0, 1), 1)[0].to_json()) == SpectrumElement.FIELDS
 
 
 def test_usage_error_exit_code(capsys):
@@ -256,6 +273,10 @@ def test_spectrum_bytes_match_the_old_renderer(k, fmt, tmp_path, capsysbinary, m
     for depth in range(7):
         argv = ["spectrum", "--k", k, "--depth", str(depth)]
         _assert_old_bytes(argv, fmt, tmp_path, capsysbinary, monkeypatch)
+    # at depth 6 the rows' radicands lie on both sides of the bound where
+    # the square split turns best-effort
+    deltas = [row[0] for row in _distinct_values(tuple(map(int, k.split(","))), 6)]
+    assert min(deltas) < _FULL_FACTOR_BOUND <= max(deltas)
 
 
 # spectrum-deep's six triples, one arrangement each, as the benchmark runs them
@@ -305,8 +326,8 @@ def test_spectrum_template_entries_parse_to_the_rows():
     elems += transition_scan(2, 4)
     labels = [IrreducibleFraction(0, 1), IrreducibleFraction(1, 0), IrreducibleFraction(3, 5)]
     elems += [markov_value(t, GMParams(1, 2, 0, s)) for t in labels for s in ALTERNATING]
-    for el in elems:
-        row, entry = el.to_json(), cli._spectrum_entry(el)
+    for el, entry in zip(elems, cli._spectrum_entries(elems), strict=True):
+        row = el.to_json()
         assert list(json.loads(entry).items()) == list(row.items())
         assert entry == cli._json_entry(row)
     assert {el.t for el in elems} >= set(labels)

@@ -3,8 +3,16 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exact_oracle import cf_eval_nested
-from gmspec.exact import QuadSurd, cf_eval_periodic, cf_matrix, periodic_cf_expansion, surd_cmp
+from exact_oracle import _decimal_interval, cf_eval_nested
+from gmspec.exact import (
+    QuadSurd,
+    _sqrt_over,
+    cf_eval_periodic,
+    cf_matrix,
+    decimal_str,
+    periodic_cf_expansion,
+    surd_cmp,
+)
 from gmspec.snake import build_snake_graph, continuant, count_matchings_bruteforce
 from gmspec.verify import _rotation_min_c
 
@@ -91,6 +99,25 @@ def test_class_value_increases_with_n(c, extra, n):
     # sqrt((K n - c)^2 - 4)/n grows with n, so the window is an n-interval
     big_k = 3 + c + extra
     assert _class_value(big_k, c, n) < _class_value(big_k, c, n + 1)
+
+
+@given(
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=10**4),
+    # Delta ~ (K n)^2 falls on both sides of the bound where the split turns best-effort
+    st.one_of(st.integers(min_value=1, max_value=10**5), st.integers(min_value=1, max_value=10**12)),
+    st.integers(min_value=1, max_value=20),
+)
+@example(0, 0, 1, 12)  # Delta = 5
+@example(0, 1, 2_500_000, 12)  # K n - c = 10^7: Delta = 10^14 - 4, just below the bound
+@example(0, 1, 2_500_001, 12)  # and Delta = (10^7 + 4)^2 - 4, above it
+def test_sqrt_over_is_the_canonical_spectrum_surd(c, extra, n, sig):
+    # a value of the class (K, k_i = c): Delta = (K n - c)^2 - 4 is never a square
+    big_k = 3 + c + extra
+    delta = (big_k * n - c) ** 2 - 4
+    x = _sqrt_over(delta, n)
+    assert type(x) is QuadSurd and _fields(x) == _fields(QuadSurd(0, 1, delta, n))
+    assert decimal_str(x, sig) == _decimal_interval(x, sig)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=4).map(tuple))

@@ -6,7 +6,15 @@ from fractions import Fraction
 import pytest
 
 import spectrum_oracle
-from gmspec.exact import QuadSurd, cf_eval_periodic, periodic_cf_expansion
+from exact_oracle import _decimal_interval
+from gmspec.exact import (
+    _FULL_FACTOR_BOUND,
+    QuadSurd,
+    _sqrt_over,
+    cf_eval_periodic,
+    decimal_str,
+    periodic_cf_expansion,
+)
 from gmspec.farey import IrreducibleFraction
 from gmspec.gmtree import (
     ALL_SIGMAS,
@@ -442,6 +450,18 @@ def test_window_cut_is_the_least_n_whose_bound_reaches_c_f():
                 continue
             assert not _class_value(big_k, c, cut) < FREIMAN_CONSTANT
             assert cut == 1 or _class_value(big_k, c, cut - 1) < FREIMAN_CONSTANT
+
+
+def test_sqrt_over_and_its_decimal_match_the_general_paths_on_the_grid_rows():
+    # every distinct row of the verify grid, with Delta on both sides of the
+    # bound where the square split turns best-effort
+    rows = [row for k in grid_triples() for row in _distinct_values(k, 6)]
+    assert min(r[0] for r in rows) < _FULL_FACTOR_BOUND <= max(r[0] for r in rows)
+    for i, (delta, n, *_) in enumerate(rows):
+        x, want = _sqrt_over(delta, n), QuadSurd(0, 1, delta, n)
+        assert (x.p, x.q, x.D, x.r) == (want.p, want.q, want.D, want.r), (delta, n)
+        for sig in range(1, 21) if i % 10 == 0 else (12,):
+            assert decimal_str(x, sig) == _decimal_interval(x, sig), (x, sig)
 
 
 def test_pruned_walk_keeps_only_the_root_once_k_sum_exceeds_one():
