@@ -58,6 +58,7 @@ def _floor_surd(p: int, q: int, N: int, r: int) -> int:
 # never rely on square-freeness, so this is purely cosmetic.
 _FULL_FACTOR_BOUND = 10**14
 _SMALL_SQUARES = tuple((p, p * p) for p in (2, 3, 5, 7, 11, 13))
+_SMALL_SQUARES_PRODUCT = math.prod(pp for _, pp in _SMALL_SQUARES)  # 901800900
 _CUBE_ROOT_PRIMES: list[int] = []  # the primes below 46416, sieved on first use
 
 
@@ -88,7 +89,9 @@ def _nonsquare_split(n: int) -> tuple[int, int]:
     """`_square_split` of an n > 1 that is not a perfect square; d > 1.
 
     While the cofactor is at or above _FULL_FACTOR_BOUND only the squares of
-    2..13 are taken out.  Once it is below, trial division takes out every
+    2..13 are taken out, each tried only if it divides n's residue modulo
+    their product (taking out p**2 does not change whether q**2 divides the
+    cofactor for q != p).  Once it is below, trial division takes out every
     prime p with p**3 <= n, n being the shrinking cofactor.  Each prime
     factor of what is left then exceeds its cube root, so there are at most
     two of them (three would multiply to more than it): the cofactor is 1, a
@@ -97,8 +100,9 @@ def _nonsquare_split(n: int) -> tuple[int, int]:
     since 46416**3 > 10**14.
     """
     s = 1
+    rho = n % _SMALL_SQUARES_PRODUCT
     for p, pp in _SMALL_SQUARES:
-        while n >= _FULL_FACTOR_BOUND and n % pp == 0:
+        while rho % pp == 0 and n >= _FULL_FACTOR_BOUND and n % pp == 0:
             n //= pp
             s *= p
     if n >= _FULL_FACTOR_BOUND:  # not a perfect square, as n was none
@@ -334,16 +338,26 @@ class QuadSurd:
 
 
 def _sqrt_over(delta: int, n: int) -> QuadSurd:
-    """QuadSurd(0, 1, delta, n) for a delta > 1 that is not a perfect square
-    and an n >= 1, built without `QuadSurd.__init__`'s general branches.
+    """QuadSurd(0, 1, delta, n) for a spectrum radicand delta = m^2 - 4 with
+    m >= 3 and an n >= 1, built without `QuadSurd.__init__`'s general branches.
 
-    With delta = s*s*d from `_nonsquare_split`, d > 1, the canonical form is
-    (0, s/g, d, n/g) with g = gcd(s, n).  A spectrum value has
-    delta = m^2 - 4 with m = K*n - k_i >= K - k_i >= 3 (K = 3 + k1 + k2 + k3,
-    n >= 1), and m^2 - 4 = j^2 would need (m - j)(m + j) = 4 with two factors
-    of one parity, so m - j = m + j = 2 and m = 2: delta is never a square.
+    With delta = s*s*d, d > 1, the canonical form is (0, s/g, d, n/g) with
+    g = gcd(s, n).  A spectrum value has m = K*n - k_i >= K - k_i >= 3
+    (K = 3 + k1 + k2 + k3, n >= 1), and m^2 - 4 = j^2 would need
+    (m - j)(m + j) = 4 with two factors of one parity, so m - j = m + j = 2
+    and m = 2: delta is never a square.  Below _FULL_FACTOR_BOUND, m - 2 and
+    m + 2 (each about 10**7 at most) are split on their own.  Their gcd
+    divides 4, so their square-free parts d1, d2 share at most the prime 2:
+    with h = gcd(d1, d2), delta = (s1*s2*h)^2 * (d1/h)*(d2/h), square-free.
     """
-    s, d = _nonsquare_split(delta)
+    if delta < _FULL_FACTOR_BOUND:
+        m = math.isqrt(delta + 4)
+        assert m * m == delta + 4, "not a spectrum radicand"
+        (s1, d1), (s2, d2) = _square_split(m - 2), _square_split(m + 2)
+        h = math.gcd(d1, d2)
+        s, d = s1 * s2 * h, (d1 // h) * (d2 // h)
+    else:
+        s, d = _nonsquare_split(delta)
     g = math.gcd(s, n)
     x = object.__new__(QuadSurd)
     object.__setattr__(x, "p", 0)

@@ -23,11 +23,13 @@ vectors, eps infinitesimal) across the vertical, horizontal and antidiagonal
 lines strictly between a and a + d, plus those through a under the start-line
 rule.  It is free of kappa: the runs of the sign string, alternating in sign
 from a plus run (empty when the string starts with minus), as four counts each
-(triangles, h, d and v edges) in one flat array('I'), cached per segment (a, d,
-u, start, closing).  On every call `_runs` weighs each run as t + kh*h + kd*d +
-kv*v; a run of edges whose multiplicity is zero weighs 0 and vanishes, and its
-neighbours, which share a sign, join.  Only `segment_sign_sequence` still
-run-length encodes signs, to merge or pin its two endpoint signs.
+(triangles, h, d and v edges) in one flat array('I'), in an LRU cache per
+segment (a, d, u, start, closing) for ad-hoc queries; the verify grid holds
+its own label skeletons per depth.  `_weigh` weighs each run under kappa as
+t + kh*h + kd*d + kv*v; a run of edges whose multiplicity is zero weighs 0 and
+vanishes, and its neighbours, which share a sign, join.  Only
+`segment_sign_sequence` still run-length encodes signs, to merge or pin its
+two endpoint signs.
 
 Crossings are keyed by c as an integer (zeroth order, first order in eps)
 pair, and an integer coordinate of a crossing point is floored by the sign of
@@ -150,15 +152,13 @@ def _skeleton(a: Point, d: Point, u: Point, start: bool, closing: Edge | None) -
     return runs
 
 
-def _runs(
-    a: Point, d: Point, u: Point, kappa: tuple[int, int, int], start: bool, closing: Edge | None
-) -> list[int]:
-    """Run lengths of the sign string of p(c) = a + c*d + eps*u under the (h, d,
-    v) edge multiplicity kappa, signed as the skeleton's: +, -, +, ... from a
-    first run that is 0 iff the string starts with - (or is empty).  A later
-    run left empty by zero multiplicities is dropped and its neighbours join."""
+def _weigh(skeleton: array, kappa: tuple[int, int, int]) -> list[int]:
+    """Run lengths of a skeleton's sign string under the (h, d, v) edge
+    multiplicity kappa, signed as the skeleton's: +, -, +, ... from a first
+    run that is 0 iff the string starts with - (or is empty).  A later run
+    left empty by zero multiplicities is dropped and its neighbours join."""
     kh, kd, kv = kappa
-    it = iter(_skeleton(a, d, u, start, closing))
+    it = iter(skeleton)
     runs = [t + kh * h + kd * dg + kv * v for t, h, dg, v in zip(it, it, it, it)]
     if 0 not in runs[1:]:
         return runs
@@ -169,6 +169,19 @@ def _runs(
         elif n:
             joined.append(n)
     return joined
+
+
+def _label_skeleton(t: IrreducibleFraction) -> array:
+    """The skeleton of an interior label num/den: the segment (0,0) -> (den,
+    num) displaced by (-delta, 0), its start signed, its end edge closing."""
+    a, b = t.num, t.den
+    return _skeleton((0, 0), (b, a), (-1, 0), True, ((b - 1, a), (b, a)))
+
+
+def _label_sequence(skeleton: array, kappa: tuple[int, int, int]) -> tuple[int, ...]:
+    """The admissible sequence of a label from its skeleton under kappa."""
+    runs = _weigh(skeleton, kappa)
+    return tuple(runs if runs[0] else runs[1:])
 
 
 def admissible_sequence(t: IrreducibleFraction, params: GMParams) -> tuple[int, ...]:
@@ -186,9 +199,7 @@ def admissible_sequence(t: IrreducibleFraction, params: GMParams) -> tuple[int, 
         return (1 + kap[1] + kap[2], 1)
     if t.is_infinity:
         return (1 + kap[0] + kap[1], 1)
-    a, b = t.num, t.den
-    runs = _runs((0, 0), (b, a), (-1, 0), kap, True, ((b - 1, a), (b, a)))
-    return tuple(runs if runs[0] else runs[1:])
+    return _label_sequence(_label_skeleton(t), kap)
 
 
 _UNIT_STEPS = {(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)}
@@ -224,7 +235,7 @@ def segment_sign_sequence(
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
-    runs = _runs(a, (dx, dy), u, params.kappa, False, None)
+    runs = _weigh(_skeleton(a, (dx, dy), u, False, None), params.kappa)
     parts = [-n if i % 2 else n for i, n in enumerate(runs) if n]
     first = 1 if parts and parts[0] > 0 else -1
     last = (1 if parts[-1] > 0 else -1) if parts else first

@@ -2,19 +2,23 @@
 
 The grid suites (factorization, rotation, duality) read one cached grid per
 coefficient arrangement kappa = (k_sigma(1), k_sigma(2), k_sigma(3)), made by
-one integer walk of its tree: each entry holds its label t, the tree data
-(n, u, k_t), the convergent and closed-form matrices of t, and the minimal
-lower-left entry over the cyclic rotations of its admissible sequence, found by
-conjugating the convergent matrix by one entry's matrix [[x, 1], [1, 0]] per
-rotation step (small-by-large products only, no matrix per rotation).  Trees
-with the same kappa are identical up to a relabeling of positions, so one
-loop, `_cases`, serves every (triple, permutation) pair from the cache, and
-t -> 1/t reads the reversed arrangement's grid at the mirror index.
+one integer walk of its tree zipped with `_labels(depth)`, a table cached per
+depth of each label and its lattice skeleton, traced once and free of kappa,
+so the grid never relies on the lattice's bounded skeleton cache.  Each entry
+holds its label t, the tree data (n, u, k_t), the convergent and closed-form
+matrices of t, and the minimal lower-left entry over the cyclic rotations of
+its admissible sequence, found by conjugating the convergent matrix by one
+entry's matrix [[x, 1], [1, 0]] per rotation step (small-by-large products
+only, no matrix per rotation).  Trees with the same kappa are identical up to
+a relabeling of positions, so one loop, `_cases`, serves every (triple,
+permutation) pair from the cache, and t -> 1/t reads the reversed
+arrangement's grid at the mirror index.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -24,7 +28,7 @@ from .cohn import closed_form_entries
 from .exact import cf_matrix
 from .farey import IrreducibleFraction
 from .gmtree import ALL_SIGMAS, GMParams, IDENTITY, Sigma, _walk_tree
-from .lattice import admissible_sequence
+from .lattice import _label_sequence, _label_skeleton, admissible_sequence
 from .snake import build_snake_graph, continuant, count_matchings_bruteforce, rotation_tails
 from .spectrum import (
     FREIMAN_CONSTANT,
@@ -68,10 +72,16 @@ def grid_triples(extra: int = 20) -> list[tuple[int, int, int]]:
 def grid_fractions(depth: int = GRID_DEPTH) -> list[IrreducibleFraction]:
     """All interior tree labels with depth <= depth (2^(depth+1) - 1 of them),
     in the order of the integer walk; labels do not depend on the coefficients."""
-    return [
-        IrreducibleFraction(ln + rn, ld + rd)
-        for ln, ld, rn, rd, _ in _walk_tree(GMParams(0, 0, 0), depth)
-    ]
+    return [t for t, _ in _labels(depth)]
+
+
+@lru_cache(maxsize=None)
+def _labels(depth: int) -> tuple[tuple[IrreducibleFraction, array], ...]:
+    """(label, skeleton) for each interior label with depth <= depth, in the
+    order of the integer walk: one kappa-free trace per label."""
+    walk = _walk_tree(GMParams(0, 0, 0), depth)
+    labels = (IrreducibleFraction(ln + rn, ld + rd) for ln, ld, rn, rd, _ in walk)
+    return tuple((t, _label_skeleton(t)) for t in labels)
 
 
 # ---------------------------------------------------------------------------
@@ -115,21 +125,21 @@ def _rotation_min_c(seq: tuple[int, ...], m: tuple[int, int, int, int]) -> int:
 
 @lru_cache(maxsize=None)
 def _grid(kappa: tuple[int, int, int], depth: int) -> tuple[GridEntry, ...]:
-    """The entries under kappa from one walk of its tree: every interior label
-    with depth <= depth, breadth-first, then 1/0 from the root's right pair,
-    where u = 1 by definition."""
+    """The entries under kappa from one walk of its tree and the label table:
+    every interior label with depth <= depth, breadth-first, then 1/0 from the
+    root's right pair, where u = 1 by definition."""
     params = GMParams(*kappa, IDENTITY)
     K = params.coeff_sum
     walk = _walk_tree(params, depth)
-    vertices = [
-        (IrreducibleFraction(ln + rn, ld + rd), n, pos, c * pow(a, -1, n) % n)
-        for ln, ld, rn, rd, (a, _, n, pos, c, _) in walk
+    rows = [
+        (t, n, pos, c * pow(a, -1, n) % n, _label_sequence(skeleton, kappa))
+        for (t, skeleton), (*_, (a, _, n, pos, c, _)) in zip(_labels(depth), walk, strict=True)
     ]
-    vertices.append((IrreducibleFraction(1, 0), *walk[0][4][4:], 1))
+    infinity = IrreducibleFraction(1, 0)
+    rows.append((infinity, *walk[0][4][4:], 1, admissible_sequence(infinity, params)))
     out = []
-    for t, n, pos, u in vertices:
+    for t, n, pos, u, s in rows:
         k_t = params.k_at(pos)
-        s = admissible_sequence(t, params)
         m = cf_matrix(s)
         cf = (m.a, m.b, m.c, m.d)
         c = closed_form_entries(n, u, k_t, K)

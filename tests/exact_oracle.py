@@ -14,13 +14,25 @@ The last two work on the fields (p, q, D, r) of (p + q*sqrt(D))/r.
   a + 1/(a' + 1/(...)), one canonical surd per preperiod entry, without
   `cf_matrix` or its Moebius form.
 * `shift` adds a rational to a surd.
+
+`nonsquare_split` is the former square split of gmspec.exact, kept verbatim:
+the squares of 2..13 taken out one by one at or above _FULL_FACTOR_BOUND,
+trial division to the cube root below it, with no residue pre-test and no
+split of a spectrum radicand m^2 - 4 into m - 2 and m + 2.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from gmspec.exact import QuadSurd, _format_sig
+from gmspec.exact import (
+    _FULL_FACTOR_BOUND,
+    _SMALL_SQUARES,
+    QuadSurd,
+    _cube_root_primes,
+    _format_sig,
+)
 
 
 def _decimal_interval(x: QuadSurd, sig: int) -> str:
@@ -95,3 +107,39 @@ def shift(x: QuadSurd, f: Fraction) -> QuadSurd:
     """x + f for a rational f."""
     return QuadSurd(x.p * f.denominator + f.numerator * x.r, x.q * f.denominator, x.D,
                     x.r * f.denominator)
+
+
+def nonsquare_split(n: int) -> tuple[int, int]:
+    """`_square_split` of an n > 1 that is not a perfect square; d > 1.
+
+    While the cofactor is at or above _FULL_FACTOR_BOUND only the squares of
+    2..13 are taken out.  Once it is below, trial division takes out every
+    prime p with p**3 <= n, n being the shrinking cofactor.  Each prime
+    factor of what is left then exceeds its cube root, so there are at most
+    two of them (three would multiply to more than it): the cofactor is 1, a
+    prime, a product of two distinct primes or a prime squared, and one
+    perfect-square test tells these apart.  Every such p is below 46416,
+    since 46416**3 > 10**14.
+    """
+    s = 1
+    for p, pp in _SMALL_SQUARES:
+        while n >= _FULL_FACTOR_BOUND and n % pp == 0:
+            n //= pp
+            s *= p
+    if n >= _FULL_FACTOR_BOUND:  # not a perfect square, as n was none
+        return s, n
+    d = 1
+    for p in _cube_root_primes():
+        if p * p * p > n:
+            break
+        while n % p == 0:  # pair each factor p with another, or leave it in d
+            n //= p
+            if n % p:
+                d *= p
+            else:
+                n //= p
+                s *= p
+    r = math.isqrt(n)
+    if r * r == n:
+        return s * r, d
+    return s, d * n

@@ -11,9 +11,9 @@ from gmspec.exact import cf_matrix
 from gmspec.farey import IrreducibleFraction
 from gmspec.gmtree import ALL_SIGMAS, GMParams, gm_pair, parse_sigma
 from gmspec.lattice import (
-    _runs,
     _shared_vertex,
     _skeleton,
+    _weigh,
     admissible_sequence,
     gm_distance,
     gm_length,
@@ -260,7 +260,8 @@ ZERO_KAPPAS = [k for k in itertools.product(range(3), repeat=3) if k.count(0) in
 
 
 def _drops_a_run(a, d, u, kappa, start, closing):
-    return len(_runs(a, d, u, kappa, start, closing)) < len(_skeleton(a, d, u, start, closing)) // 4
+    skeleton = _skeleton(a, d, u, start, closing)
+    return len(_weigh(skeleton, kappa)) < len(skeleton) // 4
 
 
 def test_zero_multiplicities_match_the_concrete_delta_walk():
@@ -308,10 +309,10 @@ def test_skeleton_cache_is_keyed_by_the_whole_segment():
         cold = []
         for u, start in variants:
             _skeleton.cache_clear()
-            cold.append(_runs(a, (dx, dy), u, (1, 2, 0), start, None))
+            cold.append(_weigh(_skeleton(a, (dx, dy), u, start, None), (1, 2, 0)))
         assert len({tuple(c) for c in cold}) == len(variants)
         _skeleton.cache_clear()
-        warm = [_runs(a, (dx, dy), u, (1, 2, 0), start, None) for u, start in variants]
+        warm = [_weigh(_skeleton(a, (dx, dy), u, start, None), (1, 2, 0)) for u, start in variants]
         assert warm == cold, (a, (dx, dy))
 
 

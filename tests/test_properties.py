@@ -1,11 +1,15 @@
 """Property-based checks over the exact-arithmetic kernel."""
 
-from hypothesis import example, given, settings
+import math
+
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from exact_oracle import _decimal_interval, cf_eval_nested
+from exact_oracle import _decimal_interval, cf_eval_nested, nonsquare_split
 from gmspec.exact import (
+    _FULL_FACTOR_BOUND,
     QuadSurd,
+    _nonsquare_split,
     _sqrt_over,
     cf_eval_periodic,
     cf_matrix,
@@ -117,7 +121,29 @@ def test_sqrt_over_is_the_canonical_spectrum_surd(c, extra, n, sig):
     delta = (big_k * n - c) ** 2 - 4
     x = _sqrt_over(delta, n)
     assert type(x) is QuadSurd and _fields(x) == _fields(QuadSurd(0, 1, delta, n))
+    s, d = nonsquare_split(delta)
+    g = math.gcd(s, n)
+    assert _fields(x) == (0, s // g, d, n // g)
     assert decimal_str(x, sig) == _decimal_interval(x, sig)
+
+
+@given(
+    # s0^2 d0 with s0 made of 2..13: at or above the bound the squares are
+    # taken out until the cofactor falls below it (d0 below the bound) or not
+    st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=40).map(math.prod),
+    st.one_of(
+        st.integers(min_value=2, max_value=_FULL_FACTOR_BOUND - 1),
+        st.integers(min_value=_FULL_FACTOR_BOUND, max_value=10**40),
+    ),
+)
+@example(1, _FULL_FACTOR_BOUND - 1)
+@example(1, _FULL_FACTOR_BOUND + 1)
+@example(2, _FULL_FACTOR_BOUND // 4 + 1)  # 4 d0 just above the bound, d0 below it
+@example(2 * 3 * 5 * 7 * 11 * 13, 10**14 - 3)
+def test_square_split_matches_the_former_split(s0, d0):
+    n = s0 * s0 * d0
+    assume(math.isqrt(n) ** 2 != n)
+    assert _nonsquare_split(n) == nonsquare_split(n)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=4).map(tuple))

@@ -1,12 +1,13 @@
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import spectrum_oracle
-from exact_oracle import _decimal_interval
+from exact_oracle import _decimal_interval, nonsquare_split
 from gmspec.exact import (
     _FULL_FACTOR_BOUND,
     QuadSurd,
@@ -462,6 +463,18 @@ def test_sqrt_over_and_its_decimal_match_the_general_paths_on_the_grid_rows():
         assert (x.p, x.q, x.D, x.r) == (want.p, want.q, want.D, want.r), (delta, n)
         for sig in range(1, 21) if i % 10 == 0 else (12,):
             assert decimal_str(x, sig) == _decimal_interval(x, sig), (x, sig)
+
+
+def test_sqrt_over_matches_the_former_square_split_on_the_grid_rows():
+    # the m - 2, m + 2 split below the bound and the residue pre-test above it
+    # give the former split's (s, d) on every distinct depth-7 grid row
+    rows = [row for k in grid_triples() for row in _distinct_values(k, 7)]
+    assert min(r[0] for r in rows) < _FULL_FACTOR_BOUND <= max(r[0] for r in rows)
+    for delta, n, *_ in rows:
+        s, d = nonsquare_split(delta)
+        g = math.gcd(s, n)
+        x = _sqrt_over(delta, n)
+        assert (x.p, x.q, x.D, x.r) == (0, s // g, d, n // g), (delta, n)
 
 
 def test_pruned_walk_keeps_only_the_root_once_k_sum_exceeds_one():

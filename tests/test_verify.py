@@ -9,7 +9,7 @@ from gmspec.cohn import closed_form_entries
 from gmspec.exact import cf_matrix
 from gmspec.farey import IrreducibleFraction
 from gmspec.gmtree import ALL_SIGMAS, GMParams, IDENTITY, characteristic_number, gm_pair
-from gmspec.lattice import admissible_sequence
+from gmspec.lattice import _label_sequence, admissible_sequence
 from gmspec.verify import (
     CheckResult,
     grid_fractions,
@@ -206,20 +206,42 @@ def test_grid_case_counts():
     ]
 
 
-def test_default_grid_traces_each_label_once():
-    # every arrangement after the first reuses the skeletons of the 255
-    # labels, so the default grid must fit in the skeleton cache; above depth
-    # 7 the labels would outnumber it and every arrangement would trace them all
+def _clear_caches():
     for name, mod in list(sys.modules.items()):
         if name == "gmspec" or name.startswith("gmspec."):
             for obj in vars(mod).values():
                 if callable(getattr(obj, "cache_clear", None)):
                     obj.cache_clear()
-    assert all(r.ok for r in verify.factorization_suite())
-    info = lattice._skeleton.cache_info()
-    labels = len(grid_fractions(verify.GRID_DEPTH))
-    assert info.misses == labels == 2 ** (verify.GRID_DEPTH + 1) - 1 == 255 <= info.maxsize
-    assert info.hits > 0
+
+
+def test_grid_traces_each_label_once_per_depth():
+    # every arrangement weighs the label table's skeletons, so a cold grid
+    # traces each label once and never looks one up again; at depth 8 the 511
+    # labels outnumber the skeleton cache, which the grid does not rely on
+    for depth in (7, 8):
+        _clear_caches()
+        assert all(r.ok for r in verify.factorization_suite(depth=depth))
+        info = lattice._skeleton.cache_info()
+        assert info.misses == len(grid_fractions(depth)) == 2 ** (depth + 1) - 1, depth
+        assert info.hits == 0, depth
+    assert info.misses > info.maxsize
+
+
+def test_grid_matches_reference_entries_at_depth_8():
+    # the label table and each arrangement's walk stay aligned past the
+    # skeleton cache's size, also where a multiplicity is zero
+    labels = grid_fractions(8) + [IrreducibleFraction(1, 0)]
+    for kappa in [(1, 2, 0), (0, 0, 3), (2, 1, 1)]:
+        want = tuple(_reference_entry(t, kappa) for t in labels)
+        assert verify._grid(kappa, 8) == want, kappa
+
+
+def test_label_table_weighs_to_the_admissible_sequences():
+    table = verify._labels(7)
+    for kappa in itertools.product(range(3), repeat=3):
+        params = GMParams(*kappa)
+        for t, skeleton in table:
+            assert _label_sequence(skeleton, kappa) == admissible_sequence(t, params), (t, kappa)
 
 
 def test_rotation_minimum_is_the_least_rotation_entry():
