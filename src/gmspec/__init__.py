@@ -14,7 +14,6 @@ from .exact import (
     cf_matrix,
     cf_eval_periodic,
     periodic_cf_expansion,
-    surd_cmp,
 )
 from .farey import (
     FareyTriple,

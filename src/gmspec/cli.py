@@ -38,11 +38,12 @@ USAGE_ERROR, DOMAIN_ERROR, VERIFY_ERROR = 1, 2, 3
 # Largest num + den of a --t label.  A label's admissible sequence has at most
 # 2 (num + den) entries and its tree values about 2.5 (num + den) bits, so this
 # bounds the work of every label command.  `lagrange`, the slowest, is cubic in
-# the block length: on a 2-core Xeon under CPython 3.11 it takes 0.9-1.3 s on
-# the 2,046-entry blocks of 1/1023, 1.0-1.4 s on a 2,048-entry --seq, and
-# 0.26 s on the 1,026-entry block of 511/513 under (1,2,0).  A --seq block may
-# have as many entries as the longest label block, with 4 * LABEL_SIZE_LIMIT
-# bits over all its entries.
+# the block length.  `lagrange_value` on the block, timed in-process (min of 3)
+# on a 2-core Xeon under CPython 3.11, takes 0.53 s on the 1,026-entry block of
+# 511/513 under (1,2,0), 1.3 s and 1.8 s on the 2,046-entry blocks of 1/1023
+# under (0,0,0) and (1,2,0), and 1.4-2.0 s on 2,048-entry blocks (1,2 repeated;
+# random entries 1..5).  A --seq block may have as many entries as the longest
+# label block, with 4 * LABEL_SIZE_LIMIT bits over all its entries.
 # The label num/den is the segment from the origin to (den, num), so
 # `distance` takes points with |dx| + |dy| at most LABEL_SIZE_LIMIT.
 LABEL_SIZE_LIMIT = 1024
@@ -338,8 +339,19 @@ def _spectrum_cmd(args) -> None:
             f"sigma={format_sigma(el.params.sigma)})"
             for el in elems
         )
+    _check_printable(elems)
     _emit(args, lines, (el.to_json() for el in elems), _spectrum_entries(elems),
           SpectrumElement.FIELDS)
+
+
+def _check_printable(elems: Sequence[SpectrumElement]) -> None:
+    """Refuse, before any output is opened, rows that str() cannot print under
+    Python's int-to-str digit limit; a row's largest ints are D, q and n."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    bound = 10**limit
+    if limit and any(max(el.n, el.value.q, el.value.D) >= bound for el in elems):
+        raise ValueError(f"spectrum rows too large: an integer has over {limit} digits, "
+                         "Python's int-to-str limit")
 
 
 def _tables_cmd(args) -> int:

@@ -4,6 +4,10 @@ Arbitrary-precision 2x2 integer matrices, canonical quadratic irrationals
 (p + q*sqrt(D))/r with a total exact order, and regular continued-fraction
 machinery (convergent matrices, periodic expansion of quadratic surds).
 
+One integer floor, `_floor_surd`, decides floor, decimal, order and float:
+`QuadSurd.floor`, `decimal_str`'s rounding, the first pair of floors of
+x * 2**bits that differ, and such a floor over 2**bits.
+
 `QuadSurd(p, q, D, r)` is the general constructor.  A spectrum row's value
 sqrt(Delta)/n is built by `_sqrt_over`, which skips the perfect-square test
 and the general branches because Delta = (K*n - k_i)^2 - 4 is never a
@@ -25,7 +29,6 @@ __all__ = [
     "Mat2",
     "QuadSurd",
     "cf_matrix",
-    "surd_cmp",
     "periodic_cf_expansion",
     "cf_eval_periodic",
     "decimal_str",
@@ -257,50 +260,35 @@ class QuadSurd:
         g = math.gcd(math.gcd(A, abs(B)), abs(C))
         return A // g, B // g, C // g
 
-    # -- interval evaluation -------------------------------------------------
+    # -- order and float, from one integer floor ----------------------------
 
-    def interval(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Enclosing rational interval with ~bits fractional bits."""
-        if self.q == 0:
-            v = Fraction(self.p, self.r)
-            return v, v
-        t = math.isqrt(self.D << (2 * bits))
-        lo = Fraction(t, 1 << bits)
-        hi = Fraction(t + 1, 1 << bits)
-        if self.q > 0:
-            slo, shi = self.q * lo, self.q * hi
-        else:
-            slo, shi = self.q * hi, self.q * lo
-        return (self.p + slo) / self.r, (self.p + shi) / self.r
+    def interval(self, bits: int) -> int:
+        """floor(x * 2**bits), in integers: the start of the dyadic interval of
+        width 2**-bits that holds x."""
+        return _floor_surd(self.p << bits, self.q << bits, self.D, self.r)
 
     def __float__(self) -> float:
-        lo, hi = self.interval(80)
-        return float((lo + hi) / 2)
+        # a nonzero x has |x| >= 1/(r (|p| + |q| sqrt(D))), as |p^2 - q^2 D| >= 1
+        # and the conjugate is at most that sum: 64 bits past the bound's bit
+        # length leave the floor 64 significant bits; int division rounds
+        bound = self.r * (abs(self.p) + abs(self.q) * (math.isqrt(self.D) + 1))
+        bits = 64 + bound.bit_length()
+        return self.interval(bits) / (1 << bits)
 
     def floor(self) -> int:
         return _floor_surd(self.p, self.q, self.D, self.r)
 
-    # -- comparison ----------------------------------------------------------
-
     def _cmp(self, other: "QuadSurd") -> int:
-        if self.is_rational and other.is_rational:
-            return _sign(self.p * other.r - other.p * self.r)
-        if (
-            not self.is_rational
-            and not other.is_rational
-            and _sign(self.q) == _sign(other.q)
-            and self._minpoly() == other._minpoly()
-        ):
+        """Exact three-way comparison: -1, 0 or 1.  Equal values share the
+        minimal polynomial and its root (the sign of q; (r x - p)^2 fixes a
+        rational p/r).  Otherwise floor(x * 2**bits), monotone in x, differs
+        for x and y once bits, doubling from 64, is large enough."""
+        if _sign(self.q) == _sign(other.q) and self._minpoly() == other._minpoly():
             return 0
         bits = 64
-        while True:
-            alo, ahi = self.interval(bits)
-            blo, bhi = other.interval(bits)
-            if ahi < blo:
-                return -1
-            if bhi < alo:
-                return 1
+        while (a := self.interval(bits)) == (b := other.interval(bits)):
             bits *= 2
+        return _sign(a - b)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -365,11 +353,6 @@ def _sqrt_over(delta: int, n: int) -> QuadSurd:
     object.__setattr__(x, "D", d)
     object.__setattr__(x, "r", n // g)
     return x
-
-
-def surd_cmp(x: QuadSurd, y: QuadSurd) -> int:
-    """Exact three-way comparison: -1, 0, or 1."""
-    return x._cmp(y)
 
 
 def decimal_str(x: QuadSurd, sig: int = 12) -> str:

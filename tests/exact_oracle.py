@@ -1,9 +1,16 @@
 """Reference routines that the integer paths in gmspec.exact are checked
 against.
 
-The first two refine the enclosing `Fraction` intervals of
-`QuadSurd.interval`; neither uses the integer floor of gmspec.exact.
+`interval` is the former `QuadSurd.interval`, kept verbatim: an enclosing
+`Fraction` interval of a surd with about `bits` fractional bits, from one
+isqrt of D.  The routines below refine it; none uses the integer floor of
+gmspec.exact.
 
+* `cmp` is the former `QuadSurd._cmp`: rationals by cross-multiplication,
+  equal irrationals by their minimal polynomial, and otherwise intervals
+  refined until they are disjoint.
+* `float_interval` is the former `QuadSurd.__float__`: the midpoint of the
+  80-bit interval.
 * `_decimal_interval` renders a surd to `sig` significant digits by doubling
   the interval's precision until both ends round alike.
 * `floor_interval` floors a surd the same way, until both ends floor alike.
@@ -32,7 +39,49 @@ from gmspec.exact import (
     QuadSurd,
     _cube_root_primes,
     _format_sig,
+    _sign,
 )
+
+
+def interval(x: QuadSurd, bits: int) -> tuple[Fraction, Fraction]:
+    """Enclosing rational interval with ~bits fractional bits."""
+    if x.q == 0:
+        v = Fraction(x.p, x.r)
+        return v, v
+    t = math.isqrt(x.D << (2 * bits))
+    lo = Fraction(t, 1 << bits)
+    hi = Fraction(t + 1, 1 << bits)
+    if x.q > 0:
+        slo, shi = x.q * lo, x.q * hi
+    else:
+        slo, shi = x.q * hi, x.q * lo
+    return (x.p + slo) / x.r, (x.p + shi) / x.r
+
+
+def float_interval(x: QuadSurd) -> float:
+    lo, hi = interval(x, 80)
+    return float((lo + hi) / 2)
+
+
+def cmp(x: QuadSurd, other: QuadSurd) -> int:
+    if x.is_rational and other.is_rational:
+        return _sign(x.p * other.r - other.p * x.r)
+    if (
+        not x.is_rational
+        and not other.is_rational
+        and _sign(x.q) == _sign(other.q)
+        and x._minpoly() == other._minpoly()
+    ):
+        return 0
+    bits = 64
+    while True:
+        alo, ahi = interval(x, bits)
+        blo, bhi = interval(other, bits)
+        if ahi < blo:
+            return -1
+        if bhi < alo:
+            return 1
+        bits *= 2
 
 
 def _decimal_interval(x: QuadSurd, sig: int) -> str:
@@ -40,7 +89,7 @@ def _decimal_interval(x: QuadSurd, sig: int) -> str:
     until both ends round alike."""
     bits = 8 * sig
     while True:
-        lo, hi = x.interval(bits)
+        lo, hi = interval(x, bits)
         rlo, rhi = _round_sig(lo, sig), _round_sig(hi, sig)
         if rlo == rhi:
             return rlo
@@ -73,7 +122,7 @@ def floor_interval(x: QuadSurd) -> int:
     alike."""
     bits = 16
     while True:
-        lo, hi = x.interval(bits)
+        lo, hi = interval(x, bits)
         flo, fhi = lo.__floor__(), hi.__floor__()
         if flo == fhi:
             return flo

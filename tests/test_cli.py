@@ -12,7 +12,7 @@ import cli_oracle
 import gmspec
 from gmspec import cli
 from gmspec.cli import LABEL_SIZE_LIMIT, SPECTRUM_DEPTH_LIMIT, SPECTRUM_KMAX_LIMIT, run
-from gmspec.exact import _FULL_FACTOR_BOUND
+from gmspec.exact import _FULL_FACTOR_BOUND, QuadSurd
 from gmspec.farey import IrreducibleFraction
 from gmspec.gmtree import ALL_SIGMAS, ALTERNATING, GMParams, format_sigma
 from gmspec.spectrum import (
@@ -353,8 +353,7 @@ def test_format_sigma_names_each_permutation_and_rejects_the_rest():
             format_sigma(bad)
 
 
-# k3 = 10^1200: the first row's integers exceed Python's int-to-str digit
-# limit, so the error comes while the rows are being written
+# k3 = 10^1200: rows whose integers exceed Python's int-to-str digit limit
 _HUGE_K = "0,0,1" + "0" * 1200
 
 
@@ -369,13 +368,51 @@ def test_domain_error_leaves_no_out_file(tmp_path, capsys):
             assert list(tmp_path.iterdir()) == []
 
 
-def test_late_error_keeps_a_linked_out_file(tmp_path, capsys):
+def test_rows_past_the_digit_limit_are_refused_before_any_output(tmp_path, capsys):
+    # (100,100,100) at depth 10 has a D of 1,053 digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        argv = ["spectrum", "--k", "100,100,100", "--depth", "10"]
+        _one_line_domain_error(capsys, ["--format", "json", "--out", str(tmp_path / "F"), *argv])
+        assert list(tmp_path.iterdir()) == []
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("gmspec: ") and err.count("\n") == 1
+        assert run([*argv[:-1], "8"]) == 0  # a D of 401 digits prints
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _fail_after_sqrt5(monkeypatch):
+    """Make every row's decimal after that of sqrt(5) raise, as a late error."""
+    decimal = QuadSurd.decimal
+
+    def late(x, sig=12):
+        if x != QuadSurd(0, 1, 5, 1):
+            raise ValueError("late")
+        return decimal(x, sig)
+
+    monkeypatch.setattr(QuadSurd, "decimal", late)
+
+
+def test_late_error_keeps_a_linked_out_file(tmp_path, capsys, monkeypatch):
     # --out through a link (as /dev/stdout is) keeps what was written, as stdout does
+    _fail_after_sqrt5(monkeypatch)
     target, link = tmp_path / "F", tmp_path / "link"
     link.symlink_to(target)
-    argv = ["--out", str(link), "spectrum", "--k", _HUGE_K, "--depth", "0"]
+    argv = ["--out", str(link), "spectrum", "--k", "0,0,1", "--depth", "1"]
     _one_line_domain_error(capsys, argv)
     assert link.is_symlink() and target.read_text().startswith("(0 + 1√5)/1 = 2.2360")
+
+
+def test_late_error_removes_a_regular_out_file(tmp_path, capsys, monkeypatch):
+    _fail_after_sqrt5(monkeypatch)
+    for fmt in FORMATS:
+        argv = ["--format", fmt, "--out", str(tmp_path / "F"), "spectrum", "--k", "0,0,1",
+                "--depth", "1"]
+        _one_line_domain_error(capsys, argv)
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("cmd", ["seq", "cohn", "node", "lagrange", "alpha", "qform"])

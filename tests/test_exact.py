@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,8 +14,8 @@ from gmspec.exact import (
     _square_split,
     decimal_str,
     periodic_cf_expansion,
-    surd_cmp,
 )
+import exact_oracle
 from exact_oracle import _decimal_interval, floor_interval
 
 FREIMAN = QuadSurd(2221564096, 283748, 462, 491993569)
@@ -68,9 +69,9 @@ def test_canonicalize_negative_denominator_and_gcd():
 
 
 def test_cmp_fixtures():
-    assert surd_cmp(QuadSurd(0, 1, 5, 1), QuadSurd(3, 0, 1, 1)) == -1
-    assert surd_cmp(QuadSurd(0, 2, 5, 1), FREIMAN) == -1
-    assert surd_cmp(QuadSurd(11, 1, 221, 10), QuadSurd(11, 1, 221, 10)) == 0
+    assert QuadSurd(0, 1, 5, 1)._cmp(QuadSurd(3, 0, 1, 1)) == -1
+    assert QuadSurd(0, 2, 5, 1)._cmp(FREIMAN) == -1
+    assert QuadSurd(11, 1, 221, 10)._cmp(QuadSurd(11, 1, 221, 10)) == 0
     # equality across representations with unextracted square parts
     assert QuadSurd(0, 1, 12, 2) == QuadSurd(0, 1, 3, 1)
 
@@ -95,12 +96,12 @@ def test_cmp_total_order_properties():
     ]
     for x in vals:
         for y in vals:
-            assert surd_cmp(x, y) == -surd_cmp(y, x)
+            assert x._cmp(y) == -y._cmp(x)
     for x in vals:
         for y in vals:
             for z in vals:
-                if surd_cmp(x, y) <= 0 and surd_cmp(y, z) <= 0:
-                    assert surd_cmp(x, z) <= 0
+                if x._cmp(y) <= 0 and y._cmp(z) <= 0:
+                    assert x._cmp(z) <= 0
 
 
 def test_surd_arithmetic_and_ordering_agree_with_floats():
@@ -108,8 +109,8 @@ def test_surd_arithmetic_and_ordering_agree_with_floats():
     for _ in range(100):
         x = QuadSurd(rng.randint(-20, 20), rng.randint(-9, 9), rng.randint(2, 50), rng.randint(1, 9))
         y = QuadSurd(rng.randint(-20, 20), rng.randint(-9, 9), rng.randint(2, 50), rng.randint(1, 9))
-        if surd_cmp(x, y) != 0:
-            assert (float(x) < float(y)) == (surd_cmp(x, y) < 0)
+        if x._cmp(y) != 0:
+            assert (float(x) < float(y)) == (x._cmp(y) < 0)
 
 
 def test_periodic_cf_fixtures():
@@ -285,5 +286,39 @@ def test_huge_radicand_comparisons_stay_exact():
     n = 10**20 + 7
     a = QuadSurd(0, 1, n * n - 1, n)
     b = QuadSurd(0, 1, n * n, n)
-    assert surd_cmp(a, b) == -1
+    assert a._cmp(b) == -1
     assert b == QuadSurd(1, 0, 1, 1)
+
+
+def test_cmp_matches_the_interval_oracle_on_close_and_rational_pairs():
+    # the convergents h/k of sqrt(2) alternate around it with gaps below
+    # 1/k^2, under 2^-200 from the 80th on
+    root2 = QuadSurd(0, 1, 2, 1)
+    h, h1, k, k1 = 1, 1, 1, 0
+    for i in range(120):
+        c = QuadSurd(h, 0, 1, k)
+        want = -1 if i % 2 == 0 else 1
+        assert c._cmp(root2) == exact_oracle.cmp(c, root2) == want, i
+        assert root2._cmp(c) == exact_oracle.cmp(root2, c) == -want, i
+        h, h1, k, k1 = 2 * h + h1, h, 2 * k + k1, k
+    assert k.bit_length() > 150
+    rationals = [QuadSurd(p, 0, 1, r) for p in range(-6, 7) for r in (1, 2, 3, 4, 6)]
+    for x in rationals:
+        for y in rationals:
+            assert x._cmp(y) == exact_oracle.cmp(x, y), (x, y)
+    assert QuadSurd(2, 0, 1, 4) == QuadSurd(-3, 0, 1, -6) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("fields, want", [
+    ((0, 1, 2, 10**30), 1.414213562373095e-30),
+    ((99, -7, 200, 1), 0.005050633883346584),  # 99 - 70 sqrt(2): the terms cancel
+    ((1, 0, 1, 3 * 10**40), 3.333333333333333e-41),
+    ((0, 1, 5, 1), 2.23606797749979),
+    ((-3, 1, 10, 10**25), 1.6227766016837932e-26),
+])
+def test_float_keeps_its_relative_accuracy_on_tiny_and_cancelling_surds(fields, want):
+    x = QuadSurd(*fields)
+    # want rounds a point of the oracle's enclosure: within half an ulp of it
+    lo, hi = exact_oracle.interval(x, 80)
+    assert abs(Fraction(want) - (lo + hi) / 2) <= (Fraction(math.ulp(want)) + hi - lo) / 2
+    assert float(x) == exact_oracle.float_interval(x) == want

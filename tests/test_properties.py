@@ -5,6 +5,7 @@ import math
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import exact_oracle
 from exact_oracle import _decimal_interval, cf_eval_nested, nonsquare_split
 from gmspec.exact import (
     _FULL_FACTOR_BOUND,
@@ -15,7 +16,6 @@ from gmspec.exact import (
     cf_matrix,
     decimal_str,
     periodic_cf_expansion,
-    surd_cmp,
 )
 from gmspec.snake import build_snake_graph, continuant, count_matchings_bruteforce
 from gmspec.verify import _rotation_min_c
@@ -46,12 +46,20 @@ def _fields(x: QuadSurd) -> tuple[int, int, int, int]:
 
 @given(surds, surds)
 def test_cmp_antisymmetry(x, y):
-    assert surd_cmp(x, y) == -surd_cmp(y, x)
+    assert x._cmp(y) == -y._cmp(x)
+
+
+@given(surds, surds)
+@example(QuadSurd(1, 1, 2, 1), QuadSurd(1, -1, 2, 1))  # conjugates share _minpoly
+def test_cmp_matches_the_interval_oracle(x, y):
+    assert x._cmp(y) == exact_oracle.cmp(x, y)
+    conjugate = QuadSurd(x.p, -x.q, x.D, x.r)
+    assert x._cmp(conjugate) == exact_oracle.cmp(x, conjugate) == (x.q > 0) - (x.q < 0)
 
 
 @given(surds, surds)
 def test_eq_consistency(x, y):
-    assert (x == y) == (surd_cmp(x, y) == 0)
+    assert (x == y) == (x._cmp(y) == 0)
     if x == y:
         assert hash(x) == hash(y)
 

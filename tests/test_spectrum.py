@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import spectrum_oracle
+import exact_oracle
 from exact_oracle import _decimal_interval, nonsquare_split
 from gmspec.exact import (
     _FULL_FACTOR_BOUND,
@@ -475,6 +476,22 @@ def test_sqrt_over_matches_the_former_square_split_on_the_grid_rows():
         g = math.gcd(s, n)
         x = _sqrt_over(delta, n)
         assert (x.p, x.q, x.D, x.r) == (0, s // g, d, n // g), (delta, n)
+
+
+def test_cmp_matches_the_interval_oracle_on_spectrum_values():
+    # adjacent distinct values, both ways, and every depth-6 grid row against
+    # the ends of the transition window
+    xs = [_sqrt_over(delta, n) for delta, n, *_ in _distinct_values((1, 2, 0), 8)]
+    for x, y in itertools.pairwise(xs):
+        assert x._cmp(y) == exact_oracle.cmp(x, y) == -1, (x, y)
+        assert y._cmp(x) == exact_oracle.cmp(y, x) == 1, (x, y)
+    three = QuadSurd(3, 0, 1, 1)
+    for k in grid_triples():
+        for delta, n, *_ in _distinct_values(k, 6):
+            x = _sqrt_over(delta, n)
+            for end in (three, FREIMAN_CONSTANT):
+                assert x._cmp(end) == exact_oracle.cmp(x, end), (k, x, end)
+                assert end._cmp(x) == exact_oracle.cmp(end, x), (k, x, end)
 
 
 def test_pruned_walk_keeps_only_the_root_once_k_sum_exceeds_one():
