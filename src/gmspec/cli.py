@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .exact import Mat2, QuadSurd
 from .farey import IrreducibleFraction
-from .gmtree import GMParams, format_sigma, gm_node, parse_sigma
+from .gmtree import ALTERNATING, GMParams, format_sigma, gm_node, parse_sigma
 from .cohn import cohn_closed_form, cohn_recursive
 from .lattice import admissible_sequence, gm_distance
 from .spectrum import (
@@ -27,6 +27,7 @@ from .spectrum import (
     alpha_fixed_point,
     enumerate_spectrum,
     lagrange_value,
+    markov_value,
     qform_of,
     transition_scan,
 )
@@ -50,8 +51,9 @@ LABEL_SIZE_LIMIT = 1024
 
 # Largest `spectrum --depth`, for --k and --kmax alike.  A tree has
 # 2^(depth+1) - 1 vertices, so each level doubles the work and the output;
-# the K = 4 trees have no window cut.  At this depth `--k 1,2,0 --format json`
-# writes 126 MB and `--k 2,3,4` 173 MB, as larger coefficients lengthen n.
+# `--kmax` walks only the K = 4 trees past the root.  At this depth
+# `--k 1,2,0 --format json` writes 126 MB and `--k 2,3,4` 173 MB, as larger
+# coefficients lengthen n.
 SPECTRUM_DEPTH_LIMIT = 14
 
 # Largest `spectrum --kmax`.  The scan visits (kmax + 1)^3 triples, so its
@@ -333,6 +335,7 @@ def _spectrum_cmd(args) -> None:
         ))
     else:
         k = _ints_of("0,0,0" if args.k is None else args.k, 3, _K_EXPECTED)
+        _check_printable(_zigzag_rows(k, args.depth))
         elems = enumerate_spectrum(k, args.depth)
         lines = (
             f"{el.value} = {el.value.decimal()}  (t={el.t}, n={el.n}, pos={el.pos}, "
@@ -342,6 +345,21 @@ def _spectrum_cmd(args) -> None:
     _check_printable(elems)
     _emit(args, lines, (el.to_json() for el in elems), _spectrum_entries(elems),
           SpectrumElement.FIELDS)
+
+
+def _zigzag_rows(k: tuple[int, ...], depth: int) -> list[SpectrumElement]:
+    """The rows at the zigzag labels F(d+1)/F(d+2) and F(d+2)/F(d+1) of depth
+    d in each even tree, F the Fibonacci numbers with F(1) = F(2) = 1.  They
+    carry the greatest n of their depth (tested for max k <= 2 to depth 8),
+    so a request whose rows would pass the digit limit is refused on them
+    before the walk.  Each is a row the walk visits, printed unless a
+    cross-class tie gives its value to an earlier witness; `_check_printable`
+    on the output stays the exact rule."""
+    f, g = 1, 1
+    for _ in range(depth):
+        f, g = g, f + g
+    labels = (IrreducibleFraction(f, g), IrreducibleFraction(g, f))
+    return [markov_value(t, GMParams(*k, sigma)) for sigma in ALTERNATING for t in labels]
 
 
 def _check_printable(elems: Sequence[SpectrumElement]) -> None:

@@ -176,17 +176,13 @@ def _as_node(node: _RawVertex) -> GMNode:
     return GMNode(GMPair(a, h), GMPair(b, i), GMPair(c, j))
 
 
-def _walk_tree(
-    params: GMParams, depth: int, n_cut: int | None = None
-) -> list[tuple[int, int, int, int, _RawVertex]]:
+def _walk_tree(params: GMParams, depth: int) -> list[tuple[int, int, int, int, _RawVertex]]:
     """All vertices with tree depth <= depth, breadth-first, left before right,
     on plain integers.
 
     Each entry is (ln, ld, rn, rd, vertex): the vertex's Farey triple is
     (ln/ld, (ln+rn)/(ld+rd), rn/rd), so its middle label is the mediant of
-    the two outer ones.  A child whose middle value is >= `n_cut` is neither
-    kept nor expanded (middle values grow from parent to child); the root
-    is always kept.
+    the two outer ones.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -202,8 +198,6 @@ def _walk_tree(
                 (ln + rn, ld + rd, rn, rd, _child(node, k, "R")),
             )
         ]
-        if n_cut is not None:
-            level = [v for v in level if v[4][2] < n_cut]
         out += level
     return out
 

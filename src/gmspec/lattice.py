@@ -221,6 +221,10 @@ def segment_sign_sequence(
     passing +1 or -1 pins them instead.  Unit grid steps (including the
     antidiagonal ones) cross nothing and give the empty sequence.
     """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if not all(e == "merge" or e in (1, -1) for e in endpoints):
+        raise ValueError(f"endpoint signs must be 'merge', +1, or -1, got {endpoints!r}")
     if a == b:
         raise ValueError("endpoints must differ")
     dx, dy = b[0] - a[0], b[1] - a[1]
@@ -230,10 +234,8 @@ def segment_sign_sequence(
         u = (0, 0)
     elif side == "left":
         u = (-dy, dx)
-    elif side == "right":
-        u = (dy, -dx)
     else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        u = (dy, -dx)
 
     runs = _weigh(_skeleton(a, (dx, dy), u, False, None), params.kappa)
     parts = [-n if i % 2 else n for i, n in enumerate(runs) if n]
@@ -241,8 +243,6 @@ def segment_sign_sequence(
     last = (1 if parts[-1] > 0 else -1) if parts else first
     start = first if endpoints[0] == "merge" else int(endpoints[0])
     end = last if endpoints[1] == "merge" else int(endpoints[1])
-    if abs(start) != 1 or abs(end) != 1:
-        raise ValueError("endpoint signs must be 'merge', +1, or -1")
     return _rle([start, *parts, end])
 
 

@@ -18,9 +18,10 @@ m = K*n - k_i >= 3 is never a perfect square, so the surd comes from
 The window scan over [3, c_F) uses the Markoff-tree growth argument (cf.
 Bombieri, "Continued fractions and the Markoff tree", Expo. Math. 2007):
 n grows strictly down every branch, and the value sqrt((K*n - k_i)^2 - 4)/n,
-K = 3 + k1 + k2 + k3, increases with n.  So in each (K, k_i) class the
-window is one interval of n; elements are tested against its ends on the
-integers, and only the hits become surds.
+K = 3 + k1 + k2 + k3, increases with n.  Below the root n >= 5, where every
+value of a triple with K >= 5 is already >= c_F (see `transition_scan`), so
+only the K = 4 trees are walked past the root.  Elements are tested against
+the window on their integers, and only the hits become surds.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ __all__ = [
 FREIMAN_CONSTANT = QuadSurd(2221564096, 283748, 462, 491993569)
 
 TRANSITION_CAVEAT = (
-    "a triple whose pruned walk ends before the depth cap is listed exhaustively; "
-    "(0,0,0) never reaches 3 (Delta = 9n^2 - 4); the permutations of (0,0,1) "
-    "(K = 4) accumulate at 4 < c_F and are listed only to the given depth"
+    "every triple with K = 3 + k1 + k2 + k3 >= 5 is listed exhaustively, at any depth; "
+    "(0,0,0) never reaches 3 (Delta = 9n^2 - 4); the permutations of (0,0,1) (K = 4) "
+    "have infinitely many values in [3, 4) and are listed only to the given depth"
 )
 
 
@@ -213,10 +214,10 @@ def markov_sup_exact(q: QForm, bound: int) -> QuadSurd | None:
 # ---------------------------------------------------------------------------
 
 def _distinct_values(
-    k: tuple[int, int, int], depth: int, n_cut: int | None = None
+    k: tuple[int, int, int], depth: int
 ) -> list[tuple[int, int, int, int, int, GMParams]]:
-    """Sorted (Delta, n, pos, num, den, params) of `enumerate_spectrum(k,
-    depth)`, with the trees walked under `n_cut` (see `_walk_tree`).
+    """The sorted rows (Delta, n, pos, num, den, params) of
+    `enumerate_spectrum(k, depth)`.
 
     A witness's class is c = k_pos.  Inside a class the value
     sqrt((K*n - c)^2 - 4)/n strictly increases with n (see `_window_cut`), so
@@ -236,7 +237,7 @@ def _distinct_values(
         if params.kappa in walked:
             continue
         walked |= {params.kappa, params.kappa[::-1]}
-        walk = _walk_tree(params, depth, n_cut)
+        walk = _walk_tree(params, depth)
         # the boundary labels 0/1 and 1/0 carry the root's outer pairs
         a, h, _, _, b, i = walk[0][4]
         for num, den, n, pos in ((0, 1, a, h), (1, 0, b, i)):
@@ -318,9 +319,11 @@ def enumerate_spectrum(
 
 def _window_cut(big_k: int, c: int) -> int | None:
     """Least n with sqrt((K*n - c)^2 - 4)/n >= c_F for K = big_k, by exact
-    comparisons; None when K <= 4.  With c = k_i it is the end of the class
-    (K, c): the value's square (K - c/n)^2 - 4/n^2 increases with n toward K,
-    as K*n > c, and for K <= 4 it stays below K < c_F.
+    comparisons; None when K <= 4, where no n reaches c_F.  With c = k_i it
+    is the end of the class (K, c): the value's square (K - c/n)^2 - 4/n^2
+    increases with n toward K, as K*n > c.  For c <= K - 3 and n >= 5 that
+    square is at least ((4K + 3)/5)^2 - 4/25, which is 21 > c_F^2 at K = 5,
+    so the end is at most 5 once K >= 5.
     """
     if big_k <= 4:
         return None
@@ -335,12 +338,14 @@ def transition_scan(kmax: int, depth: int) -> list[SpectrumElement]:
     coefficient triples with max component <= kmax.
 
     Elements are sorted by triple (k1, k2, k3) of `el.params`, then by value,
-    the same as filtering `enumerate_spectrum(k, depth)`.  In each (K, k_i)
-    class the window is the n-interval 9n^2 <= Delta, n < `_window_cut(K, k_i)`:
-    rows are tested on their integers, only hits become surds, and the walk is
-    cut at the end of (K, max k), the greatest of the triple's ends.  (0,0,0),
-    the only triple with K = 3, is not walked: Delta = 9n^2 - 4 keeps every
-    value below 3.  See TRANSITION_CAVEAT for what the scan certifies.
+    the same as filtering `enumerate_spectrum(k, depth)`; rows are tested on
+    their integers, 9n^2 <= Delta, and only hits become surds.  The root is
+    (1, b, 1) with b = k_sigma(2) + 2, so the n below it, b^2 + k*b + 1 and
+    up, are >= 5, where K >= 5 leaves no value below c_F (see `_window_cut`):
+    such a triple is read at depth 0, against its class ends, and is listed
+    exhaustively at any depth.  The permutations of (0,0,1), K = 4, are
+    walked to the given depth; (0,0,0), K = 3, is not walked, as
+    Delta = 9n^2 - 4 keeps it below 3.  See TRANSITION_CAVEAT.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
@@ -349,11 +354,10 @@ def transition_scan(kmax: int, depth: int) -> list[SpectrumElement]:
     end = functools.cache(_window_cut)  # this scan's class ends, by (K, k_i)
     out: list[SpectrumElement] = []
     for k in itertools.product(range(kmax + 1), repeat=3):
-        if k == (0, 0, 0):
-            continue
         big_k = 3 + sum(k)
-        for delta, n, pos, *rest in _distinct_values(k, depth, end(big_k, max(k))):
-            cut = end(big_k, k[pos - 1])
-            if delta >= 9 * n * n and (cut is None or n < cut):
+        if big_k == 3:
+            continue
+        for delta, n, pos, *rest in _distinct_values(k, depth if big_k == 4 else 0):
+            if delta >= 9 * n * n and (big_k == 4 or n < end(big_k, k[pos - 1])):
                 out.append(_element(delta, n, pos, *rest))
     return out

@@ -15,15 +15,15 @@ from gmspec.gmtree import ALTERNATING, GMParams, _walk_tree
 
 
 def distinct_values(
-    k: tuple[int, int, int], depth: int, n_cut: int | None = None
+    k: tuple[int, int, int], depth: int
 ) -> list[tuple[int, int, int, int, int, GMParams]]:
-    """Sorted (Delta, n, pos, num, den, params) of `enumerate_spectrum(k,
-    depth)`, with the trees walked under `n_cut` (see `_walk_tree`)."""
+    """The sorted rows (Delta, n, pos, num, den, params) of
+    `enumerate_spectrum(k, depth)`."""
     seen: dict[tuple[int, int], tuple] = {}
     for sigma in ALTERNATING:
         params = GMParams(*k, sigma)
         big_k = params.coeff_sum
-        walk = _walk_tree(params, depth, n_cut)
+        walk = _walk_tree(params, depth)
         # the boundary labels 0/1 and 1/0 carry the root's outer pairs
         root = walk[0][4]
         witnesses = [(0, 1, root[0], root[1]), (1, 0, root[4], root[5])]

@@ -1,6 +1,7 @@
 import argparse
 import errno
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ from gmspec import cli
 from gmspec.cli import LABEL_SIZE_LIMIT, SPECTRUM_DEPTH_LIMIT, SPECTRUM_KMAX_LIMIT, run
 from gmspec.exact import _FULL_FACTOR_BOUND, QuadSurd
 from gmspec.farey import IrreducibleFraction
-from gmspec.gmtree import ALL_SIGMAS, ALTERNATING, GMParams, format_sigma
+from gmspec.gmtree import ALL_SIGMAS, ALTERNATING, GMParams, _walk_tree, format_sigma
 from gmspec.spectrum import (
     SpectrumElement,
     _distinct_values,
@@ -382,6 +383,28 @@ def test_rows_past_the_digit_limit_are_refused_before_any_output(tmp_path, capsy
         assert run([*argv[:-1], "8"]) == 0  # a D of 401 digits prints
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("k, depth", [
+    ("100000000000000000000,0,0", 14), ("100000000000000000000,0,0", 12), ("900,0,0", 14),
+])
+def test_oversized_k_is_refused_before_the_walk(tmp_path, capsys, monkeypatch, k, depth):
+    def walk(*args):
+        raise AssertionError("enumerate_spectrum ran")
+
+    monkeypatch.setattr(cli, "enumerate_spectrum", walk)
+    argv = ["--format", "json", "--out", str(tmp_path / "F"), "spectrum", "--k", k]
+    _one_line_domain_error(capsys, [*argv, "--depth", str(depth)])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_zigzag_rows_carry_the_greatest_n_of_their_depth():
+    for k in itertools.product(range(3), repeat=3):
+        walks = {sigma: _walk_tree(GMParams(*k, sigma), 8) for sigma in ALTERNATING}
+        for depth in range(9):
+            first = 2**depth - 1  # breadth-first, depth d is entries 2^d - 1 to 2^(d+1) - 2
+            level = [v[4][2] for walk in walks.values() for v in walk[first:2 * first + 1]]
+            assert max(el.n for el in cli._zigzag_rows(k, depth)) == max(level), (k, depth)
 
 
 def _fail_after_sqrt5(monkeypatch):

@@ -124,16 +124,6 @@ def test_middle_values_grow_strictly_down_every_branch():
             assert all(walk[j][4][2] > walk[(j - 1) // 2][4][2] for j in range(1, len(walk)))
 
 
-def test_walk_cut_drops_exactly_the_vertices_at_or_above_it():
-    for k in ((0, 0, 0), (1, 2, 0), (3, 1, 2)):
-        for sigma in ALL_SIGMAS:
-            params = GMParams(*k, sigma)
-            walk = _walk_tree(params, 5)
-            for n_cut in sorted({v[4][2] for v in walk})[:6] + [1]:
-                kept = [v for v in walk[1:] if v[4][2] < n_cut]
-                assert _walk_tree(params, 5, n_cut) == walk[:1] + kept
-
-
 def test_every_node_solves_equation_and_is_coprime():
     rng = random.Random(9)
     for _ in range(6):

@@ -135,6 +135,29 @@ def test_segment_unit_steps():
         segment_sign_sequence((1, 1), (1, 1), P120)
 
 
+_BAD_SIDE = "^side must be 'left' or 'right', got 'up'$"
+_BAD_ENDS = "^endpoint signs must be 'merge', \\+1, or -1, got "
+
+
+def test_segment_side_is_checked_for_a_coprime_displacement():
+    with pytest.raises(ValueError, match=_BAD_SIDE):
+        segment_sign_sequence((0, 0), (3, 2), P120, side="up")
+
+
+def test_segment_endpoint_signs_are_checked_with_their_own_message():
+    for b in ((3, 2), (6, 4)):
+        for ends in (("x", "merge"), ("merge", 0), (2, 1)):
+            with pytest.raises(ValueError, match=_BAD_ENDS):
+                segment_sign_sequence((0, 0), b, P120, endpoints=ends)
+
+
+def test_segment_unit_step_checks_its_arguments():
+    with pytest.raises(ValueError, match=_BAD_SIDE):
+        segment_sign_sequence((2, 3), (3, 2), P120, side="up")
+    with pytest.raises(ValueError, match=_BAD_ENDS):
+        segment_sign_sequence((2, 3), (3, 2), P120, endpoints=(5, 5))
+
+
 def test_gm_length_fixtures():
     assert gm_length((1, 7, 1, 8, 1, 1, 2, 2, 6, 5)) == 33848
     assert gm_length((4, 4, 5, 4)) == 373

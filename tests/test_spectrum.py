@@ -325,17 +325,16 @@ def test_enumerate_spectrum_matches_reference(k, depths):
 @pytest.mark.parametrize(
     "cases",
     [
-        [(k, depth, False) for k in grid_triples() for depth in range(8)],
-        [(k, 8, False) for k in _DEEP_TRIPLES],
-        [(k, 6, True) for k in itertools.product(range(4), repeat=3) if 3 + sum(k) >= 5],
+        [(k, depth) for k in grid_triples() for depth in range(8)],
+        [(k, 8) for k in _DEEP_TRIPLES],
+        # the roots that transition_scan reads of every triple with K >= 5
+        [(k, 0) for k in itertools.product(range(4), repeat=3) if 3 + sum(k) >= 5],
     ],
     ids=["grid-triples", "spectrum-deep", "window-cut"],
 )
 def test_distinct_values_match_the_gcd_key_oracle(cases):
-    for k, depth, cut in cases:
-        n_cut = _window_cut(3 + sum(k), max(k)) if cut else None
-        got = _distinct_values(k, depth, n_cut)
-        assert got == spectrum_oracle.distinct_values(k, depth, n_cut), (k, depth, n_cut)
+    for k, depth in cases:
+        assert _distinct_values(k, depth) == spectrum_oracle.distinct_values(k, depth), (k, depth)
 
 
 def _witnesses_in_walk_order(k, depth):
@@ -370,9 +369,9 @@ def test_a_cross_class_tie_keeps_the_witness_walked_first(k):
 def test_mirror_trees_are_walked_once(monkeypatch, k, walks):
     sigmas = []
 
-    def counted(params, depth, n_cut=None):
+    def counted(params, depth):
         sigmas.append(params.sigma)
-        return _walk_tree(params, depth, n_cut)
+        return _walk_tree(params, depth)
 
     monkeypatch.setattr("gmspec.spectrum._walk_tree", counted)
     enumerate_spectrum(k, 3)
@@ -494,12 +493,33 @@ def test_cmp_matches_the_interval_oracle_on_spectrum_values():
                 assert end._cmp(x) == exact_oracle.cmp(end, x), (k, x, end)
 
 
-def test_pruned_walk_keeps_only_the_root_once_k_sum_exceeds_one():
-    # (0,0,0) and the permutations of (0,0,1) have no cut
+def test_window_cut_is_at_most_5_for_every_k_from_5():
+    # the lemma's value half, up to the K of the largest --kmax, 3 + 3 * 30:
+    # a class (K, c) with c <= K - 3 reaches c_F by n = 5
+    for big_k in range(5, 94):
+        for c in range(big_k - 2):
+            assert _window_cut(big_k, c) <= 5, (big_k, c)
+
+
+def test_vertices_below_the_root_have_n_at_least_5():
+    # the lemma's tree half, on every tree that transition_scan reads at depth 0
     for k in itertools.product(range(6), repeat=3):
-        if sum(k) <= 1:
+        if 3 + sum(k) < 5:
             continue
-        cut = _window_cut(3 + sum(k), max(k))
-        assert cut is not None
         for sigma in ALL_SIGMAS:
-            assert len(_walk_tree(GMParams(*k, sigma), 40, cut)) == 1
+            walk = _walk_tree(GMParams(*k, sigma), 5)
+            assert min(node[2] for *_, node in walk[1:]) >= 5, (k, sigma)
+
+
+@pytest.mark.parametrize("k", [(0, 0, 1), (0, 1, 0), (1, 0, 0)])
+def test_scan_lists_a_k4_triple_as_its_spectrum_without_sqrt5(k):
+    sqrt5 = QuadSurd(0, 1, 5, 1)
+    for depth in range(8):
+        got = [
+            el for el in transition_scan(1, depth)
+            if (el.params.k1, el.params.k2, el.params.k3) == k
+        ]
+        spectrum = enumerate_spectrum(k, depth)
+        want = [el for el in spectrum if el.value != sqrt5]
+        assert len(want) == len(spectrum) - 1
+        assert _rows(got) == _rows(want), (k, depth)

@@ -141,8 +141,8 @@ def test_grid_suite_reports_a_wrong_entry(monkeypatch, suite, index, label, chan
 def test_squares_suite_reports_a_wrong_vertex(monkeypatch):
     walk = verify._walk_tree
 
-    def tampered(params, depth, n_cut=None):
-        out = walk(params, depth, n_cut)
+    def tampered(params, depth):
+        out = walk(params, depth)
         if params == GMParams(2, 2, 2):
             ln, ld, rn, rd, (a, h, b, i, c, j) = out[5]  # the vertex labeled 3/2
             out[5] = (ln, ld, rn, rd, (a, h, b + 1, i, c, j))
