@@ -17,28 +17,38 @@ lattice points.  A directed curve crossing it picks up signs three ways:
 Run-length encoding the sign string gives the admissible sequence of a
 fraction label, and the length/distance of a lattice segment.
 
-Both come from one crossing-event engine in two parts.  `_skeleton` traces
-p(c) = a + c*d + eps*u for 0 < c < 1 (a a lattice point, d and u integer
-vectors, eps infinitesimal) across the vertical, horizontal and antidiagonal
-lines strictly between a and a + d, plus those through a under the start-line
-rule.  It is free of kappa: the runs of the sign string, alternating in sign
-from a plus run (empty when the string starts with minus), as four counts each
-(triangles, h, d and v edges) in one flat array('I'), in an LRU cache per
-segment (a, d, u, start, closing) for ad-hoc queries; the verify grid holds
-its own label skeletons per depth.  `_weigh` weighs each run under kappa as
-t + kh*h + kd*d + kv*v; a run of edges whose multiplicity is zero weighs 0 and
-vanishes, and its neighbours, which share a sign, join.  Only
-`segment_sign_sequence` still run-length encodes signs, to merge or pin its
-two endpoint signs.
+Both come from one walk through the triangles, in two parts.  `_skeleton`
+traces p(c) = a + c*d + eps*u for 0 < c < 1 (a a lattice point, d and u
+integer vectors, eps infinitesimal).  It is free of kappa: the runs of the
+sign string, alternating in sign from a plus run (empty when the string
+starts with minus), as four counts each (triangles, h, d and v edges) in one
+flat array('I'), in an LRU cache per segment (a, d, u, start, closing) for
+ad-hoc queries; the verify grid holds its own label skeletons per depth.
+`_weigh` weighs each run under kappa as t + kh*h + kd*d + kv*v; a run of
+edges whose multiplicity is zero weighs 0 and vanishes, and its neighbours,
+which share a sign, join.  Only `segment_sign_sequence` still run-length
+encodes signs, to merge or pin its two endpoint signs.
 
-Crossings are keyed by c as an integer (zeroth order, first order in eps)
-pair, and an integer coordinate of a crossing point is floored by the sign of
-its first-order term.  Keys never tie, so the order is exact and free of
-kappa: lines meet at one zeroth-order c only at a lattice point of a + c*d,
-where their first-order terms -ux/dx, -uy/dy, -(ux + uy)/(dx + dy) coincide
-only if d x u = 0, when the curve passes through the point (`_tie_down`
-refuses that).  A point p lies right of the curve iff cross(d, p - a) -
-eps*(d x u) < 0, so points on the line itself fall right iff d x u > 0.
+A point p lies right of the curve iff cross(d, p - a) - eps*(d x u) < 0, so
+points on the line itself fall right iff d x u > 0.  If d x u = 0, a lattice
+point on the line lies on the curve and the walk refuses it (AssertionError):
+a d with gcd(d) > 1, or the start rule, with u = 0 or u parallel to d.
+
+The walk holds the crossed edge's right and left ends R and L and the third
+vertex P of the triangle behind it.  The two triangles on an edge have third
+vertices summing to its ends, so the one ahead has C = R + L - P; it is a
+plus triangle left across CL if C is right, else a minus one left across RC.
+Each triangle has one edge of each kind, and the exit edge is parallel to
+the edge of the triangle behind that does not touch it, so it has that
+edge's kind; it is plus iff its midpoint is right.  cross(d, p - a) is
+linear in p, so the walk keeps it for R, L and P, and no coordinates.  The
+curve crosses each line strictly between a and a + d once, which fixes the
+number of steps.  It starts across the far edge of the triangle around a
+whose neighbours of a lie right then left, counter-clockwise.  Under the
+start rule it comes from the triangle whose neighbours lie left then right
+and also crosses the lines through a; that triangle is not signed.  The
+triangle at a + d is signed only for a closing edge on it, minus iff its
+corner shared with the last crossed edge is right.
 """
 
 from __future__ import annotations
@@ -58,14 +68,6 @@ Point = tuple[int, int]
 Edge = tuple[Point, Point]
 
 
-def _shared_vertex(e1: Edge, e2: Edge) -> Point:
-    p, q = e1
-    if q in e2:
-        p, q = q, p
-    assert p in e2 and q not in e2, f"edges {e1}, {e2} do not bound one triangle"
-    return p
-
-
 def _rle(parts: Sequence[int]) -> tuple[int, ...]:
     """Run lengths of a sign string given as nonzero signed counts."""
     runs: list[int] = []
@@ -77,20 +79,11 @@ def _rle(parts: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(abs, runs))
 
 
-def _lines(p: int, q: int, start: bool) -> range:
-    """Integer lines strictly between p and q, plus the line p when start."""
-    if p <= q:
-        return range(p + 1 - start, q)
-    return range(q + 1, p + start)
-
-
-def _tie_down(first_order: int) -> int:
-    """Floor correction at an integer coordinate: 1 iff the curve passes just below."""
-    assert first_order, "curve passes through a lattice point"
-    return first_order < 0
-
-
-_EMPTY_RUN = array("I", (0, 0, 0, 0))
+_EMPTY_RUN = (0, 0, 0, 0)
+# the neighbours of a lattice point, counter-clockwise, and the kind of the
+# edge to each one as its slot from the end of a run: -3, -2, -1 for h, d, v
+_RING = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+_RING_KIND = (-3, -1, -2, -3, -1, -2)
 
 
 @functools.lru_cache(maxsize=1 << 8)
@@ -100,56 +93,59 @@ def _skeleton(a: Point, d: Point, u: Point, start: bool, closing: Edge | None) -
     run that is empty iff the string starts with -.  A closing edge adds only
     the triangle before it.  The cached array is shared: read it, never write."""
     (ax, ay), (dx, dy), (ux, uy) = a, d, u
-    s = dx + dy
     cross_du = dx * uy - dy * ux
-    base = ay * dx - ax * dy  # cross(d, p - a) = dx*py - dy*px - base
-    # a doubled point (px2, py2) is right of the curve iff dx*py2 - dy*px2 < lim
-    lim = 2 * base + (cross_du > 0)
-    scale = abs((dx or 1) * (dy or 1) * (s or 1))  # c * scale is an integer pair
-
-    # the curve meets x = i at y = (base + i*dy)/dx + eps*cross_du/dx, and y = j
-    # (x + y = m) at x = (n*dx - base)/q - eps*cross_du/q with n, q = j, dy (m, s);
-    # c * scale steps by scale // dx (scale // q) per line, exactly; an event's
-    # kind is its edge's slot in a run: 1, 2, 3 for h, d, v
-    events: list[tuple[int, int, int, Edge]] = []
-    step = scale // (dx or 1)
-    c1 = -ux * step
-    for i in _lines(ax, ax + dx, start):
-        y, r = divmod(base + i * dy, dx)
-        if not r:
-            y -= _tie_down(cross_du * dx)
-        events.append(((i - ax) * step, c1, 3, ((i, y), (i, y + 1))))
-    for kind, q, lo, w in ((1, dy, ay, 0), (2, s, ax + ay, 1)):  # y = j, x + y = m
-        step = scale // (q or 1)
-        c1 = -(uy + w * ux) * step
-        for n in _lines(lo, lo + q, start):
-            x, r = divmod(n * dx - base, q)
-            if not r:
-                x -= _tie_down(-cross_du * q)
-            y = n - w * x
-            events.append(((n - lo) * step, c1, kind, ((x, y), (x + 1, y - w))))
-    events.sort()
-    if closing is not None:
-        events.append((scale, 0, 0, closing))  # at c = 1; signs only the triangle before it
-    runs = array("I", _EMPTY_RUN)
-    plus = True  # the sign of the last run
-    k0 = k1 = prev = None
-    for c0, c1, kind, edge in events:
-        if prev is not None:
-            assert c0 != k0 or c1 != k1, "two crossings share a key"
-            vx, vy = _shared_vertex(prev, edge)
-            if (2 * (dx * vy - dy * vx) < lim) is plus:  # minus iff the vertex is right
-                runs += _EMPTY_RUN
-                plus = not plus
-            runs[-4] += 1
-        if kind:
-            (px, py), (qx, qy) = edge
-            if (dx * (py + qy) - dy * (px + qx) < lim) is not plus:  # plus iff right
-                runs += _EMPTY_RUN
-                plus = not plus
-            runs[kind - 4] += 1
-        k0, k1, prev = c0, c1, edge
-    return runs
+    tie = int(cross_du > 0)  # w(p) = cross(d, p - a): p is right iff w(p) < tie
+    crossings = sum(abs(q) - 1 + start for q in (dx, dy, dx + dy) if q)
+    if not crossings:
+        return array("I", _EMPTY_RUN)
+    runs = list(_EMPTY_RUN)
+    ring = [dx * y - dy * x for x, y in _RING]  # w at the neighbours of a
+    assert cross_du or all(ring), "curve passes through a lattice point"
+    side = [w < tie for w in ring]
+    # the walk leaves the triangle around a ahead of a, or under the start
+    # rule comes from the one behind it: its neighbours of a lie right then
+    # left, or left then right, counter-clockwise (ring index i - 5 is i + 1)
+    i = next(i for i in range(6) if side[i] != side[i - 5] == start)
+    r, l = (i - 5, i) if start else (i, i - 5)
+    # across its far edge, with a behind: w at R, L and P, kinds of RL, RP, PL
+    wr, wl, wp = ring[r], ring[l], 0
+    k, kr, kl = -6 - _RING_KIND[r] - _RING_KIND[l], _RING_KIND[r], _RING_KIND[l]
+    if start:  # or across its edge from a, with R or L behind
+        assert cross_du, "curve passes through a lattice point"
+        if tie:  # a is right: across (a, L)
+            wr, wp = 0, wr
+            k, kr, kl = kl, kr, k
+        else:  # across (R, a)
+            wl, wp = 0, wl
+            k, kr, kl = kr, k, kl
+    plus = True
+    while True:
+        if (wr + wl < tie) is not plus:  # an edge is plus iff its midpoint is right
+            runs += _EMPTY_RUN
+            plus = not plus
+        runs[k] += 1
+        crossings -= 1
+        if not crossings:
+            break
+        wc = wr + wl - wp  # at C, the third vertex ahead
+        right = wc < tie
+        if right:
+            wr, wp = wc, wr
+            k, kr, kl = kr, kl, k
+        else:
+            assert wc or cross_du, "curve passes through a lattice point"
+            wl, wp = wc, wl
+            k, kr, kl = kl, k, kr
+        if right is not plus:
+            runs += _EMPTY_RUN
+            plus = not plus
+        runs[-4] += 1
+    if closing is not None:  # the triangle at a + d, minus iff its corner on closing is right
+        vx, vy = closing[closing[0] == (ax + dx, ay + dy)]
+        if (dx * (vy - ay) - dy * (vx - ax) < tie) is plus:
+            runs += _EMPTY_RUN
+        runs[-4] += 1
+    return array("I", runs)
 
 
 def _weigh(skeleton: array, kappa: tuple[int, int, int]) -> list[int]:

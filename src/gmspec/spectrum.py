@@ -293,7 +293,11 @@ def _walk_order(row: tuple) -> tuple:
 def _element(
     delta: int, n: int, pos: int, num: int, den: int, params: GMParams
 ) -> SpectrumElement:
-    t = IrreducibleFraction(num, den)
+    # a walked label is 0/1, 1/0 or a mediant of Farey neighbours, so it is
+    # reduced by construction and skips IrreducibleFraction's gcd check
+    t = object.__new__(IrreducibleFraction)
+    object.__setattr__(t, "num", num)
+    object.__setattr__(t, "den", den)
     return SpectrumElement(_sqrt_over(delta, n), n, pos, t, params)
 
 

@@ -1,13 +1,14 @@
 """Reference sign-sequence walks that the fast paths in gmspec.lattice are
 checked against.
 
-Each walk keys its crossing events by exact `Fraction`s and has its own side
-test; neither uses the integer crossing-event engine of gmspec.lattice.
+Each walk keys its crossing events by exact `Fraction`s, sorts them and has
+its own side test; neither uses the triangle walk of gmspec.lattice.
 
 * `admissible_sequence_with_delta` shifts the segment (0,0) -> (den, num) by
   a concrete rational delta instead of an infinitesimal.
-* `segment_sign_sequence` keys each crossing by a (zeroth order, first
-  order) pair of `Fraction`s and floors it with `_dual_floor`.
+* `segment_signs` keys each crossing of a + c*d + eps*u by a (zeroth order,
+  first order) pair of `Fraction`s and floors it with `_dual_floor`, with or
+  without the start rule; `segment_sign_sequence` adds the endpoint signs.
 """
 
 from __future__ import annotations
@@ -103,6 +104,61 @@ def _dual_floor(c0: Fraction, c1: Fraction) -> int:
     raise AssertionError("curve passes through a lattice point")
 
 
+def segment_signs(
+    a: Point, d: Point, u: Point, params: GMParams, start: bool = False
+) -> list[int]:
+    """Signs, +1 or -1, of the curve a + c*d + eps*u, 0 < c < 1, across the
+    lines strictly between a and a + d, and under the start rule also across
+    the lines through a; the triangles at the two ends are not signed."""
+    dx, dy = d
+    ux, uy = u
+    events: list[tuple[tuple[Fraction, Fraction], str, tuple[Point, Point], Point]] = []
+
+    def crossed(p: int, q: int) -> list[int]:
+        return [m for m in range(min(p, q), max(p, q) + 1) if m != q and (m != p or start)]
+
+    for i in crossed(a[0], a[0] + dx):
+        c0 = Fraction(i - a[0], dx)
+        c1 = Fraction(-ux, dx)
+        yf = _dual_floor(a[1] + c0 * dy, c1 * dy + uy)
+        events.append(((c0, c1), "v", ((i, yf), (i, yf + 1)), (2 * i, 2 * yf + 1)))
+    for j in crossed(a[1], a[1] + dy):
+        c0 = Fraction(j - a[1], dy)
+        c1 = Fraction(-uy, dy)
+        xf = _dual_floor(a[0] + c0 * dx, c1 * dx + ux)
+        events.append(((c0, c1), "h", ((xf, j), (xf + 1, j)), (2 * xf + 1, 2 * j)))
+    for m in crossed(a[0] + a[1], a[0] + a[1] + dx + dy):
+        s = dx + dy
+        c0 = Fraction(m - a[0] - a[1], s)
+        c1 = Fraction(-(ux + uy), s)
+        xf = _dual_floor(a[0] + c0 * dx, c1 * dx + ux)
+        events.append(
+            (
+                (c0, c1),
+                "d",
+                ((xf, m - xf), (xf + 1, m - xf - 1)),
+                (2 * xf + 1, 2 * (m - xf) - 1),
+            )
+        )
+    events.sort(key=lambda e: e[0])
+
+    # side value is cross(d, p - a) - eps*bias; bias > 0 sends ties right
+    bias = dx * uy - dy * ux
+
+    def right_of(px2: int, py2: int) -> bool:
+        cross0 = dx * (py2 - 2 * a[1]) - dy * (px2 - 2 * a[0])
+        return cross0 < 0 or (cross0 == 0 and bias > 0)
+
+    mult = dict(zip(_KINDS, params.kappa))
+    parts: list[int] = []
+    for idx, (_, kind, edge, mid2) in enumerate(events):
+        parts.extend([1 if right_of(*mid2) else -1] * mult[kind])
+        if idx + 1 < len(events):
+            vx, vy = _shared_vertex(edge, events[idx + 1][2])
+            parts.append(-1 if right_of(2 * vx, 2 * vy) else 1)
+    return parts
+
+
 def segment_sign_sequence(
     a: Point,
     b: Point,
@@ -125,61 +181,14 @@ def segment_sign_sequence(
     if (dx, dy) in _UNIT_STEPS:
         return ()
     if math.gcd(dx, dy) == 1:
-        ux, uy = 0, 0
+        u = (0, 0)
     elif side == "left":
-        ux, uy = -dy, dx
+        u = (-dy, dx)
     elif side == "right":
-        ux, uy = dy, -dx
+        u = (dy, -dx)
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-    events: list[tuple[tuple[Fraction, Fraction], str, tuple[Point, Point], Point]] = []
-
-    def between(p: int, q: int) -> range:
-        return range(min(p, q) + 1, max(p, q))
-
-    for i in between(a[0], b[0]):
-        c0 = Fraction(i - a[0], dx)
-        c1 = Fraction(-ux, dx)
-        yf = _dual_floor(a[1] + c0 * dy, c1 * dy + uy)
-        events.append(((c0, c1), "v", ((i, yf), (i, yf + 1)), (2 * i, 2 * yf + 1)))
-    for j in between(a[1], b[1]):
-        c0 = Fraction(j - a[1], dy)
-        c1 = Fraction(-uy, dy)
-        xf = _dual_floor(a[0] + c0 * dx, c1 * dx + ux)
-        events.append(((c0, c1), "h", ((xf, j), (xf + 1, j)), (2 * xf + 1, 2 * j)))
-    for m in between(a[0] + a[1], b[0] + b[1]):
-        s = dx + dy
-        c0 = Fraction(m - a[0] - a[1], s)
-        c1 = Fraction(-(ux + uy), s)
-        xf = _dual_floor(a[0] + c0 * dx, c1 * dx + ux)
-        events.append(
-            (
-                (c0, c1),
-                "d",
-                ((xf, m - xf), (xf + 1, m - xf - 1)),
-                (2 * xf + 1, 2 * (m - xf) - 1),
-            )
-        )
-    if not events:
-        return ()
-    events.sort(key=lambda e: e[0])
-
-    # side value is cross(d, p - a) - eps*bias; bias > 0 sends ties right
-    bias = dx * uy - dy * ux
-
-    def right_of(px2: int, py2: int) -> bool:
-        cross0 = dx * (py2 - 2 * a[1]) - dy * (px2 - 2 * a[0])
-        return cross0 < 0 or (cross0 == 0 and bias > 0)
-
-    mult = dict(zip(_KINDS, params.kappa))
-    parts: list[int] = []
-    for idx, (_, kind, edge, mid2) in enumerate(events):
-        parts.extend([1 if right_of(*mid2) else -1] * mult[kind])
-        if idx + 1 < len(events):
-            vx, vy = _shared_vertex(edge, events[idx + 1][2])
-            parts.append(-1 if right_of(2 * vx, 2 * vy) else 1)
-
+    parts = segment_signs(a, (dx, dy), u, params)
     first = parts[0] if parts else -1
     last = parts[-1] if parts else first
     start = first if endpoints[0] == "merge" else int(endpoints[0])

@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 from lattice_oracle import admissible_sequence_with_delta
 from lattice_oracle import segment_sign_sequence as reference_segment_sign_sequence
+from lattice_oracle import segment_signs
 
 from gmspec.exact import cf_matrix
 from gmspec.farey import IrreducibleFraction
 from gmspec.gmtree import ALL_SIGMAS, GMParams, gm_pair, parse_sigma
 from gmspec.lattice import (
-    _shared_vertex,
     _skeleton,
     _weigh,
     admissible_sequence,
@@ -339,17 +339,65 @@ def test_skeleton_cache_is_keyed_by_the_whole_segment():
         assert warm == cold, (a, (dx, dy))
 
 
-def test_shared_vertex_requires_exactly_one_common_vertex():
-    e = ((0, 0), (1, 0))
-    assert _shared_vertex(e, ((1, 0), (0, 1))) == (1, 0)
-    assert _shared_vertex(e, ((0, 1), (0, 0))) == (0, 0)
-    for other in (e, e[::-1], ((0, 1), (1, 1))):
-        with pytest.raises(AssertionError):
-            _shared_vertex(e, other)
-
-
 def test_skeleton_cache_is_bounded_and_clears():
     assert _skeleton.cache_info().maxsize is not None
     admissible_sequence(F("3/7"), P120)
     _skeleton.cache_clear()
     assert _skeleton.cache_info().currsize == 0
+
+
+def test_skeleton_refuses_a_curve_through_a_lattice_point():
+    # d with gcd(d) > 1 passes a lattice point unless u pushes it off the line
+    for a, d in itertools.product(((0, 0), (3, -4)), ((2, 0), (0, -3), (4, 6), (-6, 3), (2, -2))):
+        for u in ((0, 0), d, (-d[0], -d[1])):
+            for start in (False, True):
+                with pytest.raises(AssertionError, match="lattice point"):
+                    _skeleton(a, d, u, start, None)
+    # under the start rule the curve also passes a itself
+    with pytest.raises(AssertionError, match="lattice point"):
+        _skeleton((1, 1), (3, 2), (0, 0), True, None)
+
+
+# the six open sectors between the lattice directions around a point, counter-clockwise
+SECTORS = (
+    lambda x, y: x > 0 and y > 0,
+    lambda x, y: x < 0 < x + y,
+    lambda x, y: y > 0 > x + y,
+    lambda x, y: x < 0 and y < 0,
+    lambda x, y: x > 0 > x + y,
+    lambda x, y: y < 0 < x + y,
+)
+
+
+def test_skeleton_matches_the_fraction_keyed_oracle_under_both_start_rules():
+    rng = random.Random(52)
+    kappas = ((1, 2, 0), (0, 0, 0), (3, 1, 2), (0, 2, 0))
+    seen = [0] * 7  # per sector, then along a lattice direction
+    refused = 0
+    for _ in range(400):
+        a = (rng.randint(-20, 20), rng.randint(-20, 20))
+        d = (rng.randint(-9, 9), rng.randint(-9, 9))
+        if d == (0, 0):
+            continue
+        # u to either side of d, on or off its perpendicular, or anywhere
+        side, t = rng.choice((1, -1)), rng.randint(-3, 3)
+        u = rng.choice((
+            (t * d[0] - side * d[1], t * d[1] + side * d[0]),
+            (rng.randint(-3, 3), rng.randint(-3, 3)),
+        ))
+        start = rng.random() < 0.5
+        seen[next((i for i, f in enumerate(SECTORS) if f(*d)), 6)] += 1
+        cross_du = d[0] * u[1] - d[1] * u[0]
+        if not cross_du and (start or math.gcd(*d) > 1):
+            refused += 1
+            with pytest.raises(AssertionError):
+                _skeleton(a, d, u, start, None)
+            with pytest.raises(AssertionError):
+                segment_signs(a, d, u, GMParams(1, 2, 0), start)
+            continue
+        skeleton = _skeleton(a, d, u, start, None)
+        for kappa in kappas:
+            runs = _weigh(skeleton, kappa)
+            got = [(-1) ** i for i, n in enumerate(runs) for _ in range(n)]
+            assert got == segment_signs(a, d, u, GMParams(*kappa), start), (a, d, u, start, kappa)
+    assert min(seen) > 0 and refused > 0, (seen, refused)

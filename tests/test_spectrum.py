@@ -31,6 +31,7 @@ from gmspec.spectrum import (
     FREIMAN_CONSTANT,
     SpectrumElement,
     _distinct_values,
+    _element,
     _walk_order,
     _window_cut,
     alpha_fixed_point,
@@ -463,6 +464,14 @@ def test_sqrt_over_and_its_decimal_match_the_general_paths_on_the_grid_rows():
         assert (x.p, x.q, x.D, x.r) == (want.p, want.q, want.D, want.r), (delta, n)
         for sig in range(1, 21) if i % 10 == 0 else (12,):
             assert decimal_str(x, sig) == _decimal_interval(x, sig), (x, sig)
+
+
+def test_walked_labels_are_reduced_so_elements_skip_the_gcd_check():
+    # `_element` builds its label without IrreducibleFraction's gcd check
+    rows = [row for k in grid_triples() for row in _distinct_values(k, 8)]
+    assert all(math.gcd(num, den) == 1 for *_, num, den, _ in rows)
+    for row in rows[::97]:
+        assert _element(*row).t == IrreducibleFraction(*row[3:5]), row
 
 
 def test_sqrt_over_matches_the_former_square_split_on_the_grid_rows():
