@@ -26,8 +26,8 @@ flat array('I'), in an LRU cache per segment (a, d, u, start, closing) for
 ad-hoc queries; the verify grid holds its own label skeletons per depth.
 `_weigh` weighs each run under kappa as t + kh*h + kd*d + kv*v; a run of
 edges whose multiplicity is zero weighs 0 and vanishes, and its neighbours,
-which share a sign, join.  Only `segment_sign_sequence` still run-length
-encodes signs, to merge or pin its two endpoint signs.
+which share a sign, join.  `segment_sign_sequence` adds its two endpoint
+signs to the first and last runs, or as runs of their own.
 
 A point p lies right of the curve iff cross(d, p - a) - eps*(d x u) < 0, so
 points on the line itself fall right iff d x u > 0.  If d x u = 0, a lattice
@@ -66,17 +66,6 @@ __all__ = ["admissible_sequence", "segment_sign_sequence", "gm_length", "gm_dist
 
 Point = tuple[int, int]
 Edge = tuple[Point, Point]
-
-
-def _rle(parts: Sequence[int]) -> tuple[int, ...]:
-    """Run lengths of a sign string given as nonzero signed counts."""
-    runs: list[int] = []
-    for p in parts:
-        if runs and runs[-1] * p > 0:
-            runs[-1] += p
-        else:
-            runs.append(p)
-    return tuple(map(abs, runs))
 
 
 _EMPTY_RUN = (0, 0, 0, 0)
@@ -233,13 +222,19 @@ def segment_sign_sequence(
     else:
         u = (dy, -dx)
 
+    # the runs alternate +, -, ... and only the first may be 0; [0] has no signs
     runs = _weigh(_skeleton(a, (dx, dy), u, False, None), params.kappa)
-    parts = [-n if i % 2 else n for i, n in enumerate(runs) if n]
-    first = 1 if parts and parts[0] > 0 else -1
-    last = (1 if parts[-1] > 0 else -1) if parts else first
+    first = 1 if runs[0] else -1
+    last = 1 if runs[-1] and len(runs) % 2 else -1
     start = first if endpoints[0] == "merge" else int(endpoints[0])
     end = last if endpoints[1] == "merge" else int(endpoints[1])
-    return _rle([start, *parts, end])
+    if not runs[-1]:
+        return (2,) if start == end else (1, 1)
+    # an endpoint sign joins the run next to it if they share a sign, else is a run of 1
+    runs = runs if runs[0] else runs[1:]
+    runs[0] += start == first
+    runs[-1] += end == last
+    return (1,) * (start != first) + tuple(runs) + (1,) * (end != last)
 
 
 def gm_length(seq: Sequence[int]) -> int:

@@ -6,13 +6,13 @@ one integer walk of its tree zipped with `_labels(depth)`, a table cached per
 depth of each label and its lattice skeleton, traced once and free of kappa,
 so the grid never relies on the lattice's bounded skeleton cache.  Each entry
 holds its label t, the tree data (n, u, k_t), the convergent and closed-form
-matrices of t, and the minimal lower-left entry over the cyclic rotations of
-its admissible sequence, found by conjugating the convergent matrix by one
-entry's matrix [[x, 1], [1, 0]] per rotation step (small-by-large products
-only, no matrix per rotation).  Trees with the same kappa are identical up to
-a relabeling of positions, so one loop, `_cases`, serves every (triple,
-permutation) pair from the cache, and t -> 1/t reads the reversed
-arrangement's grid at the mirror index.
+matrices of t, and the least lower-left entry over the cyclic rotations of
+its admissible sequence, by conjugating the convergent matrix one entry at a
+time on three integers.  Trees with the same kappa are identical up to a
+relabeling of positions, so a suite checks each kappa once per call, at the
+first (triple, permutation) pair on it, which a failure names, and counts its
+cases at every pair; t -> 1/t reads the reversed arrangement's grid at the
+mirror index.  The duality surd sample covers the first ten triples visited.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from typing import Callable, Iterable, Iterator
 
 from .cohn import closed_form_entries
@@ -109,13 +108,14 @@ def _mirror(depth: int) -> tuple[int, ...]:
 
 def _rotation_min_c(seq: tuple[int, ...], m: tuple[int, int, int, int]) -> int:
     """Least (2,1) entry of A_i^-1 ... A_1^-1 M A_1 ... A_i over the rotations,
-    M the convergent matrix of seq and A_i = [[x_i, 1], [1, 0]]: one conjugation
-    per step, A^-1 [[a, b], [c, d]] A = [[cx + d, c], [(a - cx - d)x + b, a - cx]]."""
+    M the convergent matrix of seq and A_i = [[x_i, 1], [1, 0]].  Conjugating by
+    A keeps a + d and maps (e, c, b) = (a - d, c, b) to (2cx - e, (e - cx)x + b, c)."""
     a, b, c, d = m
+    e = a - d
     best = c
     for x in seq[:-1]:
         cx = c * x
-        a, b, c, d = cx + d, c, (a - cx - d) * x + b, a - cx
+        e, c, b = cx + cx - e, (e - cx) * x + b, c
         if c < best:
             best = c
     # best is the least entry, the first one included, so this checks them all
@@ -147,19 +147,19 @@ def _grid(kappa: tuple[int, int, int], depth: int) -> tuple[GridEntry, ...]:
     return tuple(out)
 
 
-def _cases(
+def _arrangements(
     depth: int, triples: Iterable[tuple[int, int, int]] | None
-) -> Iterator[tuple[tuple[int, int, int], Sigma, GridEntry, GridEntry | None]]:
-    """Every (triple, sigma, e, e_star) over `triples` (default grid_triples()),
-    label by label with 1/0 last: e is t's entry under (triple, sigma), e_star
-    1/t's under the reversed arrangement, or None at 1/0 (0/1 is off the grid)."""
-    mirror = _mirror(depth)
+) -> Iterator[tuple[tuple[int, int, int], Sigma, tuple[int, ...], tuple[GridEntry, ...], bool]]:
+    """Every (triple, sigma, kappa, grid, first) over `triples` (default
+    grid_triples()): kappa's entries, label by label with 1/0 last, and whether
+    this is the call's first pair on kappa, the one whose suite checks it."""
+    seen = set()
     for triple in grid_triples() if triples is None else triples:
         for sigma in ALL_SIGMAS:
             kappa = GMParams(*triple, sigma).kappa
-            star = _grid(kappa[::-1], depth)
-            stars = [star[j] for j in mirror] + [None]
-            yield from zip(repeat(triple), repeat(sigma), _grid(kappa, depth), stars)
+            first = kappa not in seen
+            seen.add(kappa)
+            yield triple, sigma, kappa, _grid(kappa, depth), first
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +177,17 @@ def factorization_suite(
     form there is not a convergent product); 1/0 is included.
     """
     checked = 0
-    for triple, sigma, e, _ in _cases(depth, triples):
-        if e.cf != e.closed:
-            detail = f"t={e.t} k={triple} sigma={sigma}: {e.cf} != {e.closed}"
-            return [CheckResult("factorization", False, detail)]
-        m11, m12, m21, m22 = e.closed
-        if m11 * m22 - m12 * m21 != 1:
-            return [CheckResult("determinant", False, f"t={e.t} k={triple}")]
-        if m11 + m22 != e.coeff_sum * e.n - e.k_t:
-            return [CheckResult("trace", False, f"t={e.t} k={triple}")]
-        checked += 1
+    for triple, sigma, _, grid, first in _arrangements(depth, triples):
+        checked += len(grid)
+        for e in grid if first else ():
+            if e.cf != e.closed:
+                detail = f"t={e.t} k={triple} sigma={sigma}: {e.cf} != {e.closed}"
+                return [CheckResult("factorization", False, detail)]
+            m11, m12, m21, m22 = e.closed
+            if m11 * m22 - m12 * m21 != 1:
+                return [CheckResult("determinant", False, f"t={e.t} k={triple}")]
+            if m11 + m22 != e.coeff_sum * e.n - e.k_t:
+                return [CheckResult("trace", False, f"t={e.t} k={triple}")]
     return [
         CheckResult(name, True, f"{checked} cases")
         for name in ("factorization", "determinant", "trace")
@@ -238,13 +239,12 @@ def rotation_suite(
     counts, on the same grid as the factorization suite; plus the fixed
     ten-tail example at t = 2/5 under (1,2,0)."""
     checked = 0
-    for triple, sigma, e, e_star in _cases(depth, triples):
-        if e_star is None:
-            continue
-        if e.rot_min_c != e.cf[2]:
-            detail = f"t={e.t} k={triple} sigma={sigma}"
-            return [CheckResult("rotation-minimality", False, detail)]
-        checked += 1
+    for triple, sigma, _, grid, first in _arrangements(depth, triples):
+        checked += len(grid) - 1  # the interior labels, as in the duality suite
+        for e in grid[:-1] if first else ():
+            if e.rot_min_c != e.cf[2]:
+                detail = f"t={e.t} k={triple} sigma={sigma}"
+                return [CheckResult("rotation-minimality", False, detail)]
     out = [CheckResult("rotation-minimality", True, f"{checked} cases")]
     s = admissible_sequence(IrreducibleFraction(2, 5), GMParams(1, 2, 0))
     tails = tuple(continuant(w) for w in rotation_tails(s))
@@ -270,29 +270,34 @@ def duality_suite(
     * the value is invariant under t -> 1/t with the reversed arrangement;
     * characteristic numbers satisfy u(1/t) = n(t) - u*(t) - k(t).
 
-    A small subsample recomputes the three values as full surds through the
-    public API.
+    Each kappa is checked once per call and counted at every (triple, sigma)
+    on it.  A sample recomputes the three values as surds through the public
+    API: sigma = (2, 3, 1), the labels to depth surd_sample_depth and the
+    first ten triples visited (grid_triples()[:10] by default).
     """
+    triples = grid_triples() if triples is None else list(triples)
+    mirror = _mirror(depth)
     checked = 0
-    for triple, _, e, e_star in _cases(depth, triples):
-        if e_star is None:
-            continue
-        if e.cf[2] != e.n or e.rot_min_c != e.n:
-            return [CheckResult("main-theorem", False, f"t={e.t} k={triple}")]
-        tr = e.cf[0] + e.cf[3]
-        tr_s = e_star.cf[0] + e_star.cf[3]
-        if (tr * tr - 4) * e_star.rot_min_c**2 != (tr_s * tr_s - 4) * e.rot_min_c**2:
-            return [CheckResult("lagrange-duality", False, f"t={e.t} k={triple}")]
-        # u_t = n_t - u*(1/t) - k_t
-        if e.u != e.n - e_star.u - e.k_t:
-            return [CheckResult("characteristic-duality", False, f"t={e.t} k={triple}")]
-        checked += 1
+    for triple, _, kappa, grid, first in _arrangements(depth, triples):
+        checked += len(mirror)  # the interior labels: 1/0's mirror 0/1 is off the grid
+        star = _grid(kappa[::-1], depth)
+        for e, j in zip(grid, mirror) if first else ():
+            e_star = star[j]
+            if e.cf[2] != e.n or e.rot_min_c != e.n:
+                return [CheckResult("main-theorem", False, f"t={e.t} k={triple}")]
+            tr = e.cf[0] + e.cf[3]
+            tr_s = e_star.cf[0] + e_star.cf[3]
+            if (tr * tr - 4) * e_star.rot_min_c**2 != (tr_s * tr_s - 4) * e.rot_min_c**2:
+                return [CheckResult("lagrange-duality", False, f"t={e.t} k={triple}")]
+            # u_t = n_t - u*(1/t) - k_t
+            if e.u != e.n - e_star.u - e.k_t:
+                return [CheckResult("characteristic-duality", False, f"t={e.t} k={triple}")]
     out = [
         CheckResult(name, True, f"{checked} cases")
         for name in ("main-theorem", "lagrange-duality", "characteristic-duality")
     ]
     sampled = 0
-    for triple in grid_triples(extra=2):
+    for triple in triples[:10]:
         params = GMParams(*triple, (2, 3, 1))
         for t in grid_fractions(surd_sample_depth):
             s = admissible_sequence(t, params)

@@ -3,6 +3,8 @@ import itertools
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmspec import lattice, verify
 from gmspec.cohn import closed_form_entries
@@ -253,3 +255,131 @@ def test_rotation_minimum_is_the_least_rotation_entry():
             want = min(cf_matrix(s[i:] + s[:i]).c for i in range(len(s)))
             assert verify._rotation_min_c(s, e.cf) == e.rot_min_c == want, (e.t, kappa)
 
+
+
+@given(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=48).map(tuple))
+@settings(deadline=None)
+def test_rotation_minimum_on_three_integers_matches_every_rotation(s):
+    # any positive block, not only admissible sequences
+    m = cf_matrix(s)
+    want = min(cf_matrix(s[i:] + s[:i]).c for i in range(len(s)))
+    assert verify._rotation_min_c(s, (m.a, m.b, m.c, m.d)) == want
+
+
+_REPEATED = [(0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 1)]
+
+
+def _grid_suites(triples, depth=3):
+    return (
+        verify.factorization_suite(depth=depth, triples=triples)
+        + verify.rotation_suite(depth=depth, triples=triples)
+        + verify.duality_suite(depth=depth, triples=triples, surd_sample_depth=1)
+    )
+
+
+def _counts(results):
+    return [(r.name, int(r.detail.split()[0])) for r in results if r.detail[:1].isdigit()]
+
+
+def test_repeated_arrangements_count_every_case():
+    # the four triples share three arrangements, each met eight times, yet the
+    # counts are those of four separate calls, surd sample included
+    results = _grid_suites(_REPEATED)
+    assert all(r.ok for r in results)
+    singles = [_counts(_grid_suites([t])) for t in _REPEATED]
+    assert _counts(results) == [
+        (name, sum(c[i][1] for c in singles)) for i, (name, _) in enumerate(singles[0])
+    ]
+
+
+@pytest.mark.parametrize("tampered_kappa", [(1, 0, 0), (0, 0, 1)])
+@pytest.mark.parametrize(
+    "suite, index, change, name",
+    [(c[0], c[1], c[3], c[4]) for c in _WRONG_ENTRIES],
+    ids=[c[4] if c[2] == "1/2" else f"{c[4]}-at-{c[2]}" for c in _WRONG_ENTRIES],
+)
+def test_a_wrong_arrangement_fails_at_its_first_pair(
+    monkeypatch, suite, index, change, name, tampered_kappa
+):
+    # a kappa is checked only at the first (triple, sigma) on it, so a call
+    # over several triples fails as the first failing one-triple call does:
+    # that is where a scan of every pair meets the wrong entry first
+    grid = verify._grid
+
+    def tampered(kappa, depth):
+        entries = list(grid(kappa, depth))
+        if kappa == tampered_kappa:
+            entries[index] = dataclasses.replace(entries[index], **change(entries[index]))
+        return tuple(entries)
+
+    monkeypatch.setattr(verify, "_grid", tampered)
+    kwargs = {"surd_sample_depth": 0} if suite == "duality" else {}
+    run = getattr(verify, f"{suite}_suite")
+    triples = [(0, 2, 2), *_REPEATED[:3]]  # three triples on the same three kappas
+    singles = [run(depth=3, triples=[t], **kwargs) for t in triples]
+    first_failure = next(r for r in singles if not all(c.ok for c in r))
+    results = run(depth=3, triples=triples, **kwargs)
+    assert results == first_failure
+    # in duality a wrong entry of the reversed kappa may fail another check first
+    assert len(results) == 1 and not results[0].ok
+    # (0, 2, 2) has neither kappa, and (0, 0, 1) meets both first
+    assert "k=(0, 0, 1)" in results[0].detail
+    if suite != "duality":
+        assert results[0].name == name
+    if name in ("factorization", "rotation-minimality"):
+        sigma = next(g for g in ALL_SIGMAS if GMParams(0, 0, 1, g).kappa == tampered_kappa)
+        assert f"k=(0, 0, 1) sigma={sigma}" in results[0].detail
+
+
+class _CountedGrid(tuple):
+    """A grid that counts in `walks`, by its `kappa`, the walks through its
+    entries: iterations and slices, not reads by index."""
+
+    def __iter__(self):
+        self.walks[self.kappa] = self.walks.get(self.kappa, 0) + 1
+        return super().__iter__()
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            self.walks[self.kappa] = self.walks.get(self.kappa, 0) + 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("suite", ["factorization", "rotation", "duality"])
+def test_each_arrangement_is_walked_once_per_call(monkeypatch, suite):
+    grid = verify._grid
+    walks = {}
+
+    def counted(kappa, depth):
+        out = _CountedGrid(grid(kappa, depth))
+        out.kappa, out.walks = kappa, walks
+        return out
+
+    monkeypatch.setattr(verify, "_grid", counted)
+    kwargs = {"surd_sample_depth": 0} if suite == "duality" else {}
+    triples = grid_triples()
+    results = getattr(verify, f"{suite}_suite")(depth=2, triples=triples, **kwargs)
+    assert all(r.ok for r in results)
+    kappas = {GMParams(*t, sigma).kappa for t in triples for sigma in ALL_SIGMAS}
+    # 28 triples meet 42 arrangements 168 times; each one's entries are read once
+    assert len(kappas) == 42
+    assert walks == dict.fromkeys(kappas, 1)
+
+
+def test_surd_sample_covers_the_first_ten_triples_visited(monkeypatch):
+    visited = []
+    markov = verify.markov_value
+
+    def recorded(t, params):
+        visited.append((params.k1, params.k2, params.k3))
+        return markov(t, params)
+
+    monkeypatch.setattr(verify, "markov_value", recorded)
+    one = verify.duality_suite(depth=3, triples=[(0, 2, 2)], surd_sample_depth=1)
+    assert one[-1] == CheckResult("surd-sample", True, "3 exact surd triples")
+    assert visited == [(0, 2, 2)] * 3
+    visited.clear()
+    default = verify.duality_suite(depth=3, surd_sample_depth=1)
+    assert default[-1] == CheckResult("surd-sample", True, "30 exact surd triples")
+    assert visited == [t for t in grid_triples()[:10] for _ in range(3)]
+    assert grid_triples()[:10] == grid_triples(extra=2)
