@@ -2,7 +2,9 @@
 
 A positive integer sequence (a_1, ..., a_n) determines a snake graph whose
 perfect-matching count equals the continuant of the sequence; the brute-force
-matcher is the independent oracle for that identity.
+matcher is the independent oracle for that identity.  The builder sweeps the
+tile path's columns once and emits vertices and edges in sorted order; the
+matcher backtracks over each least uncovered vertex's later neighbours.
 """
 
 from __future__ import annotations
@@ -68,6 +70,14 @@ def build_snake_graph(entries: Sequence[int]) -> SnakeGraph:
     tiles.  Equal adjacent join signs force a turn, unequal signs continue
     straight; the first join goes right.  The empty sequence gives the empty
     graph and (1) gives a single edge.
+
+    The tiles form a right/up path, so tile column x covers a run of rows
+    lo[x]..hi[x], with lo[x] = hi[x - 1].  Vertex column x then runs from
+    lo[x - 1] to hi[x] + 1 (the first column from 0, the one right of the
+    last tile column up to that column's top) with a vertical edge between
+    consecutive vertices, and a horizontal edge leaves (x, y) exactly when
+    x is a tile column and lo[x] <= y <= hi[x] + 1.  One sweep over the
+    vertex columns emits the vertices and edges already sorted.
     """
     seq = _check_entries(entries)
     total = sum(seq)
@@ -78,24 +88,43 @@ def build_snake_graph(entries: Sequence[int]) -> SnakeGraph:
         return SnakeGraph((), vs, ((vs[0], vs[1]),))
     joins = _sign_word(seq)[1:-1]
     tiles: list[Point] = [(0, 0)]
-    direction = "R"
+    lo, hi = [0], [0]
+    x = y = 0
+    right = True
     for i in range(len(joins)):
-        if i > 0:
-            if joins[i] == joins[i - 1]:
-                direction = "U" if direction == "R" else "R"
-        x, y = tiles[-1]
-        tiles.append((x + 1, y) if direction == "R" else (x, y + 1))
-    vset: set[Point] = set()
-    eset: set[tuple[Point, Point]] = set()
-    for x, y in tiles:
-        sw, se, ne, nw = (x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)
-        vset.update((sw, se, ne, nw))
-        eset.update(((sw, se), (se, ne), (nw, ne), (sw, nw)))  # each pair already sorted
-    return SnakeGraph(tuple(tiles), tuple(sorted(vset)), tuple(sorted(eset)))
+        if i > 0 and joins[i] == joins[i - 1]:
+            right = not right
+        if right:
+            x += 1
+            lo.append(y)
+            hi.append(y)
+        else:
+            y += 1
+            hi[-1] = y
+        tiles.append((x, y))
+    vertices: list[Point] = []
+    edges: list[tuple[Point, Point]] = []
+    for vx in range(x + 2):
+        bottom = lo[vx - 1] if vx else 0
+        top = hi[min(vx, x)] + 1
+        h_lo = lo[vx] if vx <= x else top + 1  # no horizontal edge leaves the last column
+        for vy in range(bottom, top + 1):
+            v = (vx, vy)
+            vertices.append(v)
+            if vy < top:
+                edges.append((v, (vx, vy + 1)))
+            if vy >= h_lo:
+                edges.append((v, (vx + 1, vy)))
+    return SnakeGraph(tuple(tiles), tuple(vertices), tuple(edges))
 
 
 def count_matchings_bruteforce(graph: SnakeGraph) -> int:
-    """Exhaustive perfect-matching count by backtracking over edges."""
+    """Exhaustive perfect-matching count by backtracking over edges.
+
+    Each step pairs the least uncovered vertex; every vertex before it is
+    covered, so only its later neighbours can take it, and its adjacency
+    list holds only those.  Each leaf of the search is one matching.
+    """
     if len(graph.tiles) > BRUTE_FORCE_TILE_BOUND:
         raise ValueError(
             f"graph has {len(graph.tiles)} tiles, brute-force bound is {BRUTE_FORCE_TILE_BOUND}"
@@ -103,10 +132,10 @@ def count_matchings_bruteforce(graph: SnakeGraph) -> int:
     if not graph.vertices:
         return 1
     index = {v: i for i, v in enumerate(graph.vertices)}
-    adj: list[list[int]] = [[] for _ in graph.vertices]
+    later: list[list[int]] = [[] for _ in graph.vertices]
     for u, v in graph.edges:
-        adj[index[u]].append(index[v])
-        adj[index[v]].append(index[u])
+        i, j = sorted((index[u], index[v]))
+        later[i].append(j)
     n = len(graph.vertices)
     covered = [False] * n
 
@@ -116,14 +145,12 @@ def count_matchings_bruteforce(graph: SnakeGraph) -> int:
             i += 1
         if i == n:
             return 1
-        covered[i] = True
         total = 0
-        for j in adj[i]:
+        for j in later[i]:
             if not covered[j]:
                 covered[j] = True
                 total += count_from(i + 1)
                 covered[j] = False
-        covered[i] = False
         return total
 
     return count_from(0)

@@ -28,7 +28,14 @@ from .exact import cf_matrix
 from .farey import IrreducibleFraction
 from .gmtree import ALL_SIGMAS, GMParams, IDENTITY, Sigma, _walk_tree
 from .lattice import _label_sequence, _label_skeleton, admissible_sequence
-from .snake import build_snake_graph, continuant, count_matchings_bruteforce, rotation_tails
+from .snake import (
+    BRUTE_FORCE_TILE_BOUND,
+    SnakeGraph,
+    build_snake_graph,
+    continuant,
+    count_matchings_bruteforce,
+    rotation_tails,
+)
 from .spectrum import (
     FREIMAN_CONSTANT,
     ell_periodic,
@@ -197,7 +204,21 @@ def factorization_suite(
 def snake_suite(exhaustive_sum: int = 12, random_count: int = 200) -> list[CheckResult]:
     """Continuant equals brute-force matching count: every composition with
     entry sum <= exhaustive_sum, plus `random_count` sequences seeded with
-    GRID_SEED whose sums run from there up to SNAKE_RANDOM_SUM."""
+    GRID_SEED whose sums run from there up to SNAKE_RANDOM_SUM.
+
+    A snake graph depends only on its inner join signs, so many sequences
+    share one: the brute-force count runs once per distinct graph, keyed by
+    `_snake_key`, and every sequence's continuant is compared with it."""
+    if not 0 <= exhaustive_sum <= BRUTE_FORCE_TILE_BOUND + 1:
+        raise ValueError(
+            f"exhaustive_sum must be in [0, {BRUTE_FORCE_TILE_BOUND + 1}], got {exhaustive_sum}"
+        )
+    if random_count < 0:
+        raise ValueError(f"random_count must be >= 0, got {random_count}")
+    if random_count and exhaustive_sum >= SNAKE_RANDOM_SUM:
+        raise ValueError(
+            f"random sequences need exhaustive_sum < {SNAKE_RANDOM_SUM}, got {exhaustive_sum}"
+        )
 
     def compositions(total: int):
         if total == 0:
@@ -220,12 +241,25 @@ def snake_suite(exhaustive_sum: int = 12, random_count: int = 200) -> list[Check
                 total -= x
             yield tuple(seq)
 
+    counts: dict[tuple, int] = {}
     checked = 0
     for seq in sequences():
-        if continuant(seq) != count_matchings_bruteforce(build_snake_graph(seq)):
+        graph = build_snake_graph(seq)
+        key = _snake_key(graph)
+        count = counts.get(key)
+        if count is None:
+            count = counts[key] = count_matchings_bruteforce(graph)
+        if continuant(seq) != count:
             return [CheckResult("snake-oracle", False, f"seq={seq}")]
         checked += 1
     return [CheckResult("snake-oracle", True, f"{checked} sequences")]
+
+
+def _snake_key(graph: SnakeGraph) -> tuple:
+    """A small key that tells snake graphs apart: the tiles fix the vertices
+    and edges, and the vertex count tells the empty graph from the one-edge
+    graph, both tile-free."""
+    return graph.tiles, len(graph.vertices)
 
 
 _PAPER_TAILS_EXPECTED = (8227, 32957, 12039, 12041, 32937, 8261, 9997, 31881, 12199, 11127)

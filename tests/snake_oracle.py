@@ -1,16 +1,18 @@
-"""Reference snake-graph builder that gmspec.snake.build_snake_graph is
-checked against.
+"""Reference snake-graph builder and matcher that gmspec.snake's are checked
+against.
 
-It walks each tile's four corners cyclically and orders every edge's two
-endpoints with min/max; the fast builder lists each tile's edges already
-ordered instead.
+The builder walks each tile's four corners cyclically, orders every edge's
+two endpoints with min/max and sorts the vertex and edge sets; the fast
+builder emits both in sorted order from one sweep over the tile columns.
+The matcher pairs the least uncovered vertex with any uncovered neighbour,
+earlier or later; the fast matcher keeps only the later ones.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from gmspec.snake import SnakeGraph, _check_entries, _sign_word
+from gmspec.snake import BRUTE_FORCE_TILE_BOUND, SnakeGraph, _check_entries, _sign_word
 
 Point = tuple[int, int]
 
@@ -48,3 +50,38 @@ def build_snake_graph(entries: Sequence[int]) -> SnakeGraph:
         for u, v in zip(corners, corners[1:] + corners[:1]):
             eset.add((min(u, v), max(u, v)))
     return SnakeGraph(tuple(tiles), tuple(sorted(vset)), tuple(sorted(eset)))
+
+
+def count_matchings_bruteforce(graph: SnakeGraph) -> int:
+    """Exhaustive perfect-matching count by backtracking over edges."""
+    if len(graph.tiles) > BRUTE_FORCE_TILE_BOUND:
+        raise ValueError(
+            f"graph has {len(graph.tiles)} tiles, brute-force bound is {BRUTE_FORCE_TILE_BOUND}"
+        )
+    if not graph.vertices:
+        return 1
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    adj: list[list[int]] = [[] for _ in graph.vertices]
+    for u, v in graph.edges:
+        adj[index[u]].append(index[v])
+        adj[index[v]].append(index[u])
+    n = len(graph.vertices)
+    covered = [False] * n
+
+    def count_from(start: int) -> int:
+        i = start
+        while i < n and covered[i]:
+            i += 1
+        if i == n:
+            return 1
+        covered[i] = True
+        total = 0
+        for j in adj[i]:
+            if not covered[j]:
+                covered[j] = True
+                total += count_from(i + 1)
+                covered[j] = False
+        covered[i] = False
+        return total
+
+    return count_from(0)

@@ -82,6 +82,27 @@ def test_build_matches_the_corner_walk_builder():
         assert build_snake_graph(seq) == snake_oracle.build_snake_graph(seq), seq
 
 
+def test_matcher_matches_the_full_adjacency_backtracker():
+    # every distinct graph with sum <= 12, then seeded sequences up to the
+    # brute-force bound; the later-neighbour search must count what the
+    # full-adjacency search counts
+    graphs = {build_snake_graph(seq) for total in range(13) for seq in compositions(total)}
+    # (), (1) and (2), then 2^(s - 3) turn patterns for each sum s from 3 to 12
+    assert len(graphs) == 3 + (2 ** 10 - 1) == 1026
+    rng = random.Random(35)
+    for _ in range(60):
+        total = rng.randint(13, BRUTE_FORCE_TILE_BOUND + 1)
+        seq = []
+        while total:
+            seq.append(rng.randint(1, min(total, 5)))
+            total -= seq[-1]
+        graphs.add(build_snake_graph(seq))
+    for graph in graphs:
+        assert count_matchings_bruteforce(graph) == snake_oracle.count_matchings_bruteforce(
+            graph
+        ), graph.tiles
+
+
 def test_reversal_invariance():
     rng = random.Random(31)
     for _ in range(200):

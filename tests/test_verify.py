@@ -383,3 +383,87 @@ def test_surd_sample_covers_the_first_ten_triples_visited(monkeypatch):
     assert default[-1] == CheckResult("surd-sample", True, "30 exact surd triples")
     assert visited == [t for t in grid_triples()[:10] for _ in range(3)]
     assert grid_triples()[:10] == grid_triples(extra=2)
+
+
+@pytest.mark.parametrize("exhaustive_sum, random_count", [
+    (-1, 0),
+    (verify.BRUTE_FORCE_TILE_BOUND + 2, 0),
+    (8, -5),
+    (verify.SNAKE_RANDOM_SUM, 1),
+])
+def test_snake_suite_refuses_bad_arguments(monkeypatch, exhaustive_sum, random_count):
+    def no_work(seq):
+        raise AssertionError("refuse before building any graph")
+
+    monkeypatch.setattr(verify, "build_snake_graph", no_work)
+    with pytest.raises(ValueError):
+        snake_suite(exhaustive_sum=exhaustive_sum, random_count=random_count)
+
+
+class _Started(Exception):
+    pass
+
+
+@pytest.mark.parametrize("exhaustive_sum, random_count", [
+    (0, 0),
+    (verify.BRUTE_FORCE_TILE_BOUND + 1, 0),
+    (verify.SNAKE_RANDOM_SUM - 1, 3),
+])
+def test_snake_suite_accepts_its_edge_arguments(monkeypatch, exhaustive_sum, random_count):
+    def started(seq):
+        raise _Started
+
+    monkeypatch.setattr(verify, "build_snake_graph", started)
+    with pytest.raises(_Started):
+        snake_suite(exhaustive_sum=exhaustive_sum, random_count=random_count)
+
+
+@pytest.mark.parametrize("wrong", [(1, 1), (2,)])
+def test_snake_suite_checks_every_sequence_of_a_shared_graph(monkeypatch, wrong):
+    # (1, 1) and (2) share one graph; the walk meets (1, 1) first and counts
+    # it, and (2) reuses that count, so a continuant wrong only at either
+    # one must still fail there
+    assert verify._snake_key(verify.build_snake_graph((1, 1))) == verify._snake_key(
+        verify.build_snake_graph((2,))
+    )
+    right = verify.continuant
+    monkeypatch.setattr(verify, "continuant", lambda seq: right(seq) + (seq == wrong))
+    assert snake_suite(exhaustive_sum=4, random_count=0) == [
+        CheckResult("snake-oracle", False, f"seq={wrong}")
+    ]
+
+
+def test_snake_suite_counts_each_distinct_graph_once(monkeypatch):
+    count = verify.count_matchings_bruteforce
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return count(graph)
+
+    monkeypatch.setattr(verify, "count_matchings_bruteforce", counted)
+    assert snake_suite(exhaustive_sum=10, random_count=0) == [
+        CheckResult("snake-oracle", True, "1024 sequences")
+    ]
+    assert len(calls) == 258
+    assert len(set(calls)) == 258
+
+
+def _compositions(total):
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first, *rest)
+
+
+def test_snake_key_tells_graphs_apart():
+    # equal keys mean equal graphs over every composition with sum <= 12
+    seen = {}
+    for total in range(13):
+        for seq in _compositions(total):
+            graph = verify.build_snake_graph(seq)
+            assert seen.setdefault(verify._snake_key(graph), graph) == graph, seq
+    assert len(seen) == 1026
+
