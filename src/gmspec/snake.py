@@ -2,9 +2,11 @@
 
 A positive integer sequence (a_1, ..., a_n) determines a snake graph whose
 perfect-matching count equals the continuant of the sequence; the brute-force
-matcher is the independent oracle for that identity.  The builder sweeps the
-tile path's columns once and emits vertices and edges in sorted order; the
-matcher backtracks over each least uncovered vertex's later neighbours.
+matcher is the independent oracle for that identity.  The graph is fixed by
+the entry sum and the join runs (a_1 - 1, a_2, ..., a_{n-1}, a_n - 1), zeros
+dropped: the builder walks the runs, then sweeps the tile path's columns once
+and emits vertices and edges in sorted order; the matcher backtracks over
+each least uncovered vertex's later neighbours.
 """
 
 from __future__ import annotations
@@ -53,23 +55,25 @@ class SnakeGraph:
     edges: tuple[tuple[Point, Point], ...]
 
 
-def _sign_word(seq: Sequence[int]) -> list[int]:
-    word: list[int] = []
-    sgn = -1
-    for a in seq:
-        word.extend([sgn] * a)
-        sgn = -sgn
-    return word
+def _join_runs(seq: Sequence[int]) -> tuple[int, ...]:
+    """The sign word (a_1 minuses, a_2 pluses, ...) less its first and last
+    signs, as run lengths: (a_1 - 1, a_2, ..., a_{n-1}, a_n - 1), or
+    (a_1 - 2) for n = 1, with non-positive runs dropped.  With the entry sum,
+    needed only to tell apart sums 0, 1 and 2, they fix the snake graph."""
+    if len(seq) <= 1:
+        runs = [a - 2 for a in seq]
+    else:
+        runs = [seq[0] - 1, *seq[1:-1], seq[-1] - 1]
+    return tuple(r for r in runs if r > 0)
 
 
 def build_snake_graph(entries: Sequence[int]) -> SnakeGraph:
     """The snake graph of a positive integer sequence.
 
-    The full alternating sign word (a_1 minuses, a_2 pluses, ...) loses its
-    first and last signs; the survivors label the joins between consecutive
-    tiles.  Equal adjacent join signs force a turn, unequal signs continue
-    straight; the first join goes right.  The empty sequence gives the empty
-    graph and (1) gives a single edge.
+    Each join between consecutive tiles belongs to one of the join runs
+    (`_join_runs`).  The first join goes right, the first join of each later
+    run goes straight on, and every other join turns.  The empty sequence
+    gives the empty graph, (1) a single edge and (2) a single tile.
 
     The tiles form a right/up path, so tile column x covers a run of rows
     lo[x]..hi[x], with lo[x] = hi[x - 1].  Vertex column x then runs from
@@ -86,22 +90,22 @@ def build_snake_graph(entries: Sequence[int]) -> SnakeGraph:
     if total == 1:
         vs = ((0, 0), (1, 0))
         return SnakeGraph((), vs, ((vs[0], vs[1]),))
-    joins = _sign_word(seq)[1:-1]
     tiles: list[Point] = [(0, 0)]
     lo, hi = [0], [0]
     x = y = 0
     right = True
-    for i in range(len(joins)):
-        if i > 0 and joins[i] == joins[i - 1]:
-            right = not right
-        if right:
-            x += 1
-            lo.append(y)
-            hi.append(y)
-        else:
-            y += 1
-            hi[-1] = y
-        tiles.append((x, y))
+    for run in _join_runs(seq):
+        for step in range(run):
+            if step:
+                right = not right
+            if right:
+                x += 1
+                lo.append(y)
+                hi.append(y)
+            else:
+                y += 1
+                hi[-1] = y
+            tiles.append((x, y))
     vertices: list[Point] = []
     edges: list[tuple[Point, Point]] = []
     for vx in range(x + 2):

@@ -30,7 +30,7 @@ from .gmtree import ALL_SIGMAS, GMParams, IDENTITY, Sigma, _walk_tree
 from .lattice import _label_sequence, _label_skeleton, admissible_sequence
 from .snake import (
     BRUTE_FORCE_TILE_BOUND,
-    SnakeGraph,
+    _join_runs,
     build_snake_graph,
     continuant,
     count_matchings_bruteforce,
@@ -206,9 +206,9 @@ def snake_suite(exhaustive_sum: int = 12, random_count: int = 200) -> list[Check
     entry sum <= exhaustive_sum, plus `random_count` sequences seeded with
     GRID_SEED whose sums run from there up to SNAKE_RANDOM_SUM.
 
-    A snake graph depends only on its inner join signs, so many sequences
-    share one: the brute-force count runs once per distinct graph, keyed by
-    `_snake_key`, and every sequence's continuant is compared with it."""
+    A snake graph is fixed by its entry sum and join runs, so many sequences
+    share one: each distinct graph is built and brute-forced once, keyed by
+    (sum, runs), and every sequence's continuant is compared with its count."""
     if not 0 <= exhaustive_sum <= BRUTE_FORCE_TILE_BOUND + 1:
         raise ValueError(
             f"exhaustive_sum must be in [0, {BRUTE_FORCE_TILE_BOUND + 1}], got {exhaustive_sum}"
@@ -244,22 +244,14 @@ def snake_suite(exhaustive_sum: int = 12, random_count: int = 200) -> list[Check
     counts: dict[tuple, int] = {}
     checked = 0
     for seq in sequences():
-        graph = build_snake_graph(seq)
-        key = _snake_key(graph)
+        key = sum(seq), _join_runs(seq)
         count = counts.get(key)
         if count is None:
-            count = counts[key] = count_matchings_bruteforce(graph)
+            count = counts[key] = count_matchings_bruteforce(build_snake_graph(seq))
         if continuant(seq) != count:
             return [CheckResult("snake-oracle", False, f"seq={seq}")]
         checked += 1
     return [CheckResult("snake-oracle", True, f"{checked} sequences")]
-
-
-def _snake_key(graph: SnakeGraph) -> tuple:
-    """A small key that tells snake graphs apart: the tiles fix the vertices
-    and edges, and the vertex count tells the empty graph from the one-edge
-    graph, both tile-free."""
-    return graph.tiles, len(graph.vertices)
 
 
 _PAPER_TAILS_EXPECTED = (8227, 32957, 12039, 12041, 32937, 8261, 9997, 31881, 12199, 11127)

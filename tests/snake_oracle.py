@@ -1,20 +1,39 @@
 """Reference snake-graph builder and matcher that gmspec.snake's are checked
 against.
 
-The builder walks each tile's four corners cyclically, orders every edge's
-two endpoints with min/max and sorts the vertex and edge sets; the fast
-builder emits both in sorted order from one sweep over the tile columns.
+The builder reads each join's turn from the full sign word, walks each
+tile's four corners cyclically, orders every edge's two endpoints with
+min/max and sorts the vertex and edge sets; the fast builder turns by join
+runs and emits both in sorted order from one sweep over the tile columns.
 The matcher pairs the least uncovered vertex with any uncovered neighbour,
-earlier or later; the fast matcher keeps only the later ones.
+earlier or later; the fast matcher keeps only the later ones.  Only the
+SnakeGraph type and the tile bound come from gmspec.snake.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from gmspec.snake import BRUTE_FORCE_TILE_BOUND, SnakeGraph, _check_entries, _sign_word
+from gmspec.snake import BRUTE_FORCE_TILE_BOUND, SnakeGraph
 
 Point = tuple[int, int]
+
+
+def _check_entries(entries: Sequence[int]) -> tuple[int, ...]:
+    seq = tuple(entries)
+    for x in seq:
+        if x < 1:
+            raise ValueError(f"sequence entries must be >= 1, got {x}")
+    return seq
+
+
+def _sign_word(seq: Sequence[int]) -> list[int]:
+    word: list[int] = []
+    sgn = -1
+    for a in seq:
+        word.extend([sgn] * a)
+        sgn = -sgn
+    return word
 
 
 def build_snake_graph(entries: Sequence[int]) -> SnakeGraph:

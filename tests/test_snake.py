@@ -5,6 +5,7 @@ import pytest
 import snake_oracle
 from gmspec.snake import (
     BRUTE_FORCE_TILE_BOUND,
+    _join_runs,
     build_snake_graph,
     continuant,
     count_matchings_bruteforce,
@@ -37,6 +38,17 @@ def test_build_fixtures():
     # one tile fewer than the total sign count
     g = build_snake_graph((2, 4, 2, 1))
     assert len(g.tiles) == 2 + 4 + 2 + 1 - 1
+
+
+def test_join_runs_fixtures():
+    # (a_1 - 1, a_2, ..., a_{n-1}, a_n - 1), or (a_1 - 2) for n = 1, without
+    # non-positive runs
+    assert _join_runs(()) == _join_runs((1,)) == _join_runs((2,)) == _join_runs((1, 1)) == ()
+    assert _join_runs((2, 4, 2, 1)) == (1, 4, 2)
+    # (5) and (1, 3, 1) share a sum and a run, so a graph and a continuant
+    assert _join_runs((5,)) == _join_runs((1, 3, 1)) == (3,)
+    assert build_snake_graph((5,)) == build_snake_graph((1, 3, 1))
+    assert continuant((5,)) == continuant((1, 3, 1)) == 5
 
 
 def test_bruteforce_fixtures():

@@ -423,9 +423,7 @@ def test_snake_suite_checks_every_sequence_of_a_shared_graph(monkeypatch, wrong)
     # (1, 1) and (2) share one graph; the walk meets (1, 1) first and counts
     # it, and (2) reuses that count, so a continuant wrong only at either
     # one must still fail there
-    assert verify._snake_key(verify.build_snake_graph((1, 1))) == verify._snake_key(
-        verify.build_snake_graph((2,))
-    )
+    assert verify._join_runs((1, 1)) == verify._join_runs((2,)) == ()  # both sum to 2
     right = verify.continuant
     monkeypatch.setattr(verify, "continuant", lambda seq: right(seq) + (seq == wrong))
     assert snake_suite(exhaustive_sum=4, random_count=0) == [
@@ -434,19 +432,28 @@ def test_snake_suite_checks_every_sequence_of_a_shared_graph(monkeypatch, wrong)
 
 
 def test_snake_suite_counts_each_distinct_graph_once(monkeypatch):
-    count = verify.count_matchings_bruteforce
-    calls = []
+    build, count = verify.build_snake_graph, verify.count_matchings_bruteforce
+    builds, counts = [], []
+
+    def built(seq):
+        builds.append(build(seq))
+        return builds[-1]
 
     def counted(graph):
-        calls.append(graph)
+        counts.append(graph)
         return count(graph)
 
+    monkeypatch.setattr(verify, "build_snake_graph", built)
     monkeypatch.setattr(verify, "count_matchings_bruteforce", counted)
-    assert snake_suite(exhaustive_sum=10, random_count=0) == [
-        CheckResult("snake-oracle", True, "1024 sequences")
-    ]
-    assert len(calls) == 258
-    assert len(set(calls)) == 258
+    for kwargs, detail, distinct in [
+        ({"exhaustive_sum": 10, "random_count": 0}, "1024 sequences", 258),
+        ({}, "4296 sequences", 1200),
+    ]:
+        builds.clear()
+        counts.clear()
+        assert snake_suite(**kwargs) == [CheckResult("snake-oracle", True, detail)]
+        assert len(builds) == len(set(builds)) == distinct
+        assert len(counts) == len(set(counts)) == distinct
 
 
 def _compositions(total):
@@ -459,11 +466,13 @@ def _compositions(total):
 
 
 def test_snake_key_tells_graphs_apart():
-    # equal keys mean equal graphs over every composition with sum <= 12
-    seen = {}
-    for total in range(13):
+    # the suite's key (sum, join runs) and the built graph determine each
+    # other over every composition with sum <= 14
+    graph_of, key_of = {}, {}
+    for total in range(15):
         for seq in _compositions(total):
-            graph = verify.build_snake_graph(seq)
-            assert seen.setdefault(verify._snake_key(graph), graph) == graph, seq
-    assert len(seen) == 1026
-
+            key, graph = (total, verify._join_runs(seq)), verify.build_snake_graph(seq)
+            assert graph_of.setdefault(key, graph) == graph, seq
+            assert key_of.setdefault(graph, key) == key, seq
+    # (), (1) and (2), then 2^(s - 3) turn patterns for each sum s from 3 to 14
+    assert len(graph_of) == len(key_of) == 3 + (2 ** 12 - 1) == 4098
