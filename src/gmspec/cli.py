@@ -164,16 +164,19 @@ def _spectrum_entries(elems: Iterable[SpectrumElement]) -> Iterator[str]:
     the keys in to_json's order, the ints as json writes them, and the sigma
     name, the label num/den and the decimal as ASCII strings with nothing to
     escape.  The head up to the label, (k1, k2, k3, sigma), is rendered once
-    per params of this call, not once per row."""
-    heads: dict[GMParams, str] = {}
+    per params object of this call, not once per row, and looked up by id,
+    which skips hashing a GMParams per row; each entry keeps its params
+    alive, so no id is reused meanwhile."""
+    heads: dict[int, tuple[GMParams, str]] = {}
     for el in elems:
-        head = heads.get(el.params)
-        if head is None:
-            k = el.params
-            head = heads[k] = (
+        k = el.params
+        entry = heads.get(id(k))
+        if entry is None:
+            entry = heads[id(k)] = (k, (
                 f'  {{\n    "k1": {k.k1},\n    "k2": {k.k2},\n    "k3": {k.k3},\n'
                 f'    "sigma": "{format_sigma(k.sigma)}",\n    "t": "'
-            )
+            ))
+        head = entry[1]
         t, v = el.t, el.value
         yield (
             f'{head}{t.num}/{t.den}",\n    "n": {el.n},\n    "pos": {el.pos},\n'

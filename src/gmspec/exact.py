@@ -13,6 +13,14 @@ sqrt(Delta)/n is built by `_sqrt_over`, which skips the perfect-square test
 and the general branches because Delta = (K*n - k_i)^2 - 4 is never a
 square, and rendered by `decimal_str`'s path for p = 0, q > 0: one isqrt.
 
+Trusted objects are built one way: their slots are written by the slots'
+member-descriptor setters, fetched once at import by `_slot_setters`.
+`QuadSurd.__init__` writes the canonical form it has worked out;
+`_sqrt_over`, and `spectrum._element` for each row's label and element,
+write fields that are canonical by construction, so they skip only checks
+that could not fail, never the immutability: assigning a field of what
+they build still raises.
+
 All values are immutable; every operation is pure and thread-safe.
 """
 
@@ -127,6 +135,13 @@ def _nonsquare_split(n: int) -> tuple[int, int]:
     return s, d * n
 
 
+def _slot_setters(cls: type, *fields: str) -> tuple:
+    """The `__set__` of the member descriptor of each slot in `fields` of cls,
+    which writes the slot past cls's frozen or immutable `__setattr__`.  A
+    field that is not a slot of cls raises KeyError."""
+    return tuple(cls.__dict__[f].__set__ for f in fields)
+
+
 # ---------------------------------------------------------------------------
 # 2x2 integer matrices
 # ---------------------------------------------------------------------------
@@ -222,10 +237,10 @@ class QuadSurd:
         if r < 0:
             p, q, r = -p, -q, -r
         g = math.gcd(math.gcd(abs(p), abs(q)), r)
-        object.__setattr__(self, "p", p // g)
-        object.__setattr__(self, "q", q // g)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "r", r // g)
+        _set_p(self, p // g)
+        _set_q(self, q // g)
+        _set_D(self, D)
+        _set_r(self, r // g)
 
     def __setattr__(self, *_):  # immutable
         raise AttributeError("QuadSurd is immutable")
@@ -325,6 +340,9 @@ class QuadSurd:
         return {"p": self.p, "q": self.q, "D": self.D, "r": self.r}
 
 
+_set_p, _set_q, _set_D, _set_r = _slot_setters(QuadSurd, "p", "q", "D", "r")
+
+
 def _sqrt_over(delta: int, n: int) -> QuadSurd:
     """QuadSurd(0, 1, delta, n) for a spectrum radicand delta = m^2 - 4 with
     m >= 3 and an n >= 1, built without `QuadSurd.__init__`'s general branches.
@@ -348,10 +366,10 @@ def _sqrt_over(delta: int, n: int) -> QuadSurd:
         s, d = _nonsquare_split(delta)
     g = math.gcd(s, n)
     x = object.__new__(QuadSurd)
-    object.__setattr__(x, "p", 0)
-    object.__setattr__(x, "q", s // g)
-    object.__setattr__(x, "D", d)
-    object.__setattr__(x, "r", n // g)
+    _set_p(x, 0)
+    _set_q(x, s // g)
+    _set_D(x, d)
+    _set_r(x, n // g)
     return x
 
 

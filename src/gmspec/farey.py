@@ -22,7 +22,7 @@ __all__ = [
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IrreducibleFraction:
     """Reduced fraction num/den with num, den >= 0; 1/0 is infinity."""
 

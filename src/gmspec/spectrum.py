@@ -9,11 +9,16 @@ carries every element as plain integers and never builds a surd or a
 Fraction to deduplicate or sort: in each class c = k_i the value increases
 with n, so a class is deduplicated by n and sorted by n, and the at most
 three class runs are merged by the exact test Delta_1 * n_2^2 vs
-Delta_2 * n_1^2.  Only the distinct values returned become
-`SpectrumElement`s, with their `QuadSurd` and label, in `_element`; the
-decimal is rendered only when a row is written.  Delta = m^2 - 4 with
-m = K*n - k_i >= 3 is never a perfect square, so the surd comes from
-`exact._sqrt_over`: one square split of Delta and one gcd with n.
+Delta_2 * n_1^2, each run with its list of n^2 beside it.  Only the
+distinct values returned become `SpectrumElement`s, with their `QuadSurd`
+and label, in `_element`; the decimal is rendered only when a row is
+written.  Delta = m^2 - 4 with m = K*n - k_i >= 3 is never a perfect
+square, so the surd comes from `exact._sqrt_over`: one square split of
+Delta and one gcd with n.  `_element` writes the fields of the label and
+the element through their slot setters, the one way the library builds a
+trusted object (see `exact`): a walked label is reduced and the surd
+canonical by construction, so the checks skipped could not fail, and the
+objects built stay immutable.
 
 The window scan over [3, c_F) uses the Markoff-tree growth argument (cf.
 Bombieri, "Continued fractions and the Markoff tree", Expo. Math. 2007):
@@ -34,7 +39,14 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import ClassVar, Sequence
 
-from .exact import QuadSurd, _floor_surd, _sqrt_over, cf_eval_periodic, cf_matrix
+from .exact import (
+    QuadSurd,
+    _floor_surd,
+    _slot_setters,
+    _sqrt_over,
+    cf_eval_periodic,
+    cf_matrix,
+)
 from .farey import IrreducibleFraction, farey_path
 from .gmtree import ALTERNATING, GMParams, _walk_tree, format_sigma, gm_pair
 
@@ -223,10 +235,11 @@ def _distinct_values(
     sqrt((K*n - c)^2 - 4)/n strictly increases with n (see `_window_cut`), so
     equal values have equal n: each class keeps the first witness of each n
     in a dict keyed by n, and Delta is computed once per kept n.  Sorted by
-    n, each class is an ascending run; `_merge` joins the runs.  A tree whose
-    kappa, or kappa reversed, is that of a tree already walked is skipped:
-    t -> 1/t maps the walk of the reversed kappa onto the walk of kappa with
-    L and R swapped, so it would only repeat earlier witnesses' (Delta, n).
+    n, each class is an ascending run; `_merge` joins the runs, each with
+    the list of its rows' n^2 beside it.  A tree whose kappa, or kappa
+    reversed, is that of a tree already walked is skipped: t -> 1/t maps the
+    walk of the reversed kappa onto the walk of kappa with L and R swapped,
+    so it would only repeat earlier witnesses' (Delta, n).
     """
     big_k = 3 + sum(k)
     classes: dict[int, dict[int, tuple]] = {c: {} for c in k}
@@ -249,33 +262,47 @@ def _distinct_values(
             if n not in first:
                 first[n] = ((big_k * n - k[pos - 1]) ** 2 - 4, n, pos, ln + rn, ld + rd, params)
     del walk, by_pos  # so that each class dict goes once its run is sorted
-    runs = [sorted(classes.pop(c).values(), key=itemgetter(1)) for c in list(classes)]
-    return functools.reduce(_merge, runs)
+    runs = []
+    for c in list(classes):
+        rows = sorted(classes.pop(c).values(), key=itemgetter(1))
+        runs.append((rows, [row[1] * row[1] for row in rows]))
+    return functools.reduce(_merge, runs)[0]
 
 
-def _merge(a: list[tuple], b: list[tuple]) -> list[tuple]:
-    """Two runs of rows (Delta, n, ...), each ascending in sqrt(Delta)/n, as
-    one ascending run, by the exact test Delta_a * n_b^2 vs Delta_b * n_a^2.
-    Of two equal values only the one walked first is kept."""
-    out = []
+def _merge(
+    a: tuple[list[tuple], list[int]], b: tuple[list[tuple], list[int]]
+) -> tuple[list[tuple], list[int]]:
+    """Two runs of rows (Delta, n, ...), each ascending in sqrt(Delta)/n and
+    each with the list of its rows' n^2 beside it, as one such run, by the
+    exact test Delta_a * n_b^2 vs Delta_b * n_a^2: two products, as the
+    squares are at hand.  Of two equal values only the one walked first is
+    kept."""
+    (rows_a, sq_a), (rows_b, sq_b) = a, b
+    out, out_sq = [], []
     i = j = 0
-    len_a, len_b = len(a), len(b)
+    len_a, len_b = len(rows_a), len(rows_b)
     while i < len_a and j < len_b:
-        x, y = a[i], b[j]
-        side = x[0] * y[1] * y[1] - y[0] * x[1] * x[1]
+        x, y = rows_a[i], rows_b[j]
+        side = x[0] * sq_b[j] - y[0] * sq_a[i]
         if side < 0:
             out.append(x)
+            out_sq.append(sq_a[i])
             i += 1
         elif side > 0:
             out.append(y)
+            out_sq.append(sq_b[j])
             j += 1
         else:
-            out.append(min(x, y, key=_walk_order))
+            z = min(x, y, key=_walk_order)
+            out.append(z)
+            out_sq.append(z[1] * z[1])
             i += 1
             j += 1
-    out += a[i:]
-    out += b[j:]
-    return out
+    out += rows_a[i:]
+    out += rows_b[j:]
+    out_sq += sq_a[i:]
+    out_sq += sq_b[j:]
+    return out, out_sq
 
 
 def _walk_order(row: tuple) -> tuple:
@@ -290,15 +317,31 @@ def _walk_order(row: tuple) -> tuple:
     return tree, 1 + len(path), path
 
 
+_set_num, _set_den = _slot_setters(IrreducibleFraction, "num", "den")
+_set_value, _set_n, _set_pos, _set_t, _set_params = _slot_setters(
+    SpectrumElement, "value", "n", "pos", "t", "params"
+)
+
+
 def _element(
     delta: int, n: int, pos: int, num: int, den: int, params: GMParams
 ) -> SpectrumElement:
-    # a walked label is 0/1, 1/0 or a mediant of Farey neighbours, so it is
-    # reduced by construction and skips IrreducibleFraction's gcd check
+    """SpectrumElement(QuadSurd(0, 1, delta, n), n, pos,
+    IrreducibleFraction(num, den), params) of a row of `_distinct_values`,
+    its fields written by their slot setters.  A walked label is 0/1, 1/0 or
+    a mediant of Farey neighbours, so it is reduced by construction and
+    skips IrreducibleFraction's gcd check; the element's fields need no
+    check of their own."""
     t = object.__new__(IrreducibleFraction)
-    object.__setattr__(t, "num", num)
-    object.__setattr__(t, "den", den)
-    return SpectrumElement(_sqrt_over(delta, n), n, pos, t, params)
+    _set_num(t, num)
+    _set_den(t, den)
+    el = object.__new__(SpectrumElement)
+    _set_value(el, _sqrt_over(delta, n))
+    _set_n(el, n)
+    _set_pos(el, pos)
+    _set_t(el, t)
+    _set_params(el, params)
+    return el
 
 
 def enumerate_spectrum(

@@ -24,6 +24,7 @@ from gmspec.gmtree import (
     GMParams,
     _walk_tree,
     enumerate_tree,
+    gm_node,
     parse_sigma,
 )
 from gmspec.lattice import admissible_sequence
@@ -472,6 +473,58 @@ def test_walked_labels_are_reduced_so_elements_skip_the_gcd_check():
     assert all(math.gcd(num, den) == 1 for *_, num, den, _ in rows)
     for row in rows[::97]:
         assert _element(*row).t == IrreducibleFraction(*row[3:5]), row
+
+
+def test_element_fast_path_builds_the_public_objects():
+    # `_element` writes the slots of its surd, label and element directly;
+    # each must equal what the public constructors build from the same row
+    for k in grid_triples():
+        for row in _distinct_values(k, 6):
+            delta, n, pos, num, den, params = row
+            el = _element(*row)
+            want = SpectrumElement(
+                QuadSurd(0, 1, delta, n), n, pos, IrreducibleFraction(num, den), params
+            )
+            assert type(el) is SpectrumElement and type(el.value) is QuadSurd, row
+            assert type(el.t) is IrreducibleFraction, row
+            v, w = el.value, want.value
+            assert (v.p, v.q, v.D, v.r) == (w.p, w.q, w.D, w.r), row
+            assert (el.n, el.pos, el.params) == (want.n, want.pos, want.params), row
+            assert (el.t.num, el.t.den) == (want.t.num, want.t.den), row
+            assert el == want and hash(el) == hash(want), row
+            assert el.to_json() == want.to_json(), row
+
+
+def test_built_objects_stay_immutable():
+    # from the public constructors and from the fast paths alike
+    delta, n, pos, num, den, params = next(
+        row for row in _distinct_values((1, 2, 0), 3) if row[3] > 1 and row[4] > 1
+    )
+    fast = _element(delta, n, pos, num, den, params)
+    public = SpectrumElement(
+        QuadSurd(0, 1, delta, n), n, pos, IrreducibleFraction(num, den), params
+    )
+    for el in (fast, public):
+        for obj, fields in (
+            (el, ("value", "n", "pos", "t", "params")),
+            (el.value, ("p", "q", "D", "r")),
+            (el.t, ("num", "den")),
+        ):
+            for name in fields:
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, getattr(obj, name))
+            # a new name is refused too; CPython 3.11's frozen slots
+            # dataclasses refuse it with a TypeError
+            with pytest.raises((AttributeError, TypeError)):
+                obj.extra = 0
+        assert not hasattr(el.t, "__dict__")
+    with pytest.raises(AttributeError):
+        _sqrt_over(delta, n).q = 1
+    # gm_node's cache hits on an equal label built the other way
+    gm_node.cache_clear()
+    node = gm_node(fast.t, params)
+    assert gm_node(IrreducibleFraction(num, den), params) is node
+    assert gm_node.cache_info().hits == 1
 
 
 def test_sqrt_over_matches_the_former_square_split_on_the_grid_rows():
