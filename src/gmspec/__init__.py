@@ -18,7 +18,6 @@ from .exact import (
 from .farey import (
     FareyTriple,
     IrreducibleFraction,
-    mediant,
 )
 from .gmtree import (
     ALTERNATING,
@@ -33,7 +32,6 @@ from .gmtree import (
     gm_node,
     gm_pair,
     parse_sigma,
-    sigma_star,
 )
 from .cohn import cohn_closed_form, cohn_recursive, d_matrix
 from .snake import (

@@ -245,6 +245,9 @@ class QuadSurd:
     def __setattr__(self, *_):  # immutable
         raise AttributeError("QuadSurd is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not __setattr__
+        return QuadSurd, (self.p, self.q, self.D, self.r)
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod

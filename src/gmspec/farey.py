@@ -15,8 +15,6 @@ from functools import total_ordering
 __all__ = [
     "IrreducibleFraction",
     "FareyTriple",
-    "FAREY_ROOT",
-    "mediant",
     "farey_path",
 ]
 
@@ -42,10 +40,13 @@ class IrreducibleFraction:
         t = text.strip()
         if t in ("inf", "infinity", "1/0"):
             return IrreducibleFraction(1, 0)
-        if "/" in t:
-            a, b = t.split("/", 1)
-            return IrreducibleFraction(int(a), int(b))
-        return IrreducibleFraction(int(t), 1)
+        try:
+            num, den = (int(x) for x in t.split("/")) if "/" in t else (int(t), 1)
+        except ValueError:
+            raise ValueError(
+                f"expected a fraction 'num/den', an integer or 'inf', got {text!r}"
+            ) from None
+        return IrreducibleFraction(num, den)
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
@@ -89,26 +90,17 @@ class FareyTriple:
                 raise ValueError(f"{x}, {y} are not adjacent")
 
     def child(self, direction: str) -> "FareyTriple":
+        """The L or R child: the mediant of two neighbouring entries goes between them."""
         if direction == "L":
-            return FareyTriple(self.left, mediant(self.left, self.mid), self.mid)
-        if direction == "R":
-            return FareyTriple(self.mid, mediant(self.mid, self.right), self.right)
-        raise ValueError(f"direction must be 'L' or 'R', got {direction!r}")
+            x, y = self.left, self.mid
+        elif direction == "R":
+            x, y = self.mid, self.right
+        else:
+            raise ValueError(f"direction must be 'L' or 'R', got {direction!r}")
+        return FareyTriple(x, IrreducibleFraction(x.num + y.num, x.den + y.den), y)
 
     def __str__(self) -> str:
         return f"({self.left}, {self.mid}, {self.right})"
-
-
-FAREY_ROOT = FareyTriple(
-    IrreducibleFraction(0, 1), IrreducibleFraction(1, 1), IrreducibleFraction(1, 0)
-)
-
-
-def mediant(x: IrreducibleFraction, y: IrreducibleFraction) -> IrreducibleFraction:
-    """Componentwise sum of two adjacent fractions (always reduced)."""
-    if abs(_det(x, y)) != 1:
-        raise ValueError(f"mediant requires adjacent fractions, got {x}, {y}")
-    return IrreducibleFraction(x.num + y.num, x.den + y.den)
 
 
 def _cf_digits(num: int, den: int) -> list[int]:

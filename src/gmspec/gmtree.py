@@ -20,7 +20,6 @@ __all__ = [
     "ALTERNATING",
     "parse_sigma",
     "format_sigma",
-    "sigma_star",
     "GMParams",
     "GMPair",
     "GMNode",
@@ -69,15 +68,6 @@ def format_sigma(sigma: Sigma) -> str:
         raise ValueError(f"not a permutation of (1,2,3): {sigma}") from None
 
 
-def sigma_star(sigma: Sigma) -> Sigma:
-    """The unique other permutation with the same image of 2.
-
-    Equals sigma composed with the domain transposition swapping 1 and 3;
-    an involution.
-    """
-    return (sigma[2], sigma[1], sigma[0])
-
-
 @dataclass(frozen=True)
 class GMParams:
     """Equation coefficients (k1, k2, k3) plus a permutation of {1, 2, 3}."""
@@ -105,9 +95,6 @@ class GMParams:
     def kappa(self) -> tuple[int, int, int]:
         """(k_sigma(1), k_sigma(2), k_sigma(3)): coefficients seen from the root."""
         return (self.k_at(self.sigma[0]), self.k_at(self.sigma[1]), self.k_at(self.sigma[2]))
-
-    def dual(self) -> "GMParams":
-        return GMParams(self.k1, self.k2, self.k3, sigma_star(self.sigma))
 
     def __str__(self) -> str:
         return f"k=({self.k1},{self.k2},{self.k3}) sigma={format_sigma(self.sigma)}"

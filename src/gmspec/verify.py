@@ -48,6 +48,7 @@ from .spectrum import (
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "grid_triples", "grid_fractions"]
 
 GRID_SEED = 20250809
+GRID_DRAWS = 20
 GRID_DEPTH = 7
 SNAKE_RANDOM_SUM = 16  # brute-force matching stays within BRUTE_FORCE_TILE_BOUND
 
@@ -64,13 +65,13 @@ class CheckResult:
         )
 
 
-def grid_triples(extra: int = 20) -> list[tuple[int, int, int]]:
-    """All coefficient triples with max <= 1 plus `extra` draws from {0..3}^3
-    seeded with GRID_SEED."""
+def grid_triples() -> list[tuple[int, int, int]]:
+    """All coefficient triples with max <= 1 plus GRID_DRAWS draws from
+    {0..3}^3 seeded with GRID_SEED."""
     low = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
     rng = random.Random(GRID_SEED)
     rand = [
-        (rng.randrange(4), rng.randrange(4), rng.randrange(4)) for _ in range(extra)
+        (rng.randrange(4), rng.randrange(4), rng.randrange(4)) for _ in range(GRID_DRAWS)
     ]
     return low + rand
 
@@ -100,7 +101,6 @@ class GridEntry:
     n: int
     u: int
     k_t: int
-    coeff_sum: int
     cf: tuple[int, int, int, int]  # convergent matrix of s(t), row-major
     closed: tuple[int, int, int, int]
     rot_min_c: int  # least (2,1) entry over rotations of s(t), cf conjugated entry by entry
@@ -150,7 +150,7 @@ def _grid(kappa: tuple[int, int, int], depth: int) -> tuple[GridEntry, ...]:
         m = cf_matrix(s)
         cf = (m.a, m.b, m.c, m.d)
         c = closed_form_entries(n, u, k_t, K)
-        out.append(GridEntry(t, n, u, k_t, K, cf, (c.a, c.b, c.c, c.d), _rotation_min_c(s, cf)))
+        out.append(GridEntry(t, n, u, k_t, cf, (c.a, c.b, c.c, c.d), _rotation_min_c(s, cf)))
     return tuple(out)
 
 
@@ -184,8 +184,9 @@ def factorization_suite(
     form there is not a convergent product); 1/0 is included.
     """
     checked = 0
-    for triple, sigma, _, grid, first in _arrangements(depth, triples):
+    for triple, sigma, kappa, grid, first in _arrangements(depth, triples):
         checked += len(grid)
+        K = 3 + sum(kappa)
         for e in grid if first else ():
             if e.cf != e.closed:
                 detail = f"t={e.t} k={triple} sigma={sigma}: {e.cf} != {e.closed}"
@@ -193,7 +194,7 @@ def factorization_suite(
             m11, m12, m21, m22 = e.closed
             if m11 * m22 - m12 * m21 != 1:
                 return [CheckResult("determinant", False, f"t={e.t} k={triple}")]
-            if m11 + m22 != e.coeff_sum * e.n - e.k_t:
+            if m11 + m22 != K * e.n - e.k_t:
                 return [CheckResult("trace", False, f"t={e.t} k={triple}")]
     return [
         CheckResult(name, True, f"{checked} cases")

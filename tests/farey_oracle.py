@@ -15,7 +15,12 @@ against.
 
 from __future__ import annotations
 
-from gmspec.farey import FAREY_ROOT, FareyTriple, IrreducibleFraction, farey_path
+from gmspec.farey import FareyTriple, IrreducibleFraction, farey_path
+
+# the root vertex (0/1, 1/1, 1/0) of the Farey tree
+FAREY_ROOT = FareyTriple(
+    IrreducibleFraction(0, 1), IrreducibleFraction(1, 1), IrreducibleFraction(1, 0)
+)
 
 
 def farey_locate(t: IrreducibleFraction) -> tuple[tuple[str, ...], FareyTriple]:

@@ -242,6 +242,14 @@ def test_malformed_argv_fails_with_one_line(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("label", ["1/1/2", "abc", "1.5", "1/", "/2"])
+def test_malformed_label_says_what_was_expected(label, capsys):
+    assert run(["seq", "--t", label]) == 2
+    out, err = capsys.readouterr()
+    want = f"gmspec: expected a fraction 'num/den', an integer or 'inf', got {label!r}\n"
+    assert out == "" and err == want
+
+
 # -- the streaming emitter against the whole-payload renderer ----------------
 
 FORMATS = ("text", "json", "csv")

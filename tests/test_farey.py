@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from gmspec.farey import FAREY_ROOT, FareyTriple, IrreducibleFraction, mediant
-from farey_oracle import christoffel_word, farey_locate
+from gmspec.farey import FareyTriple, IrreducibleFraction
+from farey_oracle import FAREY_ROOT, christoffel_word, farey_locate
 
 F = IrreducibleFraction.parse
 
@@ -28,14 +28,6 @@ def test_fraction_ordering_against_a_foreign_type_is_refused():
         IrreducibleFraction(1, 2) < 3
     with pytest.raises(TypeError):
         IrreducibleFraction(1, 2) < Fraction(1, 3)
-
-
-def test_mediant_fixtures():
-    assert mediant(F("1/3"), F("1/2")) == F("2/5")
-    assert mediant(F("0/1"), F("1/0")) == F("1/1")
-    assert mediant(F("0/1"), F("1/1")) == F("1/2")
-    with pytest.raises(ValueError):
-        mediant(F("1/3"), F("2/3"))  # det = -3
 
 
 def test_farey_locate_fixtures():
@@ -86,6 +78,10 @@ def test_children_of_located_triples_validate():
         left, right = triple.child("L"), triple.child("R")
         assert left.left < left.mid < left.right
         assert right.left < right.mid < right.right
+        mid = triple.mid
+        assert left.mid == IrreducibleFraction(triple.left.num + mid.num, triple.left.den + mid.den)
+    with pytest.raises(ValueError):
+        FareyTriple(F("1/3"), F("1/2"), F("2/3"))  # 1/3 and 2/3 are not adjacent
 
 
 def test_christoffel_fixtures():

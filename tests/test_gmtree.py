@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gmspec.farey import FAREY_ROOT, IrreducibleFraction
+from gmspec.farey import IrreducibleFraction
 from gmspec.gmtree import (
     ALL_SIGMAS,
     GMNode,
@@ -17,9 +17,9 @@ from gmspec.gmtree import (
     gm_node,
     gm_pair,
     parse_sigma,
-    sigma_star,
 )
 from gmspec.verify import grid_triples
+from farey_oracle import FAREY_ROOT
 
 F = IrreducibleFraction.parse
 
@@ -41,15 +41,6 @@ def test_sigma_parsing():
         assert parse_sigma(format_sigma(s)) == s
     with pytest.raises(ValueError):
         parse_sigma("(1 4)")
-
-
-def test_sigma_star():
-    assert sigma_star((1, 2, 3)) == (3, 2, 1)
-    assert sigma_star(parse_sigma("(1 2 3)")) == parse_sigma("(2 3)")
-    for s in ALL_SIGMAS:
-        assert sigma_star(sigma_star(s)) == s
-        assert sigma_star(s)[1] == s[1]
-        assert sigma_star(s) != s
 
 
 def test_root_and_fixture_nodes():
@@ -146,7 +137,7 @@ def test_duality_of_pairs():
         k = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
         sigma = rng.choice(ALL_SIGMAS)
         params = GMParams(*k, sigma)
-        dual = params.dual()
+        dual = GMParams(*k, sigma[::-1])
         for t, node in enumerate_tree(params, 5):
             pair = node.mid
             assert gm_pair(t.reciprocal(), dual) == pair

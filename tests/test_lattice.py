@@ -85,12 +85,11 @@ def test_admissible_duality():
     # the reversed-arrangement sequence of 1/t is (a1, an, a_{n-1}, ..., a2)
     rng = random.Random(43)
     for _ in range(60):
-        params = GMParams(
-            rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3), rng.choice(ALL_SIGMAS)
-        )
+        k = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+        sigma = rng.choice(ALL_SIGMAS)
         t = rng.choice(grid_fractions(5))
-        s = admissible_sequence(t, params)
-        s_star = admissible_sequence(t.reciprocal(), params.dual())
+        s = admissible_sequence(t, GMParams(*k, sigma))
+        s_star = admissible_sequence(t.reciprocal(), GMParams(*k, sigma[::-1]))
         assert s_star == (s[0],) + s[1:][::-1]
 
 

@@ -1,6 +1,8 @@
+import copy
 import functools
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -44,7 +46,7 @@ from gmspec.spectrum import (
     qform_of,
     transition_scan,
 )
-from gmspec.verify import grid_fractions, grid_triples
+from gmspec.verify import _grid, grid_fractions, grid_triples
 
 F = IrreducibleFraction.parse
 
@@ -242,15 +244,15 @@ def test_spectrum_sorted_and_distinct():
 def test_main_theorem_exact_on_sample():
     rng = random.Random(54)
     for _ in range(25):
-        params = GMParams(
-            rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3), rng.choice(ALL_SIGMAS)
-        )
+        k = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+        sigma = rng.choice(ALL_SIGMAS)
+        params = GMParams(*k, sigma)
         t = rng.choice(grid_fractions(4))
         s = admissible_sequence(t, params)
         el = markov_value(t, params)
         assert lagrange_value(s) == ell_periodic(s) == el.value
         # duality through the reversed arrangement at the reciprocal label
-        s_star = admissible_sequence(t.reciprocal(), params.dual())
+        s_star = admissible_sequence(t.reciprocal(), GMParams(*k, sigma[::-1]))
         assert lagrange_value(s_star) == el.value
 
 
@@ -525,6 +527,19 @@ def test_built_objects_stay_immutable():
     node = gm_node(fast.t, params)
     assert gm_node(IrreducibleFraction(num, den), params) is node
     assert gm_node.cache_info().hits == 1
+
+
+def test_values_survive_pickle_and_copy():
+    # QuadSurd refuses __setattr__, so pickle and copy rebuild it through
+    # its constructor; an element holds one
+    el = enumerate_spectrum((1, 2, 0), 3)[-1]
+    entry = _grid((1, 2, 0), 3)[1]
+    for obj in (QuadSurd(0, 1, 5, 2), el.value, el, entry):
+        clones = [pickle.loads(pickle.dumps(obj, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in (*clones, copy.copy(obj), copy.deepcopy(obj)):
+            assert type(clone) is type(obj) and clone == obj, (obj, clone)
+            assert hash(clone) == hash(obj), obj
 
 
 def test_sqrt_over_matches_the_former_square_split_on_the_grid_rows():
