@@ -17,7 +17,7 @@ import sys
 from typing import Iterable, Iterator, Sequence
 
 from .exact import Mat2, QuadSurd
-from .farey import IrreducibleFraction
+from .farey import IrreducibleFraction, _check_int_length
 from .gmtree import ALTERNATING, GMParams, format_sigma, gm_node, parse_sigma
 from .cohn import cohn_closed_form, cohn_recursive
 from .lattice import admissible_sequence, gm_distance
@@ -56,8 +56,13 @@ LABEL_SIZE_LIMIT = 1024
 # coefficients lengthen n.
 SPECTRUM_DEPTH_LIMIT = 14
 
-# Largest `spectrum --kmax`.  The scan visits (kmax + 1)^3 triples, so its
-# cost grows as kmax^3.
+# Largest `spectrum --kmax`.  The scan loops over (kmax + 1)^3 triples, so
+# its cost grows as kmax^3, but it reads the roots of only the 9 triples with
+# K = 3 + k1 + k2 + k3 of 4 or 5 and the 6 (kmax - 1) with K >= 6 and two
+# entries summing to 1; each other triple costs one integer test.  At this
+# limit, `transition_scan(30, 4)` takes 20 ms in-process (2-core Xeon VM,
+# CPython 3.11), and `spectrum --kmax 30` at depth 14 costs what `--kmax 1`
+# does, nearly all of it in the three K = 4 trees.
 SPECTRUM_KMAX_LIMIT = 30
 
 
@@ -81,9 +86,13 @@ _K_EXPECTED = "--k expects three comma-separated integers"
 
 def _ints_of(text: str, count: int | None, expected: str) -> tuple[int, ...]:
     """The comma-separated integers of text, exactly `count` of them unless
-    count is None; otherwise a ValueError saying what was expected."""
+    count is None; otherwise a ValueError saying what was expected, or that
+    an integer is too long (see `_check_int_length`)."""
+    parts = text.split(",")
+    for part in parts:
+        _check_int_length(part)
     try:
-        vals = tuple(int(x) for x in text.split(","))
+        vals = tuple(map(int, parts))
     except ValueError:
         vals = None
     if vals is None or (count is not None and len(vals) != count):

@@ -73,16 +73,27 @@ _SMALL_SQUARES_PRODUCT = math.prod(pp for _, pp in _SMALL_SQUARES)  # 901800900
 _CUBE_ROOT_PRIMES: list[int] = []  # the primes below 46416, sieved on first use
 
 
+def _primes_below(size: int) -> list[int]:
+    """The primes below size, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * size
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(size) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, size, i)))
+    return list(compress(range(size), sieve))
+
+
 def _cube_root_primes() -> list[int]:
     if not _CUBE_ROOT_PRIMES:
-        size = 46416
-        sieve = bytearray([1]) * size
-        sieve[0] = sieve[1] = 0
-        for i in range(2, math.isqrt(size) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytes(len(range(i * i, size, i)))
-        _CUBE_ROOT_PRIMES.extend(compress(range(size), sieve))
+        _CUBE_ROOT_PRIMES.extend(_primes_below(46416))
     return _CUBE_ROOT_PRIMES
+
+
+# The product of the 47 primes up to 211, and the bound below which
+# `_primorial_split` splits a number fully: the prime factors of an x < 223**3
+# that are not below 223 exceed x's cube root.
+_PRIMORIAL = math.prod(_primes_below(212))
+_PRIMORIAL_BOUND = 223**3  # 11,089,567
 
 
 def _square_split(n: int) -> tuple[int, int]:
@@ -102,13 +113,14 @@ def _nonsquare_split(n: int) -> tuple[int, int]:
     While the cofactor is at or above _FULL_FACTOR_BOUND only the squares of
     2..13 are taken out, each tried only if it divides n's residue modulo
     their product (taking out p**2 does not change whether q**2 divides the
-    cofactor for q != p).  Once it is below, trial division takes out every
-    prime p with p**3 <= n, n being the shrinking cofactor.  Each prime
-    factor of what is left then exceeds its cube root, so there are at most
-    two of them (three would multiply to more than it): the cofactor is 1, a
-    prime, a product of two distinct primes or a prime squared, and one
-    perfect-square test tells these apart.  Every such p is below 46416,
-    since 46416**3 > 10**14.
+    cofactor for q != p).  Once it is below, a cofactor below
+    _PRIMORIAL_BOUND goes to `_primorial_split`; a larger one has every
+    prime p with p**3 <= n taken out by trial division, n being the
+    shrinking cofactor.  Each prime factor of what is left then exceeds its
+    cube root, so there are at most two of them (three would multiply to
+    more than it): the cofactor is 1, a prime, a product of two distinct
+    primes or a prime squared, and one perfect-square test tells these
+    apart.  Every such p is below 46416, since 46416**3 > 10**14.
     """
     s = 1
     rho = n % _SMALL_SQUARES_PRODUCT
@@ -118,6 +130,9 @@ def _nonsquare_split(n: int) -> tuple[int, int]:
             s *= p
     if n >= _FULL_FACTOR_BOUND:  # not a perfect square, as n was none
         return s, n
+    if n < _PRIMORIAL_BOUND:
+        s2, d = _primorial_split(n)
+        return s * s2, d
     d = 1
     for p in _cube_root_primes():
         if p * p * p > n:
@@ -133,6 +148,33 @@ def _nonsquare_split(n: int) -> tuple[int, int]:
     if r * r == n:
         return s * r, d
     return s, d * n
+
+
+def _primorial_split(x: int) -> tuple[int, int]:
+    """`_square_split` of 1 <= x < _PRIMORIAL_BOUND, by gcds with _PRIMORIAL.
+
+    Level j's g is the product of the primes up to 211 that divide x at
+    least j times: g = gcd(x, _PRIMORIAL) at level 1, and with x divided by
+    every earlier level, gcd(x, g) at the next.  A prime that divides x e
+    times is in levels 1..e; d takes the odd levels and s the even ones, so
+    after d //= s, s holds it e // 2 times and d e % 2 times.  What is left
+    of x has no prime factor below 223 and is below 223**3, so, as in
+    `_nonsquare_split`, one perfect-square test finishes the split.
+    """
+    s = d = 1
+    g = math.gcd(x, _PRIMORIAL)
+    while g > 1:  # an odd level, then an even one
+        x //= g
+        d *= g
+        g = math.gcd(x, g)
+        x //= g
+        s *= g
+        g = math.gcd(x, g)
+    d //= s
+    r = math.isqrt(x)
+    if r * r == x:
+        return s * r, d
+    return s, d * x
 
 
 def _slot_setters(cls: type, *fields: str) -> tuple:
@@ -355,14 +397,15 @@ def _sqrt_over(delta: int, n: int) -> QuadSurd:
     (K = 3 + k1 + k2 + k3, n >= 1), and m^2 - 4 = j^2 would need
     (m - j)(m + j) = 4 with two factors of one parity, so m - j = m + j = 2
     and m = 2: delta is never a square.  Below _FULL_FACTOR_BOUND, m - 2 and
-    m + 2 (each about 10**7 at most) are split on their own.  Their gcd
-    divides 4, so their square-free parts d1, d2 share at most the prime 2:
-    with h = gcd(d1, d2), delta = (s1*s2*h)^2 * (d1/h)*(d2/h), square-free.
+    m + 2, at most 10**7 + 2 < _PRIMORIAL_BOUND, are split on their own by
+    `_primorial_split`.  Their gcd divides 4, so their square-free parts d1,
+    d2 share at most the prime 2: with h = gcd(d1, d2),
+    delta = (s1*s2*h)^2 * (d1/h)*(d2/h), square-free.
     """
     if delta < _FULL_FACTOR_BOUND:
         m = math.isqrt(delta + 4)
         assert m * m == delta + 4, "not a spectrum radicand"
-        (s1, d1), (s2, d2) = _square_split(m - 2), _square_split(m + 2)
+        (s1, d1), (s2, d2) = _primorial_split(m - 2), _primorial_split(m + 2)
         h = math.gcd(d1, d2)
         s, d = s1 * s2 * h, (d1 // h) * (d2 // h)
     else:

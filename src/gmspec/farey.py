@@ -9,6 +9,7 @@ steps.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import total_ordering
 
@@ -40,8 +41,11 @@ class IrreducibleFraction:
         t = text.strip()
         if t in ("inf", "infinity", "1/0"):
             return IrreducibleFraction(1, 0)
+        parts = t.split("/") if "/" in t else (t, "1")
+        for part in parts:
+            _check_int_length(part)
         try:
-            num, den = (int(x) for x in t.split("/")) if "/" in t else (int(t), 1)
+            num, den = map(int, parts)
         except ValueError:
             raise ValueError(
                 f"expected a fraction 'num/den', an integer or 'inf', got {text!r}"
@@ -70,6 +74,20 @@ class IrreducibleFraction:
     @property
     def is_boundary(self) -> bool:
         return self.num == 0 or self.den == 0
+
+
+def _check_int_length(text: str) -> None:
+    """Refuse the text of an integer longer than Python's int-from-str digit
+    limit (none when it is 0) with a one-line ValueError that says so and
+    echoes only its start; int() would refuse it as malformed, echoing all
+    of it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = text.strip().lstrip("+-")
+    if limit and len(digits) > limit:
+        raise ValueError(
+            f"integer too long: {len(digits)} characters, at most {limit} digits "
+            f"({digits[:12]}...)"
+        )
 
 
 def _det(x: IrreducibleFraction, y: IrreducibleFraction) -> int:

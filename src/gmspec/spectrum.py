@@ -24,9 +24,12 @@ The window scan over [3, c_F) uses the Markoff-tree growth argument (cf.
 Bombieri, "Continued fractions and the Markoff tree", Expo. Math. 2007):
 n grows strictly down every branch, and the value sqrt((K*n - k_i)^2 - 4)/n,
 K = 3 + k1 + k2 + k3, increases with n.  Below the root n >= 5, where every
-value of a triple with K >= 5 is already >= c_F (see `transition_scan`), so
-only the K = 4 trees are walked past the root.  Elements are tested against
-the window on their integers, and only the hits become surds.
+value of a triple with K >= 5 is already >= c_F, so only the K = 4 trees are
+walked past the root.  The same lemma settles K >= 6 on integers alone: the
+only value such a triple has in the window is 2*sqrt(3), at n = 1 in the
+class c = K - 4, so a triple with no entry K - 4 is not read at all (see
+`transition_scan`).  Elements are tested against the window on their
+integers, and only the hits become surds.
 """
 
 from __future__ import annotations
@@ -370,7 +373,8 @@ def _window_cut(big_k: int, c: int) -> int | None:
     is the end of the class (K, c): the value's square (K - c/n)^2 - 4/n^2
     increases with n toward K, as K*n > c.  For c <= K - 3 and n >= 5 that
     square is at least ((4K + 3)/5)^2 - 4/25, which is 21 > c_F^2 at K = 5,
-    so the end is at most 5 once K >= 5.
+    so the end is at most 5 once K >= 5.  `transition_scan` asks it only for
+    K = 5; at K >= 6 the lemma there gives the hits on integers.
     """
     if big_k <= 4:
         return None
@@ -386,22 +390,39 @@ def transition_scan(kmax: int, depth: int) -> list[SpectrumElement]:
 
     Elements are sorted by triple (k1, k2, k3) of `el.params`, then by value,
     the same as filtering `enumerate_spectrum(k, depth)`; rows are tested on
-    their integers, 9n^2 <= Delta, and only hits become surds.  The root is
-    (1, b, 1) with b = k_sigma(2) + 2, so the n below it, b^2 + k*b + 1 and
-    up, are >= 5, where K >= 5 leaves no value below c_F (see `_window_cut`):
-    such a triple is read at depth 0, against its class ends, and is listed
-    exhaustively at any depth.  The permutations of (0,0,1), K = 4, are
-    walked to the given depth; (0,0,0), K = 3, is not walked, as
-    Delta = 9n^2 - 4 keeps it below 3.  See TRANSITION_CAVEAT.
+    their integers, and only hits become surds.  The root is (1, b, 1) with
+    b = k_sigma(2) + 2, so the n below it, b^2 + k*b + 1 and up, are >= 5,
+    where K >= 5 leaves no value below c_F (see `_window_cut`): such a
+    triple is read at depth 0 and is listed exhaustively at any depth.
+    At K >= 6 the root's rows settle on integers, with 4.52 < c_F < 4.53:
+    the middle row, n = c + 2 >= 2 with c <= K - 3, has the square
+    (K - c/n)^2 - 4/n^2 >= (K - 1)^2 - 1 >= 24, and a row at n = 1 has the
+    square (K - c)^2 - 4, which is 5, 12, 21, ... for K - c = 3, 4, 5, ...:
+    in [9, c_F^2) exactly when K - c = 4, where the value is 2*sqrt(3).  So
+    a K >= 6 triple with no entry K - 4, that is with no two entries summing
+    to 1, is skipped, and of the others' depth-0 rows the n = 1 rows of
+    class K - 4 are kept, witnessed as walked.  A K = 5 triple's rows are
+    kept when 9n^2 <= Delta and n is below the end of its class (K, k_i),
+    found once by exact comparisons.  The permutations of (0,0,1), K = 4,
+    are walked to the given depth and kept when 9n^2 <= Delta; (0,0,0),
+    K = 3, is not walked, as Delta = 9n^2 - 4 keeps it below 3.  See
+    TRANSITION_CAVEAT.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    end = functools.cache(_window_cut)  # this scan's class ends, by (K, k_i)
+    end = functools.cache(_window_cut)  # this scan's class ends, by (5, k_i)
     out: list[SpectrumElement] = []
     for k in itertools.product(range(kmax + 1), repeat=3):
         big_k = 3 + sum(k)
+        if big_k >= 6:
+            if big_k - 4 in k:
+                out += (
+                    _element(*row) for row in _distinct_values(k, 0)
+                    if row[1] == 1 and big_k - k[row[2] - 1] == 4
+                )
+            continue
         if big_k == 3:
             continue
         for delta, n, pos, *rest in _distinct_values(k, depth if big_k == 4 else 0):

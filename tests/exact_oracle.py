@@ -24,8 +24,9 @@ The last two work on the fields (p, q, D, r) of (p + q*sqrt(D))/r.
 
 `nonsquare_split` is the former square split of gmspec.exact, kept verbatim:
 the squares of 2..13 taken out one by one at or above _FULL_FACTOR_BOUND,
-trial division to the cube root below it, with no residue pre-test and no
-split of a spectrum radicand m^2 - 4 into m - 2 and m + 2.
+trial division to the cube root below it, with no residue pre-test, no gcd
+with a primorial and no split of a spectrum radicand m^2 - 4 into m - 2 and
+m + 2.  `square_split` extends it to every n >= 1, squares included.
 """
 
 from __future__ import annotations
@@ -192,3 +193,10 @@ def nonsquare_split(n: int) -> tuple[int, int]:
     if r * r == n:
         return s * r, d
     return s, d * n
+
+
+def square_split(n: int) -> tuple[int, int]:
+    """(s, d) with n = s*s*d for any n >= 1: (isqrt(n), 1) for a perfect
+    square, `nonsquare_split` otherwise."""
+    r = math.isqrt(n)
+    return (r, 1) if r * r == n else nonsquare_split(n)

@@ -1,17 +1,24 @@
-"""The spectrum row builder that the per-class merge of gmspec.spectrum is
+"""The spectrum row builder and the window scan that gmspec.spectrum is
 checked against.
 
 * `distinct_values` is the former `spectrum._distinct_values`: it walks all
   three `ALTERNATING` trees, keys every witness by its gcd-reduced pair
   (Delta/g, n^2/g), keeps the first witness of each key, and sorts the keys by
   the exact integer key (Delta << bits) // n^2 with 2^bits >= max(n^2)^2.
+* `transition_scan` is the former `spectrum.transition_scan`: every triple
+  with K >= 5 is read at depth 0 and each row is tested against its class
+  end `_window_cut`, with no use of the lemma that settles K >= 6 on
+  integers.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 from gmspec.gmtree import ALTERNATING, GMParams, _walk_tree
+from gmspec.spectrum import SpectrumElement, _distinct_values, _element, _window_cut
 
 
 def distinct_values(
@@ -40,3 +47,18 @@ def distinct_values(
     # the value: an exact integer sort key, with no tie to break.
     bits = 2 * max(m for _, m in seen).bit_length()
     return [seen[key] for key in sorted(seen, key=lambda dm: (dm[0] << bits) // dm[1])]
+
+
+def transition_scan(kmax: int, depth: int) -> list[SpectrumElement]:
+    """`spectrum.transition_scan(kmax, depth)`: the rows of each triple with
+    9n^2 <= Delta, and, at K >= 5, n below the end of the row's class."""
+    end = functools.cache(_window_cut)
+    out: list[SpectrumElement] = []
+    for k in itertools.product(range(kmax + 1), repeat=3):
+        big_k = 3 + sum(k)
+        if big_k == 3:
+            continue
+        for delta, n, pos, *rest in _distinct_values(k, depth if big_k == 4 else 0):
+            if delta >= 9 * n * n and (big_k == 4 or n < end(big_k, k[pos - 1])):
+                out.append(_element(delta, n, pos, *rest))
+    return out

@@ -250,6 +250,29 @@ def test_malformed_label_says_what_was_expected(label, capsys):
     assert out == "" and err == want
 
 
+# Python's int-from-str limit, 4,300 by default; 0 (none) before it existed
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_LONG = "9" * (_DIGITS + 700)
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", "--t", _LONG],
+    ["seq", "--t", f"1/{_LONG}"],
+    ["seq", "--t", "1/2", "--k", f"{_LONG},0,0"],
+    ["lagrange", "--seq", f"1,{_LONG}"],
+    ["distance", "--from", f"{_LONG},0", "--to", "1,1"],
+    ["distance", "--from", "0,0", "--to", f"1,-{_LONG}"],
+], ids=["t", "t-den", "k", "seq", "from", "to"])
+def test_an_over_long_integer_is_refused_in_one_short_line(argv, capsys):
+    if not _DIGITS:
+        pytest.skip("no int-from-str limit in this interpreter")
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err) < 100, err
+    want = f"gmspec: integer too long: {len(_LONG)} characters, at most {_DIGITS} digits ("
+    assert err.startswith(want), err
+
+
 # -- the streaming emitter against the whole-payload renderer ----------------
 
 FORMATS = ("text", "json", "csv")

@@ -10,7 +10,10 @@ from gmspec.exact import (
     cf_eval_periodic,
     cf_matrix,
     _FULL_FACTOR_BOUND,
+    _PRIMORIAL,
+    _PRIMORIAL_BOUND,
     _floor_surd,
+    _primorial_split,
     _square_split,
     decimal_str,
     periodic_cf_expansion,
@@ -267,6 +270,24 @@ def test_square_split_matches_factorint():
             s0 *= rng.choice((2, 3, 5, 7, 11, 13))
         want_s, want_d = split(d0)
         assert _square_split(s0 * s0 * d0) == (s0 * want_s, want_d), (s0, d0)
+
+
+def test_primorial_split_matches_trial_division():
+    # every x below 2 * 10**5, then the edges of the primorial's primes and
+    # of the bound, where what is left after the gcds is q, q * q' or q^2
+    assert _PRIMORIAL == math.prod(p for p in range(2, 212) if all(p % q for q in range(2, p)))
+    assert _PRIMORIAL_BOUND == 223**3 == 11_089_567
+    for x in range(1, 200_000):
+        assert _primorial_split(x) == exact_oracle.square_split(x), x
+    above = (223, 227, 229, 233, 239)
+    cases = [211**2, 211**3, 223, 223**2, 223**3 - 1, 2**23, 2**23 - 1, 2 * 223**2,
+             211 * 223, 2**20 * 3**2]
+    cases += [p * q for p in above for q in above]
+    cases += [_PRIMORIAL_BOUND - i for i in range(1, 2000)]
+    for x in cases:  # the general split takes the kernel below the bound too
+        assert x < _PRIMORIAL_BOUND
+        want = exact_oracle.square_split(x)
+        assert _primorial_split(x) == want and _square_split(x) == want, x
 
 
 def test_str_format():

@@ -439,6 +439,56 @@ def test_transition_scan_matches_unpruned_reference(kmax, depths):
         assert _rows(got) == _rows(want)
 
 
+@pytest.mark.parametrize("depth", range(4))
+def test_transition_scan_matches_the_window_cut_scan(depth):
+    # the scan that reads every K >= 5 triple against its class ends
+    for kmax in range(13):
+        got = transition_scan(kmax, depth)
+        want = spectrum_oracle.transition_scan(kmax, depth)
+        assert [el.params for el in got] == [el.params for el in want], (kmax, depth)
+        assert _rows(got) == _rows(want), (kmax, depth)
+
+
+def test_root_lemma_holds_on_integers_for_every_k_from_6():
+    # c_F lies in (4.52, 4.53), so a square of 4.53^2 or more is at or above
+    # it and a square below 4.52^2 under it, in integers scaled by 100^2
+    assert QuadSurd(452, 0, 1, 100) < FREIMAN_CONSTANT < QuadSurd(453, 0, 1, 100)
+    # up to the K of the largest --kmax, 3 + 3 * 30, and every class c <= K - 3
+    for big_k in range(6, 94):
+        for c in range(big_k - 2):
+            # the middle root row of class c, at n = c + 2, is at least c_F
+            n = c + 2
+            assert 100**2 * ((big_k * n - c) ** 2 - 4) >= 453**2 * n * n, (big_k, c)
+            # a row at n = 1 is in [3, c_F) exactly when K - c = 4
+            square = (big_k - c) ** 2 - 4
+            assert not 452**2 <= 100**2 * square < 453**2, (big_k, c)
+            in_window = 9 <= square and 100**2 * square < 452**2
+            assert in_window == (big_k - c == 4), (big_k, c)
+    # the middle root row of every tree is the class c = k_pos at n = c + 2
+    for k in itertools.product(range(6), repeat=3):
+        for sigma in ALL_SIGMAS:
+            _, _, n, pos, _, _ = _walk_tree(GMParams(*k, sigma), 0)[0][4]
+            assert n == k[pos - 1] + 2, (k, sigma)
+
+
+def test_scan_reads_a_k6_triple_only_when_an_entry_is_k_minus_4(monkeypatch):
+    read = []
+
+    def counted(k, depth):
+        read.append(k)
+        return _distinct_values(k, depth)
+
+    monkeypatch.setattr("gmspec.spectrum._distinct_values", counted)
+    transition_scan(30, 0)
+    want = [
+        k for k in itertools.product(range(31), repeat=3)
+        if 4 <= 3 + sum(k) <= 5 or 3 + sum(k) - 4 in k
+    ]
+    assert read == want
+    # K = 4, K = 5, and the permutations of (j, 1, 0) for j from 2 to 30
+    assert len(read) == 3 + 6 + 6 * 29
+
+
 def _class_value(big_k, c, n):
     return QuadSurd(0, 1, (big_k * n - c) ** 2 - 4, n)
 
