@@ -17,7 +17,7 @@ import sys
 from typing import Iterable, Iterator, Sequence
 
 from .exact import Mat2, QuadSurd
-from .farey import IrreducibleFraction, _check_int_length
+from .farey import IrreducibleFraction, _check_int_length, _echo
 from .gmtree import ALTERNATING, GMParams, format_sigma, gm_node, parse_sigma
 from .cohn import cohn_closed_form, cohn_recursive
 from .lattice import admissible_sequence, gm_distance
@@ -96,7 +96,7 @@ def _ints_of(text: str, count: int | None, expected: str) -> tuple[int, ...]:
     except ValueError:
         vals = None
     if vals is None or (count is not None and len(vals) != count):
-        raise ValueError(f"{expected}, got {text!r}")
+        raise ValueError(f"{expected}, got {_echo(text)}")
     return vals
 
 

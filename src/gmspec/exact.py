@@ -6,12 +6,15 @@ machinery (convergent matrices, periodic expansion of quadratic surds).
 
 One integer floor, `_floor_surd`, decides floor, decimal, order and float:
 `QuadSurd.floor`, `decimal_str`'s rounding, the first pair of floors of
-x * 2**bits that differ, and such a floor over 2**bits.
+x * 2**bits that differ, and such a floor over 2**bits.  For p = 0 and
+q >= 0 it takes the root of the quotient q^2 N // r^2, a number the size of
+the answer squared, not of q^2 N.
 
 `QuadSurd(p, q, D, r)` is the general constructor.  A spectrum row's value
 sqrt(Delta)/n is built by `_sqrt_over`, which skips the perfect-square test
 and the general branches because Delta = (K*n - k_i)^2 - 4 is never a
-square, and rendered by `decimal_str`'s path for p = 0, q > 0: one isqrt.
+square, and rendered by `decimal_str`'s path for p = 0, q > 0: one
+quotient and one isqrt of about 80 bits for 12 digits.
 
 Trusted objects are built one way: their slots are written by the slots'
 member-descriptor setters, fetched once at import by `_slot_setters`.
@@ -54,10 +57,15 @@ def _sign(n) -> int:
 def _floor_surd(p: int, q: int, N: int, r: int) -> int:
     """floor((p + q*sqrt(N))/r) for N >= 0 and r > 0, in integers.
 
-    floor((p + y)/r) = floor((p + floor(y))/r) for integers p and r > 0, and
-    floor(q*sqrt(N)) is isqrt(q^2 N), less one when q < 0 unless q^2 N is a
-    perfect square.
+    For p = 0 and q >= 0 it is isqrt(q^2 N // r^2), as
+    floor(sqrt(floor(y))) = floor(sqrt(y)) for every real y >= 0: the root
+    is taken of a number the size of the answer squared, not of q^2 N.
+    Otherwise floor((p + y)/r) = floor((p + floor(y))/r) for integers p and
+    r > 0, and floor(q*sqrt(N)) is isqrt(q^2 N), less one when q < 0 unless
+    q^2 N is a perfect square.
     """
+    if p == 0 and q >= 0:
+        return math.isqrt(q * q * N // (r * r))
     s = math.isqrt(q * q * N)
     if q < 0:
         s = -s if s * s == q * q * N else -s - 1
@@ -427,8 +435,9 @@ def decimal_str(x: QuadSurd, sig: int = 12) -> str:
     integers: the digit count of m2 >> 1 = floor(|x|*10^k) fixes the
     exponent, and dropping the spare digits of m2 then (m2 + 1) >> 1 rounds
     half up.  A surd sqrt(N)/r (p = 0, q > 0, N = q^2 D), such as every
-    spectrum value, takes its exponent bound from bit lengths and m2 from one
-    isqrt; only a mixed surd needs its sign and the cancellation of its terms.
+    spectrum value, takes its exponent bound from bit lengths and m2 from the
+    floor's quotient root; only a mixed surd needs its sign and the
+    cancellation of its terms.
     """
     if sig < 1:
         raise ValueError("sig must be >= 1")
@@ -437,7 +446,7 @@ def decimal_str(x: QuadSurd, sig: int = 12) -> str:
         N = q * q * D
         e = ((N.bit_length() - 1) // 2 - r.bit_length()) * 30103 // 100000 - 1
         k = sig - 1 - e
-        m2 = math.isqrt(4 * 100**k * N) // r if k >= 0 else math.isqrt(4 * N) // (r * 10**-k)
+        m2 = _floor_surd(0, 2 * 10**k, N, r) if k >= 0 else _floor_surd(0, 2, N, r * 10**-k)
         neg = False
     elif p == 0 and q == 0:
         return "0." + "0" * (sig - 1)
@@ -473,17 +482,13 @@ def _format_sig(n: int, e: int, sig: int, neg: bool) -> str:
         e += 1
     if e < -4 or e >= sig:
         out = f"{digits[0]}.{digits[1:]}e{e:+03d}"
+    elif e == sig - 1:
+        out = digits
+    elif e >= 0:
+        out = f"{digits[:e + 1]}.{digits[e + 1:]}"
     else:
-        out = _place_point(digits, e)
-    return ("-" if neg else "") + out
-
-
-def _place_point(digits: str, e: int) -> str:
-    if e >= len(digits) - 1:
-        return digits + "0" * (e - len(digits) + 1)
-    if e >= 0:
-        return digits[: e + 1] + "." + digits[e + 1 :]
-    return "0." + "0" * (-e - 1) + digits
+        out = "0." + "0" * (-e - 1) + digits
+    return "-" + out if neg else out
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ class IrreducibleFraction:
             num, den = map(int, parts)
         except ValueError:
             raise ValueError(
-                f"expected a fraction 'num/den', an integer or 'inf', got {text!r}"
+                f"expected a fraction 'num/den', an integer or 'inf', got {_echo(text)}"
             ) from None
         return IrreducibleFraction(num, den)
 
@@ -74,6 +74,14 @@ class IrreducibleFraction:
     @property
     def is_boundary(self) -> bool:
         return self.num == 0 or self.den == 0
+
+
+def _echo(text: str) -> str:
+    """repr(text) for an error message, clipped to its first 40 characters and
+    its length when it is longer, so that the message stays one short line."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def _check_int_length(text: str) -> None:

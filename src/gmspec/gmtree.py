@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .farey import IrreducibleFraction, farey_path
+from .farey import IrreducibleFraction, _echo, farey_path
 
 __all__ = [
     "Sigma",
@@ -55,7 +55,7 @@ def parse_sigma(text: str) -> Sigma:
     key = " ".join(text.strip().split())
     if key in _CYCLE_NAMES:
         return _CYCLE_NAMES[key]
-    raise ValueError(f"unknown permutation {text!r}")
+    raise ValueError(f"unknown permutation {_echo(text)}")
 
 
 _SIGMA_NAMES: dict[Sigma, str] = {s: name for name, s in _CYCLE_NAMES.items()}

@@ -9,7 +9,9 @@ carries every element as plain integers and never builds a surd or a
 Fraction to deduplicate or sort: in each class c = k_i the value increases
 with n, so a class is deduplicated by n and sorted by n, and the at most
 three class runs are merged by the exact test Delta_1 * n_2^2 vs
-Delta_2 * n_1^2, each run with its list of n^2 beside it.  Only the
+Delta_2 * n_1^2, each run with its list of n^2 beside it: two products
+while both n are narrow, and for a pair with an n of 384 bits or more the
+expanded identity, linear in n but for one product (see `_merge`).  Only the
 distinct values returned become `SpectrumElement`s, with their `QuadSurd`
 and label, in `_element`; the decimal is rendered only when a row is
 written.  Delta = m^2 - 4 with m = K*n - k_i >= 3 is never a perfect
@@ -239,7 +241,8 @@ def _distinct_values(
     equal values have equal n: each class keeps the first witness of each n
     in a dict keyed by n, and Delta is computed once per kept n.  Sorted by
     n, each class is an ascending run; `_merge` joins the runs, each with
-    the list of its rows' n^2 beside it.  A tree whose kappa, or kappa
+    the list of its rows' n^2 beside it, and compares by the expanded
+    identity only when some n reaches _WIDE_N.  A tree whose kappa, or kappa
     reversed, is that of a tree already walked is skipped: t -> 1/t maps the
     walk of the reversed kappa onto the walk of kappa with L and R swapped,
     so it would only repeat earlier witnesses' (Delta, n).
@@ -269,24 +272,56 @@ def _distinct_values(
     for c in list(classes):
         rows = sorted(classes.pop(c).values(), key=itemgetter(1))
         runs.append((rows, [row[1] * row[1] for row in rows]))
-    return functools.reduce(_merge, runs)[0]
+    wide = any(rows[-1][1] >= _WIDE_N for rows, _ in runs)
+    return functools.reduce(lambda a, b: _merge(a, b, k, wide), runs)[0]
+
+
+# `_merge` compares two rows by the expanded identity when either n has at
+# least 384 bits.  Per comparison the identity is cheaper from about 200 bits
+# (2-core Xeon, CPython 3.11), but by little below 384, while a merge that
+# holds a wide n pays the width test on every pair; 384 keeps that test off
+# every depth-8 spectrum up to (10,10,10), whose largest n has 382 bits.
+_WIDE_N = 1 << 384
 
 
 def _merge(
-    a: tuple[list[tuple], list[int]], b: tuple[list[tuple], list[int]]
+    a: tuple[list[tuple], list[int]], b: tuple[list[tuple], list[int]],
+    k: tuple[int, int, int], wide: bool,
 ) -> tuple[list[tuple], list[int]]:
-    """Two runs of rows (Delta, n, ...), each ascending in sqrt(Delta)/n and
-    each with the list of its rows' n^2 beside it, as one such run, by the
-    exact test Delta_a * n_b^2 vs Delta_b * n_a^2: two products, as the
-    squares are at hand.  Of two equal values only the one walked first is
-    kept."""
+    """Two runs of rows (Delta, n, pos, ...) of the triple k, each ascending
+    in sqrt(Delta)/n and each with the list of its rows' n^2 beside it, as
+    one such run.  Of two equal values only the one walked first is kept.
+
+    The test is the sign of Delta_1 n_2^2 - Delta_2 n_1^2.  For two rows
+    whose n are both below _WIDE_N, or for every pair unless `wide` (some n
+    of the runs reaches _WIDE_N), it is taken as written: two products, as
+    the squares are at hand.  Otherwise Delta = K^2 n^2 - 2Kcn + c^2 - 4
+    expands it to E - 2K D n_1 n_2, with K = 3 + k1 + k2 + k3, the classes
+    c = k_pos, D = c_1 n_2 - c_2 n_1 and
+    E = (c_1^2 - 4) n_2^2 - (c_2^2 - 4) n_1^2, both linear in what is at
+    hand.  The sign is E's when D = 0, and -D's when E has fewer bits than
+    bits(2K) + bits(D) + bits(n_1) + bits(n_2) - 3, a lower bound on the bit
+    length of 2K D n_1 n_2; otherwise the identity is computed, with one
+    product n_1 n_2 and one by D."""
     (rows_a, sq_a), (rows_b, sq_b) = a, b
     out, out_sq = [], []
     i = j = 0
     len_a, len_b = len(rows_a), len(rows_b)
+    c_at = (None, *k)
+    two_k = 2 * (3 + sum(k))
+    k_bits = two_k.bit_length() - 3
+    wide_n = _WIDE_N
     while i < len_a and j < len_b:
         x, y = rows_a[i], rows_b[j]
-        side = x[0] * sq_b[j] - y[0] * sq_a[i]
+        if wide and (x[1] >= wide_n or y[1] >= wide_n):
+            n_a, n_b, c_a, c_b = x[1], y[1], c_at[x[2]], c_at[y[2]]
+            d = c_a * n_b - c_b * n_a
+            side = (c_a * c_a - 4) * sq_b[j] - (c_b * c_b - 4) * sq_a[i]  # E
+            if d:
+                bound = k_bits + d.bit_length() + n_a.bit_length() + n_b.bit_length()
+                side = -d if side.bit_length() < bound else side - two_k * d * (n_a * n_b)
+        else:
+            side = x[0] * sq_b[j] - y[0] * sq_a[i]
         if side < 0:
             out.append(x)
             out_sq.append(sq_a[i])

@@ -22,6 +22,11 @@ The last two work on the fields (p, q, D, r) of (p + q*sqrt(D))/r.
   `cf_matrix` or its Moebius form.
 * `shift` adds a rational to a surd.
 
+`floor_surd` is the former `_floor_surd`, kept verbatim: the root of q^2 N,
+then the division by r, for every p and q.  `decimal_sqrt` is the former
+`decimal_str` of a surd sqrt(N)/r (p = 0, q > 0, N = q^2 D): the root of
+4 * 100^k * N, then the division by r, both done inline.
+
 `nonsquare_split` is the former square split of gmspec.exact, kept verbatim:
 the squares of 2..13 taken out one by one at or above _FULL_FACTOR_BOUND,
 trial division to the cube root below it, with no residue pre-test, no gcd
@@ -128,6 +133,26 @@ def floor_interval(x: QuadSurd) -> int:
         if flo == fhi:
             return flo
         bits *= 2
+
+
+def floor_surd(p: int, q: int, N: int, r: int) -> int:
+    """floor((p + q*sqrt(N))/r) for N >= 0 and r > 0: floor(q*sqrt(N)) is
+    isqrt(q^2 N), less one when q < 0 unless q^2 N is a perfect square."""
+    s = math.isqrt(q * q * N)
+    if q < 0:
+        s = -s if s * s == q * q * N else -s - 1
+    return (p + s) // r
+
+
+def decimal_sqrt(x: QuadSurd, sig: int) -> str:
+    """decimal_str of a surd with p = 0 and q > 0."""
+    assert x.p == 0 and x.q > 0, x
+    N, r = x.q * x.q * x.D, x.r
+    e = ((N.bit_length() - 1) // 2 - r.bit_length()) * 30103 // 100000 - 1
+    k = sig - 1 - e
+    m2 = math.isqrt(4 * 100**k * N) // r if k >= 0 else math.isqrt(4 * N) // (r * 10**-k)
+    spare = len(str(m2 >> 1)) - sig
+    return _format_sig((m2 // 10**spare + 1) >> 1, e + spare, sig, False)
 
 
 def _plus_inverse(a: int, x: QuadSurd) -> QuadSurd:

@@ -273,6 +273,20 @@ def test_an_over_long_integer_is_refused_in_one_short_line(argv, capsys):
     assert err.startswith(want), err
 
 
+@pytest.mark.parametrize("argv", [
+    ["seq", "--t", "x" * 4000],
+    ["seq", "--t", "1/2", "--k", "a" * 4000],
+    ["seq", "--t", "1/2", "--sigma", "(" * 4000],
+    ["lagrange", "--seq", "1," * 1999 + "zz"],
+    ["distance", "--from", "q" * 4000, "--to", "1,1"],
+], ids=["t", "k", "sigma", "seq", "from"])
+def test_a_long_malformed_value_is_echoed_clipped(argv, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err.encode()) < 200, err
+    assert err.endswith("... (4000 characters)\n"), err
+
+
 # -- the streaming emitter against the whole-payload renderer ----------------
 
 FORMATS = ("text", "json", "csv")

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gmspec.exact import (
     Mat2,
@@ -218,6 +220,37 @@ def test_floor_matches_interval_floor():
         p, q, m = (rng.randint(-(10**12), 10**12) for _ in range(3))
         r = rng.randint(1, 4)
         assert _floor_surd(p, q, m * m, r) == (p + q * abs(m)) // r
+
+
+def _near_integer(args):
+    """(q, N, r) with q*sqrt(N)/r within a step of the integer m: the floors
+    that an error in the quotient or the root would move."""
+    q, m, r, step = args
+    return q, max(0, (m * r) ** 2 + step), r * q if q else r
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.integers(0, 10**6), st.integers(0, 10**400), st.integers(1, 10**200)),
+        st.tuples(
+            st.integers(0, 10**3), st.integers(0, 10**100), st.integers(1, 10**100),
+            st.integers(-3, 3),
+        ).map(_near_integer),
+    ),
+    st.integers(1, 40),
+    st.integers(0, 200),
+)
+@example((1, 10**400 + 1, 1), 5, 0)  # 10^200: k < 0
+@example((1, 2, 10**200), 40, 0)  # 1.4e-200: k > 0
+@example((3, (7 * 10**150) ** 2 - 1, 3 * 10**150), 1, 64)  # just below 7
+def test_quotient_root_floor_matches_the_former_floor(qnr, sig, bits):
+    q, N, r = qnr
+    assert _floor_surd(0, q, N, r) == exact_oracle.floor_surd(0, q, N, r)
+    x = QuadSurd(0, q, N, r)
+    assert x.interval(bits) == exact_oracle.floor_surd(x.p << bits, x.q << bits, x.D, x.r)
+    if x.p == 0 and x.q > 0:
+        assert decimal_str(x, sig) == exact_oracle.decimal_sqrt(x, sig), (x, sig)
 
 
 def test_decimal_mantissa_matches_sympy_rounding():

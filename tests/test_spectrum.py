@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spectrum_oracle
 import exact_oracle
@@ -14,6 +16,7 @@ from exact_oracle import _decimal_interval, nonsquare_split
 from gmspec.exact import (
     _FULL_FACTOR_BOUND,
     QuadSurd,
+    _floor_surd,
     _sqrt_over,
     cf_eval_periodic,
     decimal_str,
@@ -31,10 +34,12 @@ from gmspec.gmtree import (
 )
 from gmspec.lattice import admissible_sequence
 from gmspec.spectrum import (
+    _WIDE_N,
     FREIMAN_CONSTANT,
     SpectrumElement,
     _distinct_values,
     _element,
+    _merge,
     _walk_order,
     _window_cut,
     alpha_fixed_point,
@@ -333,12 +338,86 @@ def test_enumerate_spectrum_matches_reference(k, depths):
         [(k, 8) for k in _DEEP_TRIPLES],
         # the roots that transition_scan reads of every triple with K >= 5
         [(k, 0) for k in itertools.product(range(4), repeat=3) if 3 + sum(k) >= 5],
+        # runs with n on both sides of _WIDE_N, merged by both comparisons
+        [((10**20, 0, 0), 6), ((1, 2, 0), 11)],
     ],
-    ids=["grid-triples", "spectrum-deep", "window-cut"],
+    ids=["grid-triples", "spectrum-deep", "window-cut", "wide"],
 )
 def test_distinct_values_match_the_gcd_key_oracle(cases):
     for k, depth in cases:
         assert _distinct_values(k, depth) == spectrum_oracle.distinct_values(k, depth), (k, depth)
+
+
+def _tie_n(k, n_1):
+    """The least n at which the class k2 reaches the class k1's value at n_1,
+    by bisection on the exact test."""
+    big_k = 3 + sum(k)
+    delta_1 = (big_k * n_1 - k[0]) ** 2 - 4
+    below = lambda n: ((big_k * n - k[1]) ** 2 - 4) * n_1 * n_1 < delta_1 * n * n
+    lo, hi = 0, 1
+    while below(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return hi
+
+
+@st.composite
+def _wide_pairs(draw):
+    """(k, n_1, n_2) with n_1 >= _WIDE_N, for a row of class k1 at n_1 and one
+    of class k2 at n_2: a pair with D = k1 n_2 - k2 n_1 = 0, or a pair near a
+    tie of the two values, which puts E's bit length on either side of the
+    shortcut's bound."""
+    k = draw(st.tuples(*[st.integers(0, 6)] * 3))
+    n_1 = draw(st.integers(_WIDE_N, _WIDE_N << 200))
+    if k[0] and k[1] and draw(st.booleans()):
+        return k, k[0] * n_1, k[1] * n_1
+    n_2 = _tie_n(k, n_1) << draw(st.integers(0, 2)) >> draw(st.integers(0, 2))
+    return k, n_1, max(1, n_2 + draw(st.integers(-2, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_pairs())
+@example(((1, 2, 0), 2 * _WIDE_N, 4 * _WIDE_N))  # D = 0
+@example(((1, 2, 0), _WIDE_N, 3 * _WIDE_N))  # E far below the bound
+# at the tie n_2 = t of (0,1,0): E is one bit below the bound at t - 1, and
+# at t and 2t at the bound and one bit above it, where -D's sign is wrong
+@example(((0, 1, 0), _WIDE_N, _tie_n((0, 1, 0), _WIDE_N) - 1))
+@example(((0, 1, 0), _WIDE_N, _tie_n((0, 1, 0), _WIDE_N)))
+@example(((0, 1, 0), _WIDE_N, 2 * _tie_n((0, 1, 0), _WIDE_N)))
+def test_identity_merge_orders_a_pair_as_the_two_products_do(pair):
+    k, n_1, n_2 = pair
+    params = GMParams(*k, (1, 2, 3))
+    big_k = 3 + sum(k)
+    # the 0/1 row is walked before the 1/0 row, so a tie keeps x
+    x = ((big_k * n_1 - k[0]) ** 2 - 4, n_1, 1, 0, 1, params)
+    y = ((big_k * n_2 - k[1]) ** 2 - 4, n_2, 2, 1, 0, params)
+    side = x[0] * n_2 * n_2 - y[0] * n_1 * n_1
+    want = [x, y] if side < 0 else [y, x] if side > 0 else [x]
+    for a, b in ((x, y), (y, x)):
+        for wide in (True, False):
+            got = _merge(([a], [a[1] ** 2]), ([b], [b[1] ** 2]), k, wide)
+            assert got == (want, [z[1] ** 2 for z in want]), (k, n_1, n_2, wide)
+
+
+def test_no_depth_8_spectrum_deep_merge_compares_by_the_identity(monkeypatch):
+    # every arrangement of the benchmark's triples stays below _WIDE_N at
+    # depth 8; the requests of the "wide" oracle case above reach it
+    seen = []
+
+    def recorded(a, b, k, wide):
+        seen.append(wide)
+        return _merge(a, b, k, wide)
+
+    monkeypatch.setattr("gmspec.spectrum._merge", recorded)
+    for k in {k for triple in _DEEP_TRIPLES for k in itertools.permutations(triple)}:
+        assert max(row[1] for row in _distinct_values(k, 8)) < _WIDE_N, k
+    assert seen and not any(seen)
+    seen.clear()
+    for k, depth in (((10**20, 0, 0), 6), ((1, 2, 0), 11)):
+        assert max(row[1] for row in _distinct_values(k, depth)) >= _WIDE_N
+    assert seen and all(seen)
 
 
 def _witnesses_in_walk_order(k, depth):
@@ -517,6 +596,18 @@ def test_sqrt_over_and_its_decimal_match_the_general_paths_on_the_grid_rows():
         assert (x.p, x.q, x.D, x.r) == (want.p, want.q, want.D, want.r), (delta, n)
         for sig in range(1, 21) if i % 10 == 0 else (12,):
             assert decimal_str(x, sig) == _decimal_interval(x, sig), (x, sig)
+
+
+def test_quotient_root_decimal_matches_the_former_decimal_on_the_grid_rows():
+    # every distinct depth-7 grid row and depth-8 spectrum-deep row
+    rows = [row for k in grid_triples() for row in _distinct_values(k, 7)]
+    rows += [row for k in _DEEP_TRIPLES for row in _distinct_values(k, 8)]
+    for i, (delta, n, *_) in enumerate(rows):
+        x = _sqrt_over(delta, n)
+        assert _floor_surd(0, x.q, x.D, x.r) == exact_oracle.floor_surd(0, x.q, x.D, x.r)
+        assert x.interval(64) == exact_oracle.floor_surd(0, x.q << 64, x.D, x.r), x
+        for sig in range(1, 41) if i % 50 == 0 else (12,):
+            assert decimal_str(x, sig) == exact_oracle.decimal_sqrt(x, sig), (x, sig)
 
 
 def test_walked_labels_are_reduced_so_elements_skip_the_gcd_check():
