@@ -16,7 +16,7 @@ import stat
 import sys
 from typing import Iterable, Iterator, Sequence
 
-from .exact import Mat2, QuadSurd
+from .exact import Mat2, QuadSurd, decimal_str
 from .farey import IrreducibleFraction, _check_int_length, _echo
 from .gmtree import ALTERNATING, GMParams, format_sigma, gm_node, parse_sigma
 from .cohn import cohn_closed_form, cohn_recursive
@@ -56,13 +56,15 @@ LABEL_SIZE_LIMIT = 1024
 # coefficients lengthen n.
 SPECTRUM_DEPTH_LIMIT = 14
 
-# Largest `spectrum --kmax`.  The scan loops over (kmax + 1)^3 triples, so
-# its cost grows as kmax^3, but it reads the roots of only the 9 triples with
-# K = 3 + k1 + k2 + k3 of 4 or 5 and the 6 (kmax - 1) with K >= 6 and two
-# entries summing to 1; each other triple costs one integer test.  At this
-# limit, `transition_scan(30, 4)` takes 20 ms in-process (2-core Xeon VM,
-# CPython 3.11), and `spectrum --kmax 30` at depth 14 costs what `--kmax 1`
-# does, nearly all of it in the three K = 4 trees.
+# Largest `spectrum --kmax`.  The scan lists only the 9 + 6 (kmax - 1)
+# triples that can reach the window, with no loop over all (kmax + 1)^3: the
+# 9 with K = 3 + k1 + k2 + k3 of 4 or 5, whose trees it walks (K = 5 at the
+# root only), and the permutations of (m,1,0), 2 <= m <= kmax, whose one hit
+# it writes from its integers; it builds one surd per distinct window value.
+# At this limit `transition_scan(30, 4)` takes about 1.4 ms in-process
+# (2-core Xeon VM, CPython 3.11), and `spectrum --kmax 30` at depth 14 costs
+# what `--kmax 1` does, nearly all of it in the three K = 4 trees.  The tests
+# check the lemma's inequalities up to this limit's largest K, 93.
 SPECTRUM_KMAX_LIMIT = 30
 
 
@@ -190,7 +192,7 @@ def _spectrum_entries(elems: Iterable[SpectrumElement]) -> Iterator[str]:
         yield (
             f'{head}{t.num}/{t.den}",\n    "n": {el.n},\n    "pos": {el.pos},\n'
             f'    "p": {v.p},\n    "q": {v.q},\n    "D": {v.D},\n    "r": {v.r},\n'
-            f'    "decimal": "{v.decimal()}"\n  }}'
+            f'    "decimal": "{decimal_str(v)}"\n  }}'
         )
 
 
@@ -342,7 +344,7 @@ def _spectrum_cmd(args) -> None:
             raise ValueError(f"kmax too large: at most {SPECTRUM_KMAX_LIMIT}")
         elems = transition_scan(args.kmax, args.depth)
         lines = itertools.chain([f"note: {TRANSITION_CAVEAT}"], (
-            f"k=({el.params.k1},{el.params.k2},{el.params.k3}) {el.value} = {el.value.decimal()}"
+            f"k=({el.params.k1},{el.params.k2},{el.params.k3}) {el.value} = {decimal_str(el.value)}"
             for el in elems
         ))
     else:
@@ -350,7 +352,7 @@ def _spectrum_cmd(args) -> None:
         _check_printable(_zigzag_rows(k, args.depth))
         elems = enumerate_spectrum(k, args.depth)
         lines = (
-            f"{el.value} = {el.value.decimal()}  (t={el.t}, n={el.n}, pos={el.pos}, "
+            f"{el.value} = {decimal_str(el.value)}  (t={el.t}, n={el.n}, pos={el.pos}, "
             f"sigma={format_sigma(el.params.sigma)})"
             for el in elems
         )

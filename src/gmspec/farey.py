@@ -34,7 +34,7 @@ class IrreducibleFraction:
         if self.num == 0 and self.den == 0:
             raise ValueError("0/0 is not a fraction")
         if math.gcd(self.num, self.den) != 1:
-            raise ValueError(f"{self.num}/{self.den} is not reduced")
+            raise ValueError(f"fraction not reduced: {_echo(f'{self.num}/{self.den}')}")
 
     @staticmethod
     def parse(text: str) -> "IrreducibleFraction":

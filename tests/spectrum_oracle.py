@@ -17,6 +17,7 @@ import functools
 import itertools
 import math
 
+from gmspec.exact import _sqrt_over
 from gmspec.gmtree import ALTERNATING, GMParams, _walk_tree
 from gmspec.spectrum import SpectrumElement, _distinct_values, _element, _window_cut
 
@@ -60,5 +61,5 @@ def transition_scan(kmax: int, depth: int) -> list[SpectrumElement]:
             continue
         for delta, n, pos, *rest in _distinct_values(k, depth if big_k == 4 else 0):
             if delta >= 9 * n * n and (big_k == 4 or n < end(big_k, k[pos - 1])):
-                out.append(_element(delta, n, pos, *rest))
+                out.append(_element(_sqrt_over(delta, n), n, pos, *rest))
     return out

@@ -11,7 +11,7 @@ import pytest
 
 import cli_oracle
 import gmspec
-from gmspec import cli
+from gmspec import cli, exact
 from gmspec.cli import LABEL_SIZE_LIMIT, SPECTRUM_DEPTH_LIMIT, SPECTRUM_KMAX_LIMIT, run
 from gmspec.exact import _FULL_FACTOR_BOUND, QuadSurd
 from gmspec.farey import IrreducibleFraction
@@ -279,7 +279,8 @@ def test_an_over_long_integer_is_refused_in_one_short_line(argv, capsys):
     ["seq", "--t", "1/2", "--sigma", "(" * 4000],
     ["lagrange", "--seq", "1," * 1999 + "zz"],
     ["distance", "--from", "q" * 4000, "--to", "1,1"],
-], ids=["t", "k", "sigma", "seq", "from"])
+    ["seq", "--t", "2/" + "4" * 3998],
+], ids=["t", "k", "sigma", "seq", "from", "unreduced"])
 def test_a_long_malformed_value_is_echoed_clipped(argv, capsys):
     assert run(argv) == 2
     out, err = capsys.readouterr()
@@ -453,15 +454,18 @@ def test_zigzag_rows_carry_the_greatest_n_of_their_depth():
 
 
 def _fail_after_sqrt5(monkeypatch):
-    """Make every row's decimal after that of sqrt(5) raise, as a late error."""
-    decimal = QuadSurd.decimal
+    """Make every row's decimal after that of sqrt(5) raise, as a late error:
+    `decimal_str` where the text and JSON templates call it and where
+    `QuadSurd.decimal` (a CSV row's) does."""
+    decimal = exact.decimal_str
 
     def late(x, sig=12):
         if x != QuadSurd(0, 1, 5, 1):
             raise ValueError("late")
         return decimal(x, sig)
 
-    monkeypatch.setattr(QuadSurd, "decimal", late)
+    for module in (cli, exact):
+        monkeypatch.setattr(module, "decimal_str", late)
 
 
 def test_late_error_keeps_a_linked_out_file(tmp_path, capsys, monkeypatch):

@@ -520,8 +520,9 @@ def test_transition_scan_matches_unpruned_reference(kmax, depths):
 
 @pytest.mark.parametrize("depth", range(4))
 def test_transition_scan_matches_the_window_cut_scan(depth):
-    # the scan that reads every K >= 5 triple against its class ends
-    for kmax in range(13):
+    # the scan that reads every K >= 5 triple against its class ends, and
+    # at depth 0 the largest --kmax, whose 29,791 triples it reads in full
+    for kmax in [*range(13), *([30] if depth == 0 else [])]:
         got = transition_scan(kmax, depth)
         want = spectrum_oracle.transition_scan(kmax, depth)
         assert [el.params for el in got] == [el.params for el in want], (kmax, depth)
@@ -550,7 +551,7 @@ def test_root_lemma_holds_on_integers_for_every_k_from_6():
             assert n == k[pos - 1] + 2, (k, sigma)
 
 
-def test_scan_reads_a_k6_triple_only_when_an_entry_is_k_minus_4(monkeypatch):
+def test_scan_reads_only_the_k4_and_k5_triples(monkeypatch):
     read = []
 
     def counted(k, depth):
@@ -558,14 +559,46 @@ def test_scan_reads_a_k6_triple_only_when_an_entry_is_k_minus_4(monkeypatch):
         return _distinct_values(k, depth)
 
     monkeypatch.setattr("gmspec.spectrum._distinct_values", counted)
-    transition_scan(30, 0)
-    want = [
-        k for k in itertools.product(range(31), repeat=3)
-        if 4 <= 3 + sum(k) <= 5 or 3 + sum(k) - 4 in k
+    hits = transition_scan(30, 0)
+    # the permutations of (1,0,0), K = 4, and of (2,0,0) and (1,1,0), K = 5
+    assert read == [k for k in itertools.product(range(31), repeat=3) if 4 <= 3 + sum(k) <= 5]
+    assert len(read) == 9
+    # a K >= 6 triple has a row exactly when an entry is K - 4: the
+    # permutations of (m, 1, 0) for m from 2 to 30, one row each
+    k6 = [_triple(el) for el in hits if sum(_triple(el)) >= 3]
+    assert k6 == [
+        k for k in itertools.product(range(31), repeat=3) if 3 + sum(k) - 4 in k and sum(k) >= 3
     ]
-    assert read == want
-    # K = 4, K = 5, and the permutations of (j, 1, 0) for j from 2 to 30
-    assert len(read) == 3 + 6 + 6 * 29
+    assert len(k6) == 6 * 29
+
+
+def test_direct_k6_rows_are_the_filtered_rows_they_replace():
+    # each K >= 6 row of the scan against the n = 1 row of class K - 4 among
+    # the triple's depth-0 rows, the row the scan read before
+    hits = {_triple(el): el for el in transition_scan(30, 0) if sum(_triple(el)) >= 3}
+    for m in range(2, 31):
+        for k in set(itertools.permutations((m, 1, 0))):
+            big_k = 3 + sum(k)
+            (row,) = [
+                row for row in _distinct_values(k, 0)
+                if row[1] == 1 and big_k - k[row[2] - 1] == 4
+            ]
+            delta, n, pos, num, den, params = row
+            el, x = hits[k], _sqrt_over(delta, n)
+            assert (delta, n) == (12, 1), k
+            assert (el.value.p, el.value.q, el.value.D, el.value.r) == (x.p, x.q, x.D, x.r), k
+            assert (el.n, el.pos, el.t.num, el.t.den, el.params) == (n, pos, num, den, params), k
+
+
+@pytest.mark.parametrize("kmax, depth", [(2, 4), (5, 3)])
+def test_scan_hits_with_one_value_share_one_surd(kmax, depth):
+    hits = transition_scan(kmax, depth)
+    first = {}
+    for el in hits:
+        v = el.value
+        assert el.value is first.setdefault((v.p, v.q, v.D, v.r, el.n), v), el
+    # the permutations of (1,0,0) share their whole spectrum
+    assert len(first) < len(hits)
 
 
 def _class_value(big_k, c, n):
@@ -615,7 +648,7 @@ def test_walked_labels_are_reduced_so_elements_skip_the_gcd_check():
     rows = [row for k in grid_triples() for row in _distinct_values(k, 8)]
     assert all(math.gcd(num, den) == 1 for *_, num, den, _ in rows)
     for row in rows[::97]:
-        assert _element(*row).t == IrreducibleFraction(*row[3:5]), row
+        assert _element(_sqrt_over(*row[:2]), *row[1:]).t == IrreducibleFraction(*row[3:5]), row
 
 
 def test_element_fast_path_builds_the_public_objects():
@@ -624,7 +657,7 @@ def test_element_fast_path_builds_the_public_objects():
     for k in grid_triples():
         for row in _distinct_values(k, 6):
             delta, n, pos, num, den, params = row
-            el = _element(*row)
+            el = _element(_sqrt_over(delta, n), n, pos, num, den, params)
             want = SpectrumElement(
                 QuadSurd(0, 1, delta, n), n, pos, IrreducibleFraction(num, den), params
             )
@@ -643,7 +676,7 @@ def test_built_objects_stay_immutable():
     delta, n, pos, num, den, params = next(
         row for row in _distinct_values((1, 2, 0), 3) if row[3] > 1 and row[4] > 1
     )
-    fast = _element(delta, n, pos, num, den, params)
+    fast = _element(_sqrt_over(delta, n), n, pos, num, den, params)
     public = SpectrumElement(
         QuadSurd(0, 1, delta, n), n, pos, IrreducibleFraction(num, den), params
     )
