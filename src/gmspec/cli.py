@@ -2,25 +2,30 @@
 
 Exit codes: 0 success, 1 usage error or output that could not be written,
 2 domain error (bad mathematical input), 3 verification failure.
+
+A `gmspec` process loads only what its subcommand runs.  `import gmspec`
+loads no submodule, and this module imports `spectrum`, `exact`, `farey` and
+`gmtree` (what `spectrum` needs anyway) plus the standard library's
+argparse.  `build_parser` builds the top parser and lists each subcommand's
+name and help; a subcommand's parser is built when argparse resolves its
+name, so a run builds two parsers.  `cohn`, `lattice`, `tables`, `verify`,
+`csv` and `json` are imported by the handlers and output branches that use
+them: `spectrum --format json` loads none of them, nor `snake`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
-import json
 import os
 import stat
 import sys
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import Mat2, QuadSurd, decimal_str
 from .farey import IrreducibleFraction, _check_int_length, _echo
 from .gmtree import ALTERNATING, GMParams, format_sigma, gm_node, parse_sigma
-from .cohn import cohn_closed_form, cohn_recursive
-from .lattice import admissible_sequence, gm_distance
 from .spectrum import (
     TRANSITION_CAVEAT,
     SpectrumElement,
@@ -31,8 +36,6 @@ from .spectrum import (
     qform_of,
     transition_scan,
 )
-from .tables import reproduce_tables
-from .verify import SUITE_NAMES, run_suite
 
 USAGE_ERROR, DOMAIN_ERROR, VERIFY_ERROR = 1, 2, 3
 
@@ -141,6 +144,8 @@ def _write(stream, fmt: str, lines: Iterable[str], payload, entries, fields) -> 
     if fmt == "text":
         stream.writelines(_joined(lines, "", "\n", "\n", "\n"))
     elif fmt == "csv":
+        import csv
+
         rows = iter([payload] if isinstance(payload, dict) else payload)
         first = next(rows, {})
         w = csv.DictWriter(stream, fieldnames=list(fields or first))
@@ -149,6 +154,8 @@ def _write(stream, fmt: str, lines: Iterable[str], payload, entries, fields) -> 
             w.writerow(first)
         w.writerows(rows)
     elif isinstance(payload, dict):
+        import json
+
         stream.write(json.dumps(payload, indent=2) + "\n")
     else:
         entries = entries or map(_json_entry, payload)
@@ -166,18 +173,23 @@ def _joined(parts: Iterable[str], head: str, sep: str, tail: str, empty: str) ->
 
 def _json_entry(row: dict) -> str:
     """A row as json.dumps renders it as an entry of a list with indent=2."""
+    import json
+
     # json.dumps escapes the newlines inside strings, so each one left is layout
     return "  " + json.dumps(row, indent=2).replace("\n", "\n  ")
 
 
-def _spectrum_entries(elems: Iterable[SpectrumElement]) -> Iterator[str]:
+def _spectrum_entries(
+    elems: Iterable[SpectrumElement], decimal: Callable[[QuadSurd], str]
+) -> Iterator[str]:
     """_json_entry(el.to_json()) of each element, laid out by one template:
     the keys in to_json's order, the ints as json writes them, and the sigma
     name, the label num/den and the decimal as ASCII strings with nothing to
     escape.  The head up to the label, (k1, k2, k3, sigma), is rendered once
     per params object of this call, not once per row, and looked up by id,
     which skips hashing a GMParams per row; each entry keeps its params
-    alive, so no id is reused meanwhile."""
+    alive, so no id is reused meanwhile.  `decimal` renders a value's
+    decimal."""
     heads: dict[int, tuple[GMParams, str]] = {}
     for el in elems:
         k = el.params
@@ -192,68 +204,14 @@ def _spectrum_entries(elems: Iterable[SpectrumElement]) -> Iterator[str]:
         yield (
             f'{head}{t.num}/{t.den}",\n    "n": {el.n},\n    "pos": {el.pos},\n'
             f'    "p": {v.p},\n    "q": {v.q},\n    "D": {v.D},\n    "r": {v.r},\n'
-            f'    "decimal": "{decimal_str(v)}"\n  }}'
+            f'    "decimal": "{decimal(v)}"\n  }}'
         )
-
-
-@functools.cache  # one parser per process
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"), default=argparse.SUPPRESS)
-    common.add_argument(
-        "--out", default=argparse.SUPPRESS, help="write output to this path instead of stdout"
-    )
-    params = argparse.ArgumentParser(add_help=False)
-    params.add_argument("--k", default="0,0,0", help="coefficients k1,k2,k3 (default 0,0,0)")
-    params.add_argument("--sigma", default="id", help="permutation in cycle notation (default id)")
-    top = _Parser(prog="gmspec", description=__doc__, parents=[common])
-    sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    # handler(args) runs the subcommand and returns its exit code, None for 0
-    def add_parser(name: str, handler, what: str, *parents: argparse.ArgumentParser):
-        p = sub.add_parser(name, help=what, parents=[common, *parents])
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add_parser("seq", _seq_cmd, "admissible sequence of a fraction label", params)
-    p.add_argument("--t", required=True)
-
-    p = add_parser("cohn", _cohn_cmd, "matrix attached to a fraction label", params)
-    p.add_argument("--t", required=True)
-    p.add_argument("--method", choices=("closed", "recursive"), default="closed")
-
-    p = add_parser("node", _node_cmd, "solution-tree vertex at a fraction label", params)
-    p.add_argument("--t", required=True)
-
-    for name, handler, what in (
-        ("lagrange", _lagrange_cmd, "spectrum value of a periodic block"),
-        ("alpha", _alpha_cmd, "purely periodic value of a block"),
-        ("qform", _qform_cmd, "quadratic form attached to a block"),
-    ):
-        p = add_parser(name, handler, what, params)
-        g = p.add_mutually_exclusive_group(required=True)
-        g.add_argument("--seq")
-        g.add_argument("--t")
-
-    p = add_parser("distance", _distance_cmd, "lattice distance between two points", params)
-    p.add_argument("--from", dest="src", required=True)
-    p.add_argument("--to", dest="dst", required=True)
-
-    p = add_parser("spectrum", _spectrum_cmd, "enumerated spectrum of a coefficient triple")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--k", help="coefficients k1,k2,k3 (default 0,0,0)")
-    g.add_argument("--kmax", type=int, help="scan all triples up to kmax in the transition window")
-    p.add_argument("--depth", type=int, default=4)
-
-    add_parser("tables", _tables_cmd, "recompute and compare all golden table rows")
-
-    p = add_parser("verify", _verify_cmd, "run an invariant suite")
-    p.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
-    return top
 
 
 def _block_of(args) -> tuple[int, ...]:
     if args.seq is None:
+        from .lattice import admissible_sequence
+
         return admissible_sequence(_label_of(args), _params_of(args))
     s = _ints_of(args.seq, None, "expected a comma-separated integer sequence")
     if len(s) > 2 * LABEL_SIZE_LIMIT or sum(x.bit_length() for x in s) > 4 * LABEL_SIZE_LIMIT:
@@ -290,11 +248,15 @@ def run(argv: list[str]) -> int:
 
 
 def _seq_cmd(args) -> None:
+    from .lattice import admissible_sequence
+
     s = admissible_sequence(_label_of(args), _params_of(args))
     _emit(args, [",".join(map(str, s))], {"t": args.t, "s": list(s)})
 
 
 def _cohn_cmd(args) -> None:
+    from .cohn import cohn_closed_form, cohn_recursive
+
     fn = cohn_closed_form if args.method == "closed" else cohn_recursive
     m: Mat2 = fn(_label_of(args), _params_of(args))
     _emit(args, [str(m)], {"t": args.t, "matrix": m.to_list()})
@@ -332,6 +294,8 @@ def _distance_cmd(args) -> None:
     (x0, y0), (x1, y1) = _ints_of(args.src, 2, pt), _ints_of(args.dst, 2, pt)
     if abs(x1 - x0) + abs(y1 - y0) > LABEL_SIZE_LIMIT:
         raise ValueError(f"segment too long: |dx| + |dy| must be at most {LABEL_SIZE_LIMIT}")
+    from .lattice import gm_distance
+
     d = gm_distance((x0, y0), (x1, y1), _params_of(args))
     _emit(args, [str(d)], {"distance": d})
 
@@ -343,22 +307,39 @@ def _spectrum_cmd(args) -> None:
         if args.kmax > SPECTRUM_KMAX_LIMIT:
             raise ValueError(f"kmax too large: at most {SPECTRUM_KMAX_LIMIT}")
         elems = transition_scan(args.kmax, args.depth)
+        decimal = _once_per_value(decimal_str)
         lines = itertools.chain([f"note: {TRANSITION_CAVEAT}"], (
-            f"k=({el.params.k1},{el.params.k2},{el.params.k3}) {el.value} = {decimal_str(el.value)}"
+            f"k=({el.params.k1},{el.params.k2},{el.params.k3}) {el.value} = {decimal(el.value)}"
             for el in elems
         ))
     else:
         k = _ints_of("0,0,0" if args.k is None else args.k, 3, _K_EXPECTED)
         _check_printable(_zigzag_rows(k, args.depth))
         elems = enumerate_spectrum(k, args.depth)
+        decimal = decimal_str
         lines = (
-            f"{el.value} = {decimal_str(el.value)}  (t={el.t}, n={el.n}, pos={el.pos}, "
+            f"{el.value} = {decimal(el.value)}  (t={el.t}, n={el.n}, pos={el.pos}, "
             f"sigma={format_sigma(el.params.sigma)})"
             for el in elems
         )
     _check_printable(elems)
-    _emit(args, lines, (el.to_json() for el in elems), _spectrum_entries(elems),
-          SpectrumElement.FIELDS)
+    rows = (el.to_json(decimal(el.value)) for el in elems)
+    _emit(args, lines, rows, _spectrum_entries(elems, decimal), SpectrumElement.FIELDS)
+
+
+def _once_per_value(render: Callable[[QuadSurd], str]) -> Callable[[QuadSurd], str]:
+    """render, called once per value object: `transition_scan` gives the rows
+    of one window value one shared value object (at --kmax 2 --depth 4, 49
+    values over 156 rows).  Keyed by id, as the rows keep every value alive."""
+    done: dict[int, str] = {}
+
+    def once(v: QuadSurd) -> str:
+        text = done.get(id(v))
+        if text is None:
+            text = done[id(v)] = render(v)
+        return text
+
+    return once
 
 
 def _zigzag_rows(k: tuple[int, ...], depth: int) -> list[SpectrumElement]:
@@ -387,6 +368,8 @@ def _check_printable(elems: Sequence[SpectrumElement]) -> None:
 
 
 def _tables_cmd(args) -> int:
+    from .tables import reproduce_tables
+
     results = reproduce_tables()
     bad = [r for r in results if not r.ok]
     lines = [r.describe() for r in results]
@@ -400,6 +383,8 @@ def _tables_cmd(args) -> int:
 
 
 def _verify_cmd(args) -> int:
+    from .verify import run_suite
+
     results = run_suite(args.suite)
     lines = [r.describe() for r in results]
     if args.suite in ("transition", "all"):
@@ -407,6 +392,113 @@ def _verify_cmd(args) -> int:
     payload = [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results]
     _emit(args, lines, payload)
     return 0 if all(r.ok for r in results) else VERIFY_ERROR
+
+
+def _output_flags(p: argparse.ArgumentParser) -> None:
+    # the output flags may come before or after the subcommand (see `run`)
+    p.add_argument("--format", choices=("text", "json", "csv"), default=argparse.SUPPRESS)
+    p.add_argument(
+        "--out", default=argparse.SUPPRESS, help="write output to this path instead of stdout"
+    )
+
+
+def _params_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k", default="0,0,0", help="coefficients k1,k2,k3 (default 0,0,0)")
+    p.add_argument("--sigma", default="id", help="permutation in cycle notation (default id)")
+
+
+def _label_flags(p: argparse.ArgumentParser) -> None:
+    _params_flags(p)
+    p.add_argument("--t", required=True)
+
+
+def _cohn_flags(p: argparse.ArgumentParser) -> None:
+    _label_flags(p)
+    p.add_argument("--method", choices=("closed", "recursive"), default="closed")
+
+
+def _block_flags(p: argparse.ArgumentParser) -> None:
+    _params_flags(p)
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--seq")
+    g.add_argument("--t")
+
+
+def _distance_flags(p: argparse.ArgumentParser) -> None:
+    _params_flags(p)
+    p.add_argument("--from", dest="src", required=True)
+    p.add_argument("--to", dest="dst", required=True)
+
+
+def _spectrum_flags(p: argparse.ArgumentParser) -> None:
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--k", help="coefficients k1,k2,k3 (default 0,0,0)")
+    g.add_argument("--kmax", type=int, help="scan all triples up to kmax in the transition window")
+    p.add_argument("--depth", type=int, default=4)
+
+
+def _no_flags(p: argparse.ArgumentParser) -> None:
+    pass
+
+
+def _verify_flags(p: argparse.ArgumentParser) -> None:
+    from .verify import SUITE_NAMES
+
+    p.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
+
+
+# name, handler, help, flags: handler(args) runs the subcommand and returns
+# its exit code, None for 0; flags(p) adds what follows --format and --out
+_SUBCOMMANDS = (
+    ("seq", _seq_cmd, "admissible sequence of a fraction label", _label_flags),
+    ("cohn", _cohn_cmd, "matrix attached to a fraction label", _cohn_flags),
+    ("node", _node_cmd, "solution-tree vertex at a fraction label", _label_flags),
+    ("lagrange", _lagrange_cmd, "spectrum value of a periodic block", _block_flags),
+    ("alpha", _alpha_cmd, "purely periodic value of a block", _block_flags),
+    ("qform", _qform_cmd, "quadratic form attached to a block", _block_flags),
+    ("distance", _distance_cmd, "lattice distance between two points", _distance_flags),
+    ("spectrum", _spectrum_cmd, "enumerated spectrum of a coefficient triple", _spectrum_flags),
+    ("tables", _tables_cmd, "recompute and compare all golden table rows", _no_flags),
+    ("verify", _verify_cmd, "run an invariant suite", _verify_flags),
+)
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """The subcommands, each parser built when argparse first resolves its
+    name.  This leans on argparse's internals (CPython 3.11): `choices` is
+    `_name_parser_map`, whose keys alone give the usage, the `{seq,...}` of
+    --help and the invalid-choice error; --help lists the subcommands from
+    the `_ChoicesPseudoAction`s in `_choices_actions`; and `__call__`, which
+    runs once the name is a valid choice, takes its parser from the map."""
+
+    def add_lazy(self, name: str, what: str, handler, flags) -> None:
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), what))
+        self._name_parser_map[name] = (handler, flags)  # replaced by the parser on first use
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        entry = self._name_parser_map[name]
+        if isinstance(entry, tuple):
+            handler, flags = entry
+            p = self._parser_class(prog=f"{self._prog_prefix} {name}")
+            _output_flags(p)
+            flags(p)
+            p.set_defaults(handler=handler)
+            self._name_parser_map[name] = p
+        super().__call__(parser, namespace, values, option_string)
+
+
+@functools.cache  # one parser per process
+def build_parser() -> argparse.ArgumentParser:
+    # --help shows the docstring's first two paragraphs: title and exit codes
+    top = _Parser(prog="gmspec", description=__doc__ and "\n\n".join(__doc__.split("\n\n")[:2]))
+    _output_flags(top)
+    sub = top.add_subparsers(
+        dest="command", required=True, parser_class=_Parser, action=_Subcommands
+    )
+    for name, handler, what, flags in _SUBCOMMANDS:
+        sub.add_lazy(name, what, handler, flags)
+    return top
 
 
 def main() -> None:

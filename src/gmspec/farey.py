@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import total_ordering
 
 __all__ = [
@@ -20,8 +20,29 @@ __all__ = [
 ]
 
 
+def _frozen_slots(cls: type) -> type:
+    """`dataclass(frozen=True, slots=True)(cls)`, refusing every set and
+    delete of an attribute with FrozenInstanceError.  Under CPython 3.11 the
+    frozen `__setattr__` and `__delattr__` close over the class from before
+    the slots rebuild, so on a name that is not a field they raise TypeError
+    from `super()`.  Slot setters (`exact._slot_setters`), pickle and copy
+    write past both."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = _refuse_set
+    cls.__delattr__ = _refuse_delete
+    return cls
+
+
+def _refuse_set(self, name: str, value) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 @total_ordering
-@dataclass(frozen=True, slots=True)
+@_frozen_slots
 class IrreducibleFraction:
     """Reduced fraction num/den with num, den >= 0; 1/0 is infinity."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .farey import IrreducibleFraction, _echo, farey_path
+from .farey import IrreducibleFraction, _echo, _frozen_slots, farey_path
 
 __all__ = [
     "Sigma",
@@ -100,7 +100,7 @@ class GMParams:
         return f"k=({self.k1},{self.k2},{self.k3}) sigma={format_sigma(self.sigma)}"
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_slots
 class GMPair:
     value: int
     pos: int

@@ -55,7 +55,7 @@ from .exact import (
     cf_eval_periodic,
     cf_matrix,
 )
-from .farey import IrreducibleFraction, farey_path
+from .farey import IrreducibleFraction, _frozen_slots, farey_path
 from .gmtree import ALTERNATING, GMParams, _walk_tree, format_sigma, gm_pair
 
 __all__ = [
@@ -108,7 +108,7 @@ class QForm:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_slots
 class SpectrumElement:
     """A spectrum value together with one witness (tree, label, pair)."""
 
@@ -126,11 +126,12 @@ class SpectrumElement:
     def sort_key(self) -> Fraction:
         return self.value.squared_fraction()
 
-    def to_json(self) -> dict:
+    def to_json(self, decimal: str | None = None) -> dict:
+        """The row; `decimal` is the value's decimal when the caller has it."""
         k, v = self.params, self.value
         return dict(zip(self.FIELDS, (
             k.k1, k.k2, k.k3, format_sigma(k.sigma), str(self.t), self.n, self.pos,
-            v.p, v.q, v.D, v.r, v.decimal(),
+            v.p, v.q, v.D, v.r, v.decimal() if decimal is None else decimal,
         )))
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator
 
 from .cohn import closed_form_entries
 from .exact import cf_matrix
-from .farey import IrreducibleFraction
+from .farey import IrreducibleFraction, _frozen_slots
 from .gmtree import ALL_SIGMAS, GMParams, IDENTITY, Sigma, _walk_tree
 from .lattice import _label_sequence, _label_skeleton, admissible_sequence
 from .snake import (
@@ -95,7 +95,7 @@ def _labels(depth: int) -> tuple[tuple[IrreducibleFraction, array], ...]:
 # cached grid entries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@_frozen_slots
 class GridEntry:
     t: IrreducibleFraction
     n: int

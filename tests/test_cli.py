@@ -373,12 +373,31 @@ def test_spectrum_template_entries_parse_to_the_rows():
     elems += transition_scan(2, 4)
     labels = [IrreducibleFraction(0, 1), IrreducibleFraction(1, 0), IrreducibleFraction(3, 5)]
     elems += [markov_value(t, GMParams(1, 2, 0, s)) for t in labels for s in ALTERNATING]
-    for el, entry in zip(elems, cli._spectrum_entries(elems), strict=True):
+    for el, entry in zip(elems, cli._spectrum_entries(elems, exact.decimal_str), strict=True):
         row = el.to_json()
         assert list(json.loads(entry).items()) == list(row.items())
         assert entry == cli._json_entry(row)
     assert {el.t for el in elems} >= set(labels)
     assert {el.params.sigma for el in elems} == set(ALTERNATING)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_kmax_renders_each_window_value_once(fmt, capsysbinary, monkeypatch):
+    rendered = []
+
+    def counting(x, *rest):
+        rendered.append(x)
+        return exact.decimal_str(x, *rest)
+
+    monkeypatch.setattr(cli, "decimal_str", counting)
+    elems = transition_scan(2, 4)
+    assert run(["--format", fmt, "spectrum", "--kmax", "2", "--depth", "4"]) == 0
+    assert len(rendered) == len({id(el.value) for el in elems}) == 49 and len(elems) == 156
+    assert len({(x.p, x.q, x.D, x.r) for x in rendered}) == 49
+    rendered.clear()
+    assert run(["--format", fmt, "spectrum", "--k", "0,0,1", "--depth", "3"]) == 0
+    assert len(rendered) == len(enumerate_spectrum((0, 0, 1), 3))  # --k: one call per row
+    capsysbinary.readouterr()
 
 
 def test_python_dash_m_runs_the_cli(capsys):
@@ -521,7 +540,7 @@ def test_seq_size_limit_is_on_entries_and_bits(capsys):
     _one_line_domain_error(capsys, ["qform", "--seq", eights + ",1"])
 
 
-# -- the parser: output flags, one parser per process, one handler each -----
+# -- the parser: output flags, built on first use, same text as built eagerly
 
 SUBCOMMANDS = ("seq", "cohn", "node", "lagrange", "alpha", "qform", "distance", "spectrum",
                "tables", "verify")
@@ -545,26 +564,100 @@ def test_output_flags_may_follow_the_subcommand(tmp_path, capsysbinary):
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
-    assert run(["seq", "--t", "1/2"]) == 0  # builds the parser if no earlier test did
     built = []
-    init = cli._Parser.__init__
+    init = argparse.ArgumentParser.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-    for argv in (["seq", "--t", "1/2"], ["spectrum", "--depth", "1"], ["bogus"], ["tables", "-h"]):
-        run(argv)
-    assert built == []
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    for argv, first in (
+        (["seq", "--t", "1/2"], ["gmspec", "gmspec seq"]),
+        (["spectrum", "--depth", "1"], ["gmspec spectrum"]),
+        (["bogus"], []),
+        (["--help"], []),
+        (["tables", "-h"], ["gmspec tables"]),
+        (["--format", "json", "verify", "--suite", "nope"], ["gmspec verify"]),
+    ):
+        for want in (first, []):  # a repeat builds nothing
+            built.clear()
+            run(argv)
+            assert built == want, argv
+    capsys.readouterr()
+
+
+# argv that each subcommand accepts with nothing else given
+MINIMAL_ARGV = {
+    "seq": ["--t", "1/2"], "cohn": ["--t", "1/2"], "node": ["--t", "1/2"],
+    "lagrange": ["--seq", "1"], "alpha": ["--t", "1/2"], "qform": ["--seq", "1"],
+    "distance": ["--from", "0,0", "--to", "1,1"], "spectrum": [], "tables": [], "verify": [],
+}
 
 
 def test_each_subcommand_parses_to_its_own_handler():
+    cli.build_parser.cache_clear()
     top = cli.build_parser()
     (sub,) = (a for a in top._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == set(SUBCOMMANDS)
-    handlers = [p.get_default("handler") for p in sub.choices.values()]
-    assert all(map(callable, handlers)) and len(set(handlers)) == len(handlers)
+    assert tuple(sub.choices) == SUBCOMMANDS == tuple(MINIMAL_ARGV)
+    handlers = [top.parse_args([cmd, *MINIMAL_ARGV[cmd]]).handler for cmd in SUBCOMMANDS]
+    assert handlers == [getattr(cli, f"_{cmd}_cmd") for cmd in SUBCOMMANDS]
+
+
+def _parsed(parser, argv) -> dict:
+    args = vars(parser.parse_args(argv))
+    return {k: getattr(v, "__name__", v) for k, v in args.items()}
+
+
+@pytest.mark.parametrize("cmd", SUBCOMMANDS)
+def test_namespaces_match_the_eager_parser(cmd):
+    old = cli_oracle.old_build_parser()
+    rest = MINIMAL_ARGV[cmd]
+    variants = [[cmd, *rest], ["--format", "csv", cmd, *rest], [cmd, *rest, "--out", "f"],
+                ["--out", "a", "--format", "json", cmd, *rest, "--format", "text", "--out", "b"]]
+    if cmd not in ("spectrum", "tables", "verify"):
+        variants.append([cmd, *rest, "--k", "1,2,0", "--sigma", "(1 2)"])
+    variants += {
+        "cohn": [[cmd, *rest, "--method", "recursive"]],
+        "lagrange": [[cmd, "--t", "2/5", "--k", "1,2,0"]],
+        "spectrum": [[cmd, "--k", "1,2,0", "--depth", "7"], [cmd, "--kmax", "3", "--depth", "2"]],
+        "verify": [[cmd, "--suite", "snake"], ["--format", "json", cmd, "--suite", "all"]],
+    }.get(cmd, [])
+    for argv in variants:
+        cli.build_parser.cache_clear()
+        assert _parsed(cli.build_parser(), argv) == _parsed(old, argv), argv
+
+
+def _outcome(argv, capsysbinary):
+    rc = run(argv)
+    out = capsysbinary.readouterr()
+    return rc, out.out, out.err
+
+
+PARSER_ARGV = [
+    ["--help"], ["-h"], ["--format", "json", "--help"],
+    *([cmd, "--help"] for cmd in SUBCOMMANDS), ["spectrum", "-h", "--format", "json"],
+    [], ["bogus"], ["--format", "json"], ["seq"], ["seq", "--k", "1,2,0"],
+    ["lagrange", "--seq", "1", "--t", "1"], ["qform"], ["spectrum", "--k", "0,0,1", "--kmax", "2"],
+    ["--format", "xml", "seq", "--t", "1"], ["seq", "--t", "1", "--format", "xml"],
+    ["verify", "--suite", "nope"], ["--out"], ["seq", "--t", "1", "extra"],
+    ["spectrum", "--depth", "x"], ["cohn", "--t", "1", "--method", "open"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=" ".join)
+def test_help_and_usage_errors_match_the_eager_parser(argv, capsysbinary, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", cli_oracle.old_build_parser)
+        old = _outcome(argv, capsysbinary)
+    assert old[0] in (0, 1) and (old[1] or old[2])
+    cli.build_parser.cache_clear()
+    assert _outcome(argv, capsysbinary) == old  # a fresh parser
+    assert _outcome(argv, capsysbinary) == old  # its subparser already built
+    for cmd in SUBCOMMANDS:  # every subparser built
+        cli.build_parser().parse_args([cmd, *MINIMAL_ARGV[cmd]])
+    assert _outcome(argv, capsysbinary) == old
 
 
 @pytest.mark.parametrize("cmd", SUBCOMMANDS)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import itertools
 import math
@@ -17,6 +18,7 @@ from gmspec.exact import (
     _FULL_FACTOR_BOUND,
     QuadSurd,
     _floor_surd,
+    _slot_setters,
     _sqrt_over,
     cf_eval_periodic,
     decimal_str,
@@ -689,9 +691,7 @@ def test_built_objects_stay_immutable():
             for name in fields:
                 with pytest.raises(AttributeError):
                     setattr(obj, name, getattr(obj, name))
-            # a new name is refused too; CPython 3.11's frozen slots
-            # dataclasses refuse it with a TypeError
-            with pytest.raises((AttributeError, TypeError)):
+            with pytest.raises(AttributeError):  # a new name is refused too
                 obj.extra = 0
         assert not hasattr(el.t, "__dict__")
     with pytest.raises(AttributeError):
@@ -714,6 +714,29 @@ def test_values_survive_pickle_and_copy():
         for clone in (*clones, copy.copy(obj), copy.deepcopy(obj)):
             assert type(clone) is type(obj) and clone == obj, (obj, clone)
             assert hash(clone) == hash(obj), obj
+
+
+def test_frozen_slots_classes_refuse_every_set_and_delete():
+    # under CPython 3.11 a slots=True frozen dataclass answered a name that
+    # is not a field with TypeError from super(); each now raises
+    # FrozenInstanceError, while slot setters, pickle and copy still write
+    el = enumerate_spectrum((1, 2, 0), 3)[-1]
+    entry = _grid((1, 2, 0), 3)[1]
+    pair = gm_node(el.t, el.params).mid
+    for obj in (el, el.t, pair, entry):
+        fields = [f.name for f in dataclasses.fields(obj)]
+        before = [getattr(obj, f) for f in fields]
+        for name in (*fields, "extra", "__class__"):
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"assign to field '{name}'"):
+                setattr(obj, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"delete field '{name}'"):
+                delattr(obj, name)
+        assert [getattr(obj, f) for f in fields] == before and not hasattr(obj, "extra")
+        assert copy.copy(obj) == obj == pickle.loads(pickle.dumps(obj))
+    (set_n,) = _slot_setters(SpectrumElement, "n")
+    clone = copy.copy(el)
+    set_n(clone, el.n + 1)
+    assert clone.n == el.n + 1 and el.n == clone.n - 1
 
 
 def test_sqrt_over_matches_the_former_square_split_on_the_grid_rows():
