@@ -23,7 +23,7 @@ import stat
 import sys
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .exact import Mat2, QuadSurd, decimal_str
+from .exact import Mat2, QuadSurd, _format_sig, decimal_str
 from .farey import IrreducibleFraction, _check_int_length, _echo
 from .gmtree import ALTERNATING, GMParams, format_sigma, gm_node, parse_sigma
 from .spectrum import (
@@ -180,7 +180,7 @@ def _json_entry(row: dict) -> str:
 
 
 def _spectrum_entries(
-    elems: Iterable[SpectrumElement], decimal: Callable[[QuadSurd], str]
+    elems: Iterable[SpectrumElement], decimal: Callable[[SpectrumElement], str]
 ) -> Iterator[str]:
     """_json_entry(el.to_json()) of each element, laid out by one template:
     the keys in to_json's order, the ints as json writes them, and the sigma
@@ -188,8 +188,9 @@ def _spectrum_entries(
     escape.  The head up to the label, (k1, k2, k3, sigma), is rendered once
     per params object of this call, not once per row, and looked up by id,
     which skips hashing a GMParams per row; each entry keeps its params
-    alive, so no id is reused meanwhile.  `decimal` renders a value's
-    decimal."""
+    alive, so no id is reused meanwhile.  `decimal` renders a row's decimal
+    (`_row_decimals` or `_once_per_value`), each only when its entry is
+    written."""
     heads: dict[int, tuple[GMParams, str]] = {}
     for el in elems:
         k = el.params
@@ -204,7 +205,7 @@ def _spectrum_entries(
         yield (
             f'{head}{t.num}/{t.den}",\n    "n": {el.n},\n    "pos": {el.pos},\n'
             f'    "p": {v.p},\n    "q": {v.q},\n    "D": {v.D},\n    "r": {v.r},\n'
-            f'    "decimal": "{decimal(v)}"\n  }}'
+            f'    "decimal": "{decimal(el)}"\n  }}'
         )
 
 
@@ -301,6 +302,9 @@ def _distance_cmd(args) -> None:
 
 
 def _spectrum_cmd(args) -> None:
+    """Text, JSON and CSV rows from one row renderer, `decimal(el)`, called as
+    each row is written: `--kmax` renders each window value once, `--k` a
+    row's decimal from its integers (see `_row_decimals`)."""
     if args.depth > SPECTRUM_DEPTH_LIMIT:
         raise ValueError(f"depth too large: at most {SPECTRUM_DEPTH_LIMIT}")
     if args.kmax is not None:
@@ -309,37 +313,77 @@ def _spectrum_cmd(args) -> None:
         elems = transition_scan(args.kmax, args.depth)
         decimal = _once_per_value(decimal_str)
         lines = itertools.chain([f"note: {TRANSITION_CAVEAT}"], (
-            f"k=({el.params.k1},{el.params.k2},{el.params.k3}) {el.value} = {decimal(el.value)}"
+            f"k=({el.params.k1},{el.params.k2},{el.params.k3}) {el.value} = {decimal(el)}"
             for el in elems
         ))
     else:
         k = _ints_of("0,0,0" if args.k is None else args.k, 3, _K_EXPECTED)
         _check_printable(_zigzag_rows(k, args.depth))
         elems = enumerate_spectrum(k, args.depth)
-        decimal = decimal_str
+        decimal = _row_decimals(k)
         lines = (
-            f"{el.value} = {decimal(el.value)}  (t={el.t}, n={el.n}, pos={el.pos}, "
+            f"{el.value} = {decimal(el)}  (t={el.t}, n={el.n}, pos={el.pos}, "
             f"sigma={format_sigma(el.params.sigma)})"
             for el in elems
         )
     _check_printable(elems)
-    rows = (el.to_json(decimal(el.value)) for el in elems)
+    rows = (el.to_json(decimal(el)) for el in elems)
     _emit(args, lines, rows, _spectrum_entries(elems, decimal), SpectrumElement.FIELDS)
 
 
-def _once_per_value(render: Callable[[QuadSurd], str]) -> Callable[[QuadSurd], str]:
-    """render, called once per value object: `transition_scan` gives the rows
-    of one window value one shared value object (at --kmax 2 --depth 4, 49
-    values over 156 rows).  Keyed by id, as the rows keep every value alive."""
+def _once_per_value(render: Callable[[QuadSurd], str]) -> Callable[[SpectrumElement], str]:
+    """render(el.value), called once per value object: `transition_scan` gives
+    the rows of one window value one shared value object (at --kmax 2
+    --depth 4, 49 values over 156 rows).  Keyed by id, as the rows keep every
+    value alive."""
     done: dict[int, str] = {}
 
-    def once(v: QuadSurd) -> str:
+    def once(el: SpectrumElement) -> str:
+        v = el.value
         text = done.get(id(v))
         if text is None:
             text = done[id(v)] = render(v)
         return text
 
     return once
+
+
+def _row_decimals(k: tuple[int, ...], sig: int = 12) -> Callable[[SpectrumElement], str]:
+    """decimal(el) = decimal_str(el.value, sig) for the rows of the triple k,
+    with no surd floor for a row whose n puts it at its class limit K.
+
+    A row's value is x = sqrt(m^2 - 4)/n with m = K*n - c >= 3,
+    K = 3 + k1 + k2 + k3 and c = k_pos.  As m + c = K*n and
+    (m - sqrt(m^2 - 4))(m + sqrt(m^2 - 4)) = 4,
+        K - x = (c + 4/(m + sqrt(m^2 - 4)))/n < (c + 2)/n,
+    since m + sqrt(m^2 - 4) >= 3 > 2.  Let E = len(str(K)) - 1, K's
+    exponent, and u = 10^(E - sig + 1), the unit in the last of K's sig
+    digits.  When K < 10^sig, K is a whole number of units u (its sig-digit
+    text is exact), and a row with n >= 20 (c + 2) 10^(sig - 1 - E) has
+    0 < K - x < u/20.  Then x rounds half up to K: if x >= 10^E its unit is
+    u and it is within u/2 of K; otherwise K = 10^E (any larger K is at
+    least 10^E + u) and x, just below the decade, is within half of its own
+    unit u/10 of K.  Such a row prints K's text, built once per call from
+    integers.  The guard K < 10^sig keeps sig - 1 - E >= 0, so the bound is
+    an integer, and it is needed: past it K itself rounds, and under
+    (2, 0, 10^20 + 5*10^8 - 4), K = 10^20 + 5*10^8 + 1 gives
+    1.00000000001e+20 where its 0/1 row rounds to 1.00000000000e+20.  Every
+    other row calls `decimal_str`, looked up when called, so a wrapper or a
+    patch on the module's name sees each call."""
+    big_k = 3 + sum(k)
+    e = len(str(big_k)) - 1
+    if e >= sig:  # K >= 10^sig
+        return lambda el: decimal_str(el.value, sig)
+    scale = 10 ** (sig - 1 - e)
+    at_k = _format_sig(big_k * scale, e, sig, False)
+    bounds = (None, *(20 * (c + 2) * scale for c in k))
+
+    def decimal(el: SpectrumElement) -> str:
+        if el.n >= bounds[el.pos]:
+            return at_k
+        return decimal_str(el.value, sig)
+
+    return decimal
 
 
 def _zigzag_rows(k: tuple[int, ...], depth: int) -> list[SpectrumElement]:

@@ -14,9 +14,10 @@ while both n are narrow, and for a pair with an n of 384 bits or more the
 expanded identity, linear in n but for one product (see `_merge`).  Only the
 distinct values returned become `SpectrumElement`s, with their `QuadSurd`
 and label, in `_element`; the decimal is rendered only when a row is
-written.  Delta = m^2 - 4 with m = K*n - k_i >= 3 is never a perfect
-square, so the surd comes from `exact._sqrt_over`: one square split of
-Delta and one gcd with n.  `_element` writes the fields of the label and
+written, from the row's integers alone once n reaches its class limit
+(see `cli._row_decimals`).  Delta = m^2 - 4 with m = K*n - k_i >= 3 is
+never a perfect square, so the surd comes from `exact._sqrt_over`: one
+square split of Delta and one gcd with n.  `_element` writes the fields of the label and
 the element through their slot setters, the one way the library builds a
 trusted object (see `exact`): a walked label is reduced and the surd
 canonical by construction, so the checks skipped could not fail, and the

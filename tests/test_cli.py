@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import errno
 import io
 import itertools
@@ -6,19 +7,23 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cli_oracle
 import gmspec
 from gmspec import cli, exact
 from gmspec.cli import LABEL_SIZE_LIMIT, SPECTRUM_DEPTH_LIMIT, SPECTRUM_KMAX_LIMIT, run
-from gmspec.exact import _FULL_FACTOR_BOUND, QuadSurd
+from gmspec.exact import _FULL_FACTOR_BOUND, QuadSurd, _sqrt_over
 from gmspec.farey import IrreducibleFraction
 from gmspec.gmtree import ALL_SIGMAS, ALTERNATING, GMParams, _walk_tree, format_sigma
 from gmspec.spectrum import (
     SpectrumElement,
     _distinct_values,
+    _element,
     enumerate_spectrum,
     markov_value,
     transition_scan,
@@ -373,7 +378,8 @@ def test_spectrum_template_entries_parse_to_the_rows():
     elems += transition_scan(2, 4)
     labels = [IrreducibleFraction(0, 1), IrreducibleFraction(1, 0), IrreducibleFraction(3, 5)]
     elems += [markov_value(t, GMParams(1, 2, 0, s)) for t in labels for s in ALTERNATING]
-    for el, entry in zip(elems, cli._spectrum_entries(elems, exact.decimal_str), strict=True):
+    entries = cli._spectrum_entries(elems, lambda el: exact.decimal_str(el.value))
+    for el, entry in zip(elems, entries, strict=True):
         row = el.to_json()
         assert list(json.loads(entry).items()) == list(row.items())
         assert entry == cli._json_entry(row)
@@ -394,10 +400,156 @@ def test_kmax_renders_each_window_value_once(fmt, capsysbinary, monkeypatch):
     assert run(["--format", fmt, "spectrum", "--kmax", "2", "--depth", "4"]) == 0
     assert len(rendered) == len({id(el.value) for el in elems}) == 49 and len(elems) == 156
     assert len({(x.p, x.q, x.D, x.r) for x in rendered}) == 49
+    # --k: one call per row below its class bound, none at or above it; under
+    # (10^11, 1, 2), K = 10^11 + 6 has 12 digits and the bound is 20 (c + 2)
     rendered.clear()
-    assert run(["--format", fmt, "spectrum", "--k", "0,0,1", "--depth", "3"]) == 0
-    assert len(rendered) == len(enumerate_spectrum((0, 0, 1), 3))  # --k: one call per row
+    k = (10**11, 1, 2)
+    assert run(["--format", fmt, "spectrum", "--k", "100000000000,1,2", "--depth", "3"]) == 0
+    elems = enumerate_spectrum(k, 3)
+    below = [el.value for el in elems if el.n < 20 * (k[el.pos - 1] + 2)]
+    assert rendered == below and 0 < len(below) < len(elems) == 48
     capsysbinary.readouterr()
+
+
+# the spectrum-deep benchmark's triples, and K = 10 and K = 100, whose text
+# at the class limit ends a decade: a row just below it rounds up to K
+_DEEP_TRIPLES = [(5, 1, 0), (0, 4, 2), (3, 1, 2), (5, 0, 0), (1, 3, 1), (2, 1, 2), (7, 0, 0),
+                 (97, 0, 0)]
+# K = 10^20 + 5*10^8 + 1 rounds up in 12 digits, while this triple's 0/1 row rounds down
+_PINNED_K = (2, 0, 10**20 + 5 * 10**8 - 4)
+
+
+@pytest.mark.parametrize("k, depth", [
+    *((k, 8) for k in _DEEP_TRIPLES), ((10**20, 0, 0), 6), (_PINNED_K, 1),
+], ids=str)
+def test_row_decimals_match_decimal_str(k, depth):
+    decimal = cli._row_decimals(k)
+    for el in enumerate_spectrum(k, depth):
+        assert decimal(el) == exact.decimal_str(el.value), (k, el.t, el.pos)
+
+
+def test_row_decimals_match_decimal_str_on_the_grid():
+    from gmspec.verify import grid_triples
+
+    for k in sorted(set(grid_triples())):
+        decimal = cli._row_decimals(k)
+        for el in enumerate_spectrum(k, 7):
+            assert decimal(el) == exact.decimal_str(el.value), (k, el.t, el.pos)
+
+
+def test_row_decimals_keep_a_triple_past_twelve_digits_off_the_class_limit():
+    # the 0/1 row of class k1 = 2 is sqrt((K - 2)^2 - 4), at n = 1
+    row = enumerate_spectrum(_PINNED_K, 1)[1]
+    assert (row.t, row.pos, row.n) == (IrreducibleFraction(0, 1), 1, 1)
+    assert cli._row_decimals(_PINNED_K)(row) == "1.00000000000e+20"
+    assert exact.decimal_str(QuadSurd(3 + sum(_PINNED_K), 0, 1, 1)) == "1.00000000001e+20"
+
+
+@st.composite
+def _class_rows(draw):
+    """(k, pos, n) of a row of class c = k_pos under K = 3 + k1 + k2 + k3,
+    with n at the class bound 20 (c + 2) 10^(11 - E) of `cli._row_decimals`,
+    just beside it, far above it or anywhere below it; the row need not be a
+    tree vertex, as the bound holds for every n >= 1."""
+    big_k = draw(st.one_of(
+        st.integers(4, 40), st.sampled_from((10, 100, 10**11, 10**12 - 1)),
+        st.integers(4, 10**12 - 1),
+    ))
+    c = draw(st.integers(0, big_k - 3))
+    pos = draw(st.integers(1, 3))
+    bound = 20 * (c + 2) * 10 ** (12 - len(str(big_k)))
+    n = draw(st.one_of(
+        st.integers(bound - 2, bound + 1), st.integers(bound, bound * 10**30),
+        st.integers(1, bound),
+    ))
+    k = [big_k - 3 - c, 0]
+    k.insert(pos - 1, c)
+    return tuple(k), pos, n
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_class_rows())
+def test_row_decimals_match_decimal_str_at_the_class_bound(row):
+    k, pos, n = row
+    big_k, c = 3 + sum(k), k[pos - 1]
+    value = _sqrt_over((big_k * n - c) ** 2 - 4, n)
+    el = _element(value, n, pos, 0, 1, GMParams(*k, ALTERNATING[0]))
+    decimal = cli._row_decimals(k)
+    with mock.patch.object(cli, "decimal_str", wraps=exact.decimal_str) as floor:
+        assert decimal(el) == exact.decimal_str(value), (k, pos, n)
+    # a surd floor exactly below the bound: K's text at and above it
+    assert floor.call_count == (n < 20 * (c + 2) * 10 ** (12 - len(str(big_k))))
+
+
+_FUZZ_VALUES = {
+    "--k": st.one_of(
+        st.tuples(*[st.integers(-1, 6)] * 3).map(lambda t: ",".join(map(str, t))),
+        st.sampled_from(["1,2", "1,2,3,4", "a,b,c", "1,,2", "", " 1, 2, 0"]),
+    ),
+    "--sigma": st.sampled_from(["id", "(1 2)", "(1 3)", "(2 3)", "(1 2 3)", "(1 3 2)", "(1 1)",
+                                "", "x"]),
+    "--t": st.one_of(
+        st.tuples(st.integers(-2, 30), st.integers(-2, 30)).map(lambda t: f"{t[0]}/{t[1]}"),
+        st.sampled_from(["1", "0/0", "2/4", "1/2/3", "a/b", ""]),
+    ),
+    "--seq": st.lists(st.integers(-1, 6), max_size=8).map(lambda s: ",".join(map(str, s))),
+    "--method": st.sampled_from(["closed", "recursive", "other"]),
+    "--from": st.tuples(st.integers(-20, 20), st.integers(-20, 20)).map(
+        lambda t: f"{t[0]},{t[1]}"),
+    "--to": st.one_of(
+        st.tuples(st.integers(-20, 20), st.integers(-20, 20)).map(lambda t: f"{t[0]},{t[1]}"),
+        st.sampled_from(["1", "1,2,3", "x,y"]),
+    ),
+    "--kmax": st.sampled_from(["-1", "0", "1", "2", "5", "x"]),
+    "--depth": st.sampled_from(["-2", "-1", "0", "1", "3", "6", "x"]),
+}
+# each subcommand's flags: those it requires (one of --seq and --t for a
+# block), then the others it takes
+_FUZZ_FLAGS = {
+    "seq": (("--t",), ("--k", "--sigma", "--t")),
+    "cohn": (("--t",), ("--k", "--sigma", "--t", "--method")),
+    "node": (("--t",), ("--k", "--sigma", "--t")),
+    "lagrange": ((), ("--k", "--sigma")),
+    "alpha": ((), ("--k", "--sigma")),
+    "qform": ((), ("--k", "--sigma")),
+    "distance": (("--from", "--to"), ("--k", "--sigma")),
+    "spectrum": ((), ("--k", "--kmax", "--depth")),
+}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """An argv of one of the eight subcommands other than tables and verify:
+    its required flags and up to three of its own, with small values, some
+    of them malformed; now and then another subcommand's flag, a flag with
+    no value, or a stray word or --help."""
+    cmd = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    required, own = _FUZZ_FLAGS[cmd]
+    if cmd in ("lagrange", "alpha", "qform"):
+        required = (draw(st.sampled_from(["--seq", "--t"])),)
+    flags = list(required)
+    for _ in range(draw(st.integers(0, 3))):
+        mixed = draw(st.integers(0, 7)) == 0
+        flags.append(draw(st.sampled_from(sorted(_FUZZ_VALUES) if mixed else own)))
+    argv = [*draw(st.sampled_from([[], ["--format", "json"], ["--format", "csv"]])), cmd]
+    for flag in draw(st.permutations(flags)):
+        argv += [flag, draw(_FUZZ_VALUES[flag])]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--t", "--k", "stray", "-h", "--format"])))
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_fuzz_argv())
+def test_fuzzed_argv_ends_in_an_exit_code_with_no_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)  # any exception but SystemExit's code escapes and fails
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert err.startswith("gmspec: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_python_dash_m_runs_the_cli(capsys):
@@ -474,8 +626,9 @@ def test_zigzag_rows_carry_the_greatest_n_of_their_depth():
 
 def _fail_after_sqrt5(monkeypatch):
     """Make every row's decimal after that of sqrt(5) raise, as a late error:
-    `decimal_str` where the text and JSON templates call it and where
-    `QuadSurd.decimal` (a CSV row's) does."""
+    `decimal_str` where the row renderer of text, JSON and CSV calls it and
+    where `QuadSurd.decimal` does.  No row of (0,0,1) at depth 1 is at its
+    class bound (see `cli._row_decimals`), so each one calls it."""
     decimal = exact.decimal_str
 
     def late(x, sig=12):
