@@ -11,6 +11,15 @@ name and help; a subcommand's parser is built when argparse resolves its
 name, so a run builds two parsers.  `cohn`, `lattice`, `tables`, `verify`,
 `csv` and `json` are imported by the handlers and output branches that use
 them: `spectrum --format json` loads none of them, nor `snake`.
+
+`spectrum --k` writes its rows from the integers of the walk: each row is
+one tuple (n, pos, num, den, params, q, D, r) from
+`spectrum._spectrum_rows`, and its text, JSON entry or CSV dict is
+rendered from that tuple by `_spectrum_rendered`, with no `QuadSurd`,
+label or `SpectrumElement` built for it; a surd is built only for a row
+below its class limit, whose decimal needs `decimal_str`.  `--kmax` reads
+the same tuples off the elements of `transition_scan`.
+`spectrum.enumerate_spectrum` still returns elements to library callers.
 """
 
 from __future__ import annotations
@@ -23,16 +32,16 @@ import stat
 import sys
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .exact import Mat2, QuadSurd, _format_sig, decimal_str
+from .exact import Mat2, QuadSurd, _format_sig, _spectrum_surd, _sqrt_over_ints, decimal_str
 from .farey import IrreducibleFraction, _check_int_length, _echo
-from .gmtree import ALTERNATING, GMParams, format_sigma, gm_node, parse_sigma
+from .gmtree import ALTERNATING, GMParams, _child, _root, format_sigma, gm_node, parse_sigma
 from .spectrum import (
     TRANSITION_CAVEAT,
     SpectrumElement,
+    _spectrum_rows,
     alpha_fixed_point,
-    enumerate_spectrum,
+    enumerate_spectrum,  # not called here: the benchmark's tracer wraps this name in cli
     lagrange_value,
-    markov_value,
     qform_of,
     transition_scan,
 )
@@ -118,7 +127,7 @@ def _emit(
     JSON or CSV.  The bytes are those of the joined lines, of
     json.dumps(payload, indent=2) or of csv.DictWriter, ending in a newline.
     `entries`, when given, are the payload's JSON list entries rendered
-    ahead (see `_spectrum_entries`); JSON output writes them in its place.
+    ahead (see `_spectrum_rendered`); JSON output writes them in its place.
     `fields`, when given, are the rows' keys, and CSV writes them as the
     header even when there is no row; otherwise the first row's keys are.
     A row that fails removes the --out file if that path is a regular file."""
@@ -179,34 +188,61 @@ def _json_entry(row: dict) -> str:
     return "  " + json.dumps(row, indent=2).replace("\n", "\n  ")
 
 
-def _spectrum_entries(
-    elems: Iterable[SpectrumElement], decimal: Callable[[SpectrumElement], str]
-) -> Iterator[str]:
-    """_json_entry(el.to_json()) of each element, laid out by one template:
-    the keys in to_json's order, the ints as json writes them, and the sigma
-    name, the label num/den and the decimal as ASCII strings with nothing to
-    escape.  The head up to the label, (k1, k2, k3, sigma), is rendered once
-    per params object of this call, not once per row, and looked up by id,
-    which skips hashing a GMParams per row; each entry keeps its params
-    alive, so no id is reused meanwhile.  `decimal` renders a row's decimal
-    (`_row_decimals` or `_once_per_value`), each only when its entry is
-    written."""
-    heads: dict[int, tuple[GMParams, str]] = {}
-    for el in elems:
-        k = el.params
+def _spectrum_rendered(
+    rows: Iterable[tuple], decimal: Callable[[tuple], str], fmt: str, kmax: bool = False
+) -> Iterator:
+    """The spectrum rows (n, pos, num, den, params, q, D, r) as `_emit`
+    writes them in the format `fmt`, each row's decimal rendered by
+    `decimal(row)` (`_row_decimals` or `_once_per_value`) as the row is
+    written.  A row is the value (0 + q*sqrt(D))/r, whose fields
+    `exact._sqrt_over_ints` gave (so p = 0 and q > 0), at the witness num/den
+    of the tree of params, with the pair (n, pos); it renders as the
+    `SpectrumElement` with these fields does:
+
+    * "json": the entry `_json_entry(el.to_json(decimal))`, laid out by one
+      template: the keys in to_json's order, the ints as json writes them,
+      and the sigma name, the label num/den and the decimal as ASCII
+      strings with nothing to escape;
+    * "csv": the dict `el.to_json(decimal)`;
+    * "text": the line `{value} = {decimal}  (t=..., n=..., pos=...,
+      sigma=...)`, or `k=(k1,k2,k3) {value} = {decimal}` for `--kmax`.
+
+    What a row takes from its params, the head of its JSON entry, its CSV
+    cells or its text's triple or sigma name, is rendered once per params
+    object of this call, not once per row, and looked up by id, which skips
+    hashing a GMParams per row; each head keeps its params alive, so no id
+    is reused meanwhile."""
+    heads: dict[int, tuple[GMParams, object]] = {}
+    for row in rows:
+        n, pos, num, den, k, q, d, r = row
         entry = heads.get(id(k))
         if entry is None:
-            entry = heads[id(k)] = (k, (
-                f'  {{\n    "k1": {k.k1},\n    "k2": {k.k2},\n    "k3": {k.k3},\n'
-                f'    "sigma": "{format_sigma(k.sigma)}",\n    "t": "'
-            ))
+            sigma = format_sigma(k.sigma)
+            if fmt == "json":
+                head = (
+                    f'  {{\n    "k1": {k.k1},\n    "k2": {k.k2},\n    "k3": {k.k3},\n'
+                    f'    "sigma": "{sigma}",\n    "t": "'
+                )
+            elif fmt == "csv":
+                head = (k.k1, k.k2, k.k3, sigma)
+            else:
+                head = f"k=({k.k1},{k.k2},{k.k3})" if kmax else sigma
+            entry = heads[id(k)] = (k, head)
         head = entry[1]
-        t, v = el.t, el.value
-        yield (
-            f'{head}{t.num}/{t.den}",\n    "n": {el.n},\n    "pos": {el.pos},\n'
-            f'    "p": {v.p},\n    "q": {v.q},\n    "D": {v.D},\n    "r": {v.r},\n'
-            f'    "decimal": "{decimal(el)}"\n  }}'
-        )
+        if fmt == "json":
+            yield (
+                f'{head}{num}/{den}",\n    "n": {n},\n    "pos": {pos},\n'
+                f'    "p": 0,\n    "q": {q},\n    "D": {d},\n    "r": {r},\n'
+                f'    "decimal": "{decimal(row)}"\n  }}'
+            )
+        elif fmt == "csv":
+            cells = (*head, f"{num}/{den}", n, pos, 0, q, d, r, decimal(row))
+            yield dict(zip(SpectrumElement.FIELDS, cells))
+        elif kmax:
+            yield f"{head} (0 + {q}√{d})/{r} = {decimal(row)}"
+        else:
+            yield (f"(0 + {q}√{d})/{r} = {decimal(row)}  "
+                   f"(t={num}/{den}, n={n}, pos={pos}, sigma={head})")
 
 
 def _block_of(args) -> tuple[int, ...]:
@@ -302,55 +338,60 @@ def _distance_cmd(args) -> None:
 
 
 def _spectrum_cmd(args) -> None:
-    """Text, JSON and CSV rows from one row renderer, `decimal(el)`, called as
-    each row is written: `--kmax` renders each window value once, `--k` a
-    row's decimal from its integers (see `_row_decimals`)."""
+    """Text, JSON and CSV from one row renderer, `_spectrum_rendered`, over
+    the rows (n, pos, num, den, params, q, D, r): `--k` takes them from
+    `spectrum._spectrum_rows` and renders a row's decimal from its integers
+    (see `_row_decimals`), with no surd, label or element per row; `--kmax`
+    reads them off the elements of `transition_scan` and renders each
+    window value once."""
     if args.depth > SPECTRUM_DEPTH_LIMIT:
         raise ValueError(f"depth too large: at most {SPECTRUM_DEPTH_LIMIT}")
+    note = []
     if args.kmax is not None:
         if args.kmax > SPECTRUM_KMAX_LIMIT:
             raise ValueError(f"kmax too large: at most {SPECTRUM_KMAX_LIMIT}")
-        elems = transition_scan(args.kmax, args.depth)
+        rows = [
+            (el.n, el.pos, el.t.num, el.t.den, el.params, el.value.q, el.value.D, el.value.r)
+            for el in transition_scan(args.kmax, args.depth)
+        ]
         decimal = _once_per_value(decimal_str)
-        lines = itertools.chain([f"note: {TRANSITION_CAVEAT}"], (
-            f"k=({el.params.k1},{el.params.k2},{el.params.k3}) {el.value} = {decimal(el)}"
-            for el in elems
-        ))
+        note.append(f"note: {TRANSITION_CAVEAT}")
     else:
         k = _ints_of("0,0,0" if args.k is None else args.k, 3, _K_EXPECTED)
-        _check_printable(_zigzag_rows(k, args.depth))
-        elems = enumerate_spectrum(k, args.depth)
+        limit = _int_str_limit()
+        if limit:
+            _check_printable(_zigzag_rows(k, args.depth, 10**limit))
+        rows = _spectrum_rows(k, args.depth)
         decimal = _row_decimals(k)
-        lines = (
-            f"{el.value} = {decimal(el)}  (t={el.t}, n={el.n}, pos={el.pos}, "
-            f"sigma={format_sigma(el.params.sigma)})"
-            for el in elems
-        )
-    _check_printable(elems)
-    rows = (el.to_json(decimal(el)) for el in elems)
-    _emit(args, lines, rows, _spectrum_entries(elems, decimal), SpectrumElement.FIELDS)
+    _check_printable(rows)
+    kmax = args.kmax is not None
+    lines = itertools.chain(note, _spectrum_rendered(rows, decimal, "text", kmax))
+    payload = _spectrum_rendered(rows, decimal, "csv")
+    entries = _spectrum_rendered(rows, decimal, "json")
+    _emit(args, lines, payload, entries, SpectrumElement.FIELDS)
 
 
-def _once_per_value(render: Callable[[QuadSurd], str]) -> Callable[[SpectrumElement], str]:
-    """render(el.value), called once per value object: `transition_scan` gives
-    the rows of one window value one shared value object (at --kmax 2
-    --depth 4, 49 values over 156 rows).  Keyed by id, as the rows keep every
-    value alive."""
-    done: dict[int, str] = {}
+def _once_per_value(render: Callable[[QuadSurd], str]) -> Callable[[tuple], str]:
+    """render(value) of a spectrum row (n, pos, num, den, params, q, D, r),
+    called once per value: `transition_scan` gives one window value several
+    rows (at --kmax 2 --depth 4, 49 values over 156 rows).  Keyed by the
+    value's canonical fields (q, D, r), equal exactly when the values are."""
+    done: dict[tuple[int, int, int], str] = {}
 
-    def once(el: SpectrumElement) -> str:
-        v = el.value
-        text = done.get(id(v))
+    def once(row: tuple) -> str:
+        key = row[5:]
+        text = done.get(key)
         if text is None:
-            text = done[id(v)] = render(v)
+            text = done[key] = render(_spectrum_surd(*key))
         return text
 
     return once
 
 
-def _row_decimals(k: tuple[int, ...], sig: int = 12) -> Callable[[SpectrumElement], str]:
-    """decimal(el) = decimal_str(el.value, sig) for the rows of the triple k,
-    with no surd floor for a row whose n puts it at its class limit K.
+def _row_decimals(k: tuple[int, ...], sig: int = 12) -> Callable[[tuple], str]:
+    """decimal(row) = decimal_str(value, sig) for the rows
+    (n, pos, num, den, params, q, D, r) of the triple k, read off (n, pos)
+    with no surd for a row whose n puts it at its class limit K.
 
     A row's value is x = sqrt(m^2 - 4)/n with m = K*n - c >= 3,
     K = 3 + k1 + k2 + k3 and c = k_pos.  As m + c = K*n and
@@ -368,45 +409,73 @@ def _row_decimals(k: tuple[int, ...], sig: int = 12) -> Callable[[SpectrumElemen
     an integer, and it is needed: past it K itself rounds, and under
     (2, 0, 10^20 + 5*10^8 - 4), K = 10^20 + 5*10^8 + 1 gives
     1.00000000001e+20 where its 0/1 row rounds to 1.00000000000e+20.  Every
-    other row calls `decimal_str`, looked up when called, so a wrapper or a
-    patch on the module's name sees each call."""
+    other row calls `decimal_str` on its surd `_spectrum_surd(q, D, r)`,
+    looked up when called, so a wrapper or a patch on the module's name sees
+    each call."""
     big_k = 3 + sum(k)
     e = len(str(big_k)) - 1
     if e >= sig:  # K >= 10^sig
-        return lambda el: decimal_str(el.value, sig)
+        return lambda row: decimal_str(_spectrum_surd(*row[5:]), sig)
     scale = 10 ** (sig - 1 - e)
     at_k = _format_sig(big_k * scale, e, sig, False)
     bounds = (None, *(20 * (c + 2) * scale for c in k))
 
-    def decimal(el: SpectrumElement) -> str:
-        if el.n >= bounds[el.pos]:
+    def decimal(row: tuple) -> str:
+        if row[0] >= bounds[row[1]]:
             return at_k
-        return decimal_str(el.value, sig)
+        return decimal_str(_spectrum_surd(*row[5:]), sig)
 
     return decimal
 
 
-def _zigzag_rows(k: tuple[int, ...], depth: int) -> list[SpectrumElement]:
-    """The rows at the zigzag labels F(d+1)/F(d+2) and F(d+2)/F(d+1) of depth
-    d in each even tree, F the Fibonacci numbers with F(1) = F(2) = 1.  They
-    carry the greatest n of their depth (tested for max k <= 2 to depth 8),
-    so a request whose rows would pass the digit limit is refused on them
-    before the walk.  Each is a row the walk visits, printed unless a
-    cross-class tie gives its value to an earlier witness; `_check_printable`
-    on the output stays the exact rule."""
-    f, g = 1, 1
-    for _ in range(depth):
+def _zigzag_rows(k: tuple[int, ...], depth: int, stop: int = 0) -> list[tuple]:
+    """The rows (n, pos, num, den, params, q, D, r) at the zigzag labels
+    F(d+1)/F(d+2) and F(d+2)/F(d+1) of depth d in each even tree, F the
+    Fibonacci numbers with F(1) = F(2) = 1.  They carry the greatest n of
+    their depth (tested for max k <= 2 to depth 8), so a request whose rows
+    would pass the digit limit is refused on them before the walk.  Each is
+    a row the walk visits, printed unless a cross-class tie gives its value
+    to an earlier witness; `_check_printable` on the output stays the exact
+    rule.
+
+    The six paths are walked a level at a time: F(j+1)/F(j+2) is the path
+    L, R, L, ... of length j and F(j+2)/F(j+1) the path R, L, R, ..., each
+    one step past the label above it.  n grows strictly down a path, so once
+    a vertex's n reaches `stop` (when nonzero) the row of depth d on its
+    path has a larger n: the walk returns that level's rows, which
+    `_check_printable` refuses with the message it would give at depth d,
+    and never builds the deeper vertices, whose n have about F(d+2)/F(j+2)
+    times as many digits."""
+    # per tree, the path to F(j+1)/F(j+2) then the one to F(j+2)/F(j+1)
+    level = [(p, _root(p)) for p in (GMParams(*k, s) for s in ALTERNATING) for _ in "LR"]
+    f, g = 1, 1  # the label F(j+1)/F(j+2) = f/g of level j
+    for j in range(depth):
+        if stop and any(node[2] >= stop for _, node in level):
+            break
+        steps = "LR" if j % 2 == 0 else "RL"
+        level = [(p, _child(node, k, steps[i % 2])) for i, (p, node) in enumerate(level)]
         f, g = g, f + g
-    labels = (IrreducibleFraction(f, g), IrreducibleFraction(g, f))
-    return [markov_value(t, GMParams(*k, sigma)) for sigma in ALTERNATING for t in labels]
+    rows = []
+    for i, (p, node) in enumerate(level):
+        n, pos = node[2], node[3]
+        num, den = (f, g) if i % 2 == 0 else (g, f)
+        delta = (p.coeff_sum * n - k[pos - 1]) ** 2 - 4
+        rows.append((n, pos, num, den, p, *_sqrt_over_ints(delta, n)))
+    return rows
 
 
-def _check_printable(elems: Sequence[SpectrumElement]) -> None:
-    """Refuse, before any output is opened, rows that str() cannot print under
-    Python's int-to-str digit limit; a row's largest ints are D, q and n."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+def _int_str_limit() -> int:
+    """Python's int-to-str digit limit, 0 for none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _check_printable(rows: Iterable[tuple]) -> None:
+    """Refuse, before any output is opened, rows (n, pos, num, den, params,
+    q, D, r) that str() cannot print under Python's int-to-str digit limit;
+    a row's largest ints are D, q and n."""
+    limit = _int_str_limit()
     bound = 10**limit
-    if limit and any(max(el.n, el.value.q, el.value.D) >= bound for el in elems):
+    if limit and any(max(row[0], row[5], row[6]) >= bound for row in rows):
         raise ValueError(f"spectrum rows too large: an integer has over {limit} digits, "
                          "Python's int-to-str limit")
 

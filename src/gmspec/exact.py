@@ -11,15 +11,19 @@ q >= 0 it takes the root of the quotient q^2 N // r^2, a number the size of
 the answer squared, not of q^2 N.
 
 `QuadSurd(p, q, D, r)` is the general constructor.  A spectrum row's value
-sqrt(Delta)/n is built by `_sqrt_over`, which skips the perfect-square test
-and the general branches because Delta = (K*n - k_i)^2 - 4 is never a
-square, and rendered by `decimal_str`'s path for p = 0, q > 0: one
-quotient and one isqrt of about 80 bits for 12 digits.
+sqrt(Delta)/n has the canonical fields (0, q, D, r) given by
+`_sqrt_over_ints`, which skips the perfect-square test and the general
+branches because Delta = (K*n - k_i)^2 - 4 is never a square.  The `--k`
+spectrum rows carry these integers and no surd; `_sqrt_over` builds the
+surd of a radicand, and `_spectrum_surd` that of fields it gave, for a
+library caller or a row's decimal.  `decimal_str` renders it by its path
+for p = 0, q > 0: one quotient and one isqrt of about 80 bits for 12
+digits.
 
 Trusted objects are built one way: their slots are written by the slots'
 member-descriptor setters, fetched once at import by `_slot_setters`.
 `QuadSurd.__init__` writes the canonical form it has worked out;
-`_sqrt_over`, and `spectrum._element` for each row's label and element,
+`_spectrum_surd`, and `spectrum._element` for each row's label and element,
 write fields that are canonical by construction, so they skip only checks
 that could not fail, never the immutability: assigning a field of what
 they build still raises.
@@ -398,7 +402,14 @@ _set_p, _set_q, _set_D, _set_r = _slot_setters(QuadSurd, "p", "q", "D", "r")
 
 def _sqrt_over(delta: int, n: int) -> QuadSurd:
     """QuadSurd(0, 1, delta, n) for a spectrum radicand delta = m^2 - 4 with
-    m >= 3 and an n >= 1, built without `QuadSurd.__init__`'s general branches.
+    m >= 3 and an n >= 1: `_spectrum_surd` of `_sqrt_over_ints(delta, n)`."""
+    return _spectrum_surd(*_sqrt_over_ints(delta, n))
+
+
+def _sqrt_over_ints(delta: int, n: int) -> tuple[int, int, int]:
+    """(q, D, r) of the canonical form (0, q, D, r) of QuadSurd(0, 1, delta, n)
+    for a spectrum radicand delta = m^2 - 4 with m >= 3 and an n >= 1, found
+    without `QuadSurd.__init__`'s general branches.
 
     With delta = s*s*d, d > 1, the canonical form is (0, s/g, d, n/g) with
     g = gcd(s, n).  A spectrum value has m = K*n - k_i >= K - k_i >= 3
@@ -419,11 +430,17 @@ def _sqrt_over(delta: int, n: int) -> QuadSurd:
     else:
         s, d = _nonsquare_split(delta)
     g = math.gcd(s, n)
+    return s // g, d, n // g
+
+
+def _spectrum_surd(q: int, D: int, r: int) -> QuadSurd:
+    """QuadSurd(0, q, D, r) for the fields (q, D, r) that `_sqrt_over_ints`
+    gives, canonical by construction, written by the slot setters."""
     x = object.__new__(QuadSurd)
     _set_p(x, 0)
-    _set_q(x, s // g)
-    _set_D(x, d)
-    _set_r(x, n // g)
+    _set_q(x, q)
+    _set_D(x, D)
+    _set_r(x, r)
     return x
 
 

@@ -12,16 +12,20 @@ three class runs are merged by the exact test Delta_1 * n_2^2 vs
 Delta_2 * n_1^2, each run with its list of n^2 beside it: two products
 while both n are narrow, and for a pair with an n of 384 bits or more the
 expanded identity, linear in n but for one product (see `_merge`).  Only the
-distinct values returned become `SpectrumElement`s, with their `QuadSurd`
-and label, in `_element`; the decimal is rendered only when a row is
-written, from the row's integers alone once n reaches its class limit
-(see `cli._row_decimals`).  Delta = m^2 - 4 with m = K*n - k_i >= 3 is
-never a perfect square, so the surd comes from `exact._sqrt_over`: one
-square split of Delta and one gcd with n.  `_element` writes the fields of the label and
-the element through their slot setters, the one way the library builds a
-trusted object (see `exact`): a walked label is reduced and the surd
-canonical by construction, so the checks skipped could not fail, and the
-objects built stay immutable.
+distinct values returned get their surd's fields, as integer rows
+(n, pos, num, den, params, q, D, r) from `_spectrum_rows`: Delta =
+m^2 - 4 with m = K*n - k_i >= 3 is never a perfect square, so
+`exact._sqrt_over_ints` finds (q, D, r) with one square split of Delta and
+one gcd with n.  The CLI writes `--k` rows from these integers, with no
+surd, label or element per row; the decimal is rendered only when a row is
+written, from (n, pos) alone once n reaches its class limit (see
+`cli._row_decimals`).  `enumerate_spectrum`, for library callers, builds
+each row into a `SpectrumElement` with its `QuadSurd` and label in
+`_element`, which writes the fields of the label and the element through
+their slot setters, the one way the library builds a trusted object (see
+`exact`): a walked label is reduced and the surd canonical by
+construction, so the checks skipped could not fail, and the objects built
+stay immutable.
 
 The window scan over [3, c_F) uses the Markoff-tree growth argument (cf.
 Bombieri, "Continued fractions and the Markoff tree", Expo. Math. 2007):
@@ -52,7 +56,9 @@ from .exact import (
     QuadSurd,
     _floor_surd,
     _slot_setters,
+    _spectrum_surd,
     _sqrt_over,
+    _sqrt_over_ints,
     cf_eval_periodic,
     cf_matrix,
 )
@@ -402,12 +408,28 @@ def enumerate_spectrum(
     class k_pos, where equal values have equal n; each class is sorted by n
     and the classes are merged by exact integer comparisons of
     Delta_1 * n_2^2 and Delta_2 * n_1^2 (see `_distinct_values`).  Only the
-    distinct values, ascending, are built into `SpectrumElement`s.
+    distinct values, ascending, are built into `SpectrumElement`s, from the
+    integers of `_spectrum_rows`.
     """
     return [
-        _element(_sqrt_over(delta, n), n, pos, num, den, params)
-        for delta, n, pos, num, den, params in _distinct_values(k, depth)
+        _element(_spectrum_surd(q, d, r), n, pos, num, den, params)
+        for n, pos, num, den, params, q, d, r in _spectrum_rows(k, depth)
     ]
+
+
+def _spectrum_rows(
+    k: tuple[int, int, int], depth: int
+) -> list[tuple[int, int, int, int, GMParams, int, int, int]]:
+    """The rows (n, pos, num, den, params, q, D, r) of
+    `enumerate_spectrum(k, depth)`, in its order, as integers: the witness
+    num/den of the tree of params with its pair (n, pos), and the fields of
+    the value's canonical surd (0, q, D, r), `_sqrt_over_ints(Delta, n)`.
+    The CLI writes `--k` rows from these, with no surd, label or element."""
+    rows = []
+    for delta, n, pos, num, den, params in _distinct_values(k, depth):
+        q, d, r = _sqrt_over_ints(delta, n)
+        rows.append((n, pos, num, den, params, q, d, r))
+    return rows
 
 
 def _window_cut(big_k: int, c: int) -> int | None:

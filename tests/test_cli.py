@@ -1,12 +1,14 @@
 import argparse
 import contextlib
 import errno
+import functools
 import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -24,6 +26,7 @@ from gmspec.spectrum import (
     SpectrumElement,
     _distinct_values,
     _element,
+    _spectrum_rows,
     enumerate_spectrum,
     markov_value,
     transition_scan,
@@ -204,6 +207,7 @@ def test_spectrum_depth_limit_is_checked_before_any_walk(capsys, monkeypatch):
 
     over = str(SPECTRUM_DEPTH_LIMIT + 1)
     with monkeypatch.context() as m:
+        m.setattr(cli, "_spectrum_rows", no_walk)
         m.setattr(cli, "enumerate_spectrum", no_walk)
         m.setattr(cli, "transition_scan", no_walk)
         _one_line_domain_error(capsys, ["spectrum", "--k", "0,0,1", "--depth", over])
@@ -370,21 +374,77 @@ def test_spectrum_rows_match_the_old_merged_rows():
         assert list(el.to_json().items()) == list(cli_oracle.old_spectrum_row(el).items())
 
 
-def test_spectrum_template_entries_parse_to_the_rows():
+def _row(el: SpectrumElement) -> tuple:
+    """The row (n, pos, num, den, params, q, D, r) of a spectrum element."""
+    v = el.value
+    assert v.p == 0
+    return el.n, el.pos, el.t.num, el.t.den, el.params, v.q, v.D, v.r
+
+
+def _old_line(el: SpectrumElement, kmax: bool = False) -> str:
+    """A spectrum text line as written from the element."""
+    k = el.params
+    if kmax:
+        return f"k=({k.k1},{k.k2},{k.k3}) {el.value} = {el.value.decimal()}"
+    return (f"{el.value} = {el.value.decimal()}  (t={el.t}, n={el.n}, pos={el.pos}, "
+            f"sigma={cli_oracle.old_format_sigma(k.sigma)})")
+
+
+def _rendered_bytes(capsys, fmt, rows, decimal) -> str:
+    args = argparse.Namespace(format=fmt, out=None)
+    render = functools.partial(cli._spectrum_rendered, rows, decimal)
+    cli._emit(args, render("text"), render("csv"), render("json"), SpectrumElement.FIELDS)
+    return capsys.readouterr().out
+
+
+def _old_bytes(capsys, fmt, elems) -> str:
+    args = argparse.Namespace(format=fmt, out=None)
+    payload = [cli_oracle.old_spectrum_row(el) for el in elems]
+    cli_oracle.old_emit(args, map(_old_line, elems), payload, None, SpectrumElement.FIELDS)
+    return capsys.readouterr().out
+
+
+def test_spectrum_template_entries_parse_to_the_rows(capsys):
     # the parser, not only the old renderer, reads each entry: a quote or an
     # escape the template missed would show here
     elems = [el for k in ((0, 0, 0), (1, 2, 0), (3, 0, 1), (2, 2, 1), (0, 5, 5))
              for d in (0, 2, 5) for el in enumerate_spectrum(k, d)]
-    elems += transition_scan(2, 4)
+    window = transition_scan(2, 4)
+    start = len(elems)
+    elems += window
     labels = [IrreducibleFraction(0, 1), IrreducibleFraction(1, 0), IrreducibleFraction(3, 5)]
     elems += [markov_value(t, GMParams(1, 2, 0, s)) for t in labels for s in ALTERNATING]
-    entries = cli._spectrum_entries(elems, lambda el: exact.decimal_str(el.value))
-    for el, entry in zip(elems, entries, strict=True):
+    rows = [_row(el) for el in elems]
+    decimals = {id(row): exact.decimal_str(el.value) for row, el in zip(rows, elems)}
+
+    def decimal(row):
+        return decimals[id(row)]
+
+    render = functools.partial(cli._spectrum_rendered, rows, decimal)
+    for el, entry, cells, line in zip(elems, render("json"), render("csv"), render("text"),
+                                      strict=True):
         row = el.to_json()
         assert list(json.loads(entry).items()) == list(row.items())
-        assert entry == cli._json_entry(row)
+        assert entry == cli._json_entry(row) == cli._json_entry(cli_oracle.old_spectrum_row(el))
+        assert list(cells.items()) == list(cli_oracle.old_spectrum_row(el).items())
+        assert line == _old_line(el)
+    kmax_rows = rows[start:start + len(window)]
+    kmax_lines = cli._spectrum_rendered(kmax_rows, decimal, "text", kmax=True)
+    assert list(kmax_lines) == [_old_line(el, kmax=True) for el in window]
     assert {el.t for el in elems} >= set(labels)
     assert {el.params.sigma for el in elems} == set(ALTERNATING)
+    # the row source and the renderer, byte for byte against the elements and
+    # the whole-payload renderer, on the verify grid and past 20 digits
+    from gmspec.verify import grid_triples
+
+    for k in [*sorted(set(grid_triples())), (10**20, 0, 0), _PINNED_K]:
+        for depth in range(6):
+            elems = enumerate_spectrum(k, depth)
+            rows = _spectrum_rows(k, depth)
+            assert rows == [_row(el) for el in elems], (k, depth)
+            for fmt in FORMATS:
+                new = _rendered_bytes(capsys, fmt, rows, cli._row_decimals(k))
+                assert new == _old_bytes(capsys, fmt, elems), (k, depth, fmt)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -425,7 +485,7 @@ _PINNED_K = (2, 0, 10**20 + 5 * 10**8 - 4)
 def test_row_decimals_match_decimal_str(k, depth):
     decimal = cli._row_decimals(k)
     for el in enumerate_spectrum(k, depth):
-        assert decimal(el) == exact.decimal_str(el.value), (k, el.t, el.pos)
+        assert decimal(_row(el)) == exact.decimal_str(el.value), (k, el.t, el.pos)
 
 
 def test_row_decimals_match_decimal_str_on_the_grid():
@@ -434,14 +494,14 @@ def test_row_decimals_match_decimal_str_on_the_grid():
     for k in sorted(set(grid_triples())):
         decimal = cli._row_decimals(k)
         for el in enumerate_spectrum(k, 7):
-            assert decimal(el) == exact.decimal_str(el.value), (k, el.t, el.pos)
+            assert decimal(_row(el)) == exact.decimal_str(el.value), (k, el.t, el.pos)
 
 
 def test_row_decimals_keep_a_triple_past_twelve_digits_off_the_class_limit():
     # the 0/1 row of class k1 = 2 is sqrt((K - 2)^2 - 4), at n = 1
     row = enumerate_spectrum(_PINNED_K, 1)[1]
     assert (row.t, row.pos, row.n) == (IrreducibleFraction(0, 1), 1, 1)
-    assert cli._row_decimals(_PINNED_K)(row) == "1.00000000000e+20"
+    assert cli._row_decimals(_PINNED_K)(_row(row)) == "1.00000000000e+20"
     assert exact.decimal_str(QuadSurd(3 + sum(_PINNED_K), 0, 1, 1)) == "1.00000000001e+20"
 
 
@@ -476,7 +536,7 @@ def test_row_decimals_match_decimal_str_at_the_class_bound(row):
     el = _element(value, n, pos, 0, 1, GMParams(*k, ALTERNATING[0]))
     decimal = cli._row_decimals(k)
     with mock.patch.object(cli, "decimal_str", wraps=exact.decimal_str) as floor:
-        assert decimal(el) == exact.decimal_str(value), (k, pos, n)
+        assert decimal(_row(el)) == exact.decimal_str(value), (k, pos, n)
     # a surd floor exactly below the bound: K's text at and above it
     assert floor.call_count == (n < 20 * (c + 2) * 10 ** (12 - len(str(big_k))))
 
@@ -607,12 +667,31 @@ def test_rows_past_the_digit_limit_are_refused_before_any_output(tmp_path, capsy
 ])
 def test_oversized_k_is_refused_before_the_walk(tmp_path, capsys, monkeypatch, k, depth):
     def walk(*args):
-        raise AssertionError("enumerate_spectrum ran")
+        raise AssertionError("the walk ran")
 
-    monkeypatch.setattr(cli, "enumerate_spectrum", walk)
+    monkeypatch.setattr(cli, "_spectrum_rows", walk)
     argv = ["--format", "json", "--out", str(tmp_path / "F"), "spectrum", "--k", k]
     _one_line_domain_error(capsys, [*argv, "--depth", str(depth)])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_k_past_the_digit_limit_is_refused_at_the_first_level_past_it(tmp_path, capsys):
+    # the zigzag paths are walked a level at a time and stop where n reaches
+    # 10^4300: the deepest vertices, with about F(16) * 1000 digits, are never
+    # built (formerly 0.33 s at depth 8 and 11 s at depth 12)
+    limit = sys.get_int_max_str_digits()
+    argv = ["--format", "json", "--out", str(tmp_path / "F"), "spectrum",
+            "--k", f"{10**1000},0,0", "--depth", "14"]
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", f"gmspec: spectrum rows too large: an integer has over "
+                                       f"{limit} digits, Python's int-to-str limit\n")
+    assert list(tmp_path.iterdir()) == []
+    k = (10**1000, 0, 0)
+    stopped = cli._zigzag_rows(k, 14, 10**limit)
+    assert max(row[0] for row in stopped) >= 10**limit
+    assert max(row[0] for row in cli._zigzag_rows(k, 1)) < 10**limit
 
 
 def test_zigzag_rows_carry_the_greatest_n_of_their_depth():
@@ -621,7 +700,7 @@ def test_zigzag_rows_carry_the_greatest_n_of_their_depth():
         for depth in range(9):
             first = 2**depth - 1  # breadth-first, depth d is entries 2^d - 1 to 2^(d+1) - 2
             level = [v[4][2] for walk in walks.values() for v in walk[first:2 * first + 1]]
-            assert max(el.n for el in cli._zigzag_rows(k, depth)) == max(level), (k, depth)
+            assert max(row[0] for row in cli._zigzag_rows(k, depth)) == max(level), (k, depth)
 
 
 def _fail_after_sqrt5(monkeypatch):

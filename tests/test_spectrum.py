@@ -20,6 +20,7 @@ from gmspec.exact import (
     _floor_surd,
     _slot_setters,
     _sqrt_over,
+    _sqrt_over_ints,
     cf_eval_periodic,
     decimal_str,
     periodic_cf_expansion,
@@ -42,6 +43,7 @@ from gmspec.spectrum import (
     _distinct_values,
     _element,
     _merge,
+    _spectrum_rows,
     _walk_order,
     _window_cut,
     alpha_fixed_point,
@@ -749,6 +751,61 @@ def test_sqrt_over_matches_the_former_square_split_on_the_grid_rows():
         g = math.gcd(s, n)
         x = _sqrt_over(delta, n)
         assert (x.p, x.q, x.D, x.r) == (0, s // g, d, n // g), (delta, n)
+
+
+@st.composite
+def _class_radicands(draw):
+    """(Delta, n) of a value of the class c = k_i under K = 3 + k1 + k2 + k3:
+    Delta = m^2 - 4 with m = K n - c, K >= c + 3 and n >= 1.  Delta falls
+    below _FULL_FACTOR_BOUND, in [10^14, 13^2 10^14), where taking out the
+    squares of 2..13 can drop the cofactor below the bound, or far above it;
+    m is drawn as it comes or with m = +-2 mod p^2 for p in 3, 5, 7, 11, 13,
+    so that p^2 divides Delta = (m - 2)(m + 2)."""
+    m = draw(st.one_of(
+        st.integers(3, 10**7 - 1), st.integers(10**7, 13 * 10**7), st.integers(13 * 10**7, 10**40),
+    ))
+    p = draw(st.sampled_from((None, 3, 5, 7, 11, 13)))
+    if p is not None:
+        m += (draw(st.sampled_from((2, -2))) - m) % (p * p)
+    n = draw(st.integers(1, 40))
+    c = (-m) % n + n * draw(st.integers(0, 3))  # n divides m + c
+    if m < (n - 1) * c + 3 * n:  # K = (m + c)/n would be below c + 3
+        n, c = 1, draw(st.integers(0, 5))
+    return (m * m - 4, n)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_class_radicands())
+@example((10**14 - 4, 1))  # m = 10^7: Delta just below the bound
+@example(((10**7 + 2) ** 2 - 4, 4))  # m = 10^7 + 2: Delta = 10^7 (10^7 + 4), just above it
+@example(((9 * 10**7 + 2) ** 2 - 4, 9 * 10**7 + 2))  # m = 2 mod 9: 9 divides m - 2; n = m
+def test_row_columns_are_the_fields_of_sqrt_over(case):
+    # the (q, D, r) a --k row carries are the fields of the surd `_sqrt_over`
+    # builds, of the general constructor's surd and of the former split
+    delta, n = case
+    q, d, r = _sqrt_over_ints(delta, n)
+    x = _sqrt_over(delta, n)
+    want = QuadSurd(0, 1, delta, n)
+    assert (x.p, x.q, x.D, x.r) == (0, q, d, r) == (want.p, want.q, want.D, want.r), case
+    s, sq_free = nonsquare_split(delta)
+    g = math.gcd(s, n)
+    assert (q, d, r) == (s // g, sq_free, n // g), case
+
+
+def test_spectrum_rows_are_the_oracle_rows_with_their_surd_fields():
+    # the row source, against the gcd-key oracle's rows each turned into its
+    # surd by `_sqrt_over`: same rows, same order, same fields
+    cases = [(k, 5) for k in sorted(set(grid_triples()))]
+    cases += [(k, 6) for k in _DEEP_TRIPLES] + [((10**20, 0, 0), 4)]
+    for k, depth in cases:
+        want = []
+        for delta, n, pos, num, den, params in spectrum_oracle.distinct_values(k, depth):
+            x = _sqrt_over(delta, n)
+            want.append((n, pos, num, den, params, x.q, x.D, x.r))
+        assert _spectrum_rows(k, depth) == want, (k, depth)
+        elems = enumerate_spectrum(k, depth)
+        assert [(el.n, el.pos, el.t.num, el.t.den, el.params, el.value.p, el.value.q,
+                 el.value.D, el.value.r) for el in elems] == [(*w[:5], 0, *w[5:]) for w in want]
 
 
 def test_cmp_matches_the_interval_oracle_on_spectrum_values():
