@@ -32,13 +32,14 @@ import stat
 import sys
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .exact import Mat2, QuadSurd, _format_sig, _spectrum_surd, _sqrt_over_ints, decimal_str
+from .exact import Mat2, QuadSurd, _format_sig, _past_limit, _spectrum_surd, decimal_str
 from .farey import IrreducibleFraction, _check_int_length, _echo
-from .gmtree import ALTERNATING, GMParams, _child, _root, format_sigma, gm_node, parse_sigma
+from .gmtree import GMParams, format_sigma, gm_node, parse_sigma
 from .spectrum import (
     TRANSITION_CAVEAT,
     SpectrumElement,
     _spectrum_rows,
+    _zigzag_rows,
     alpha_fixed_point,
     enumerate_spectrum,  # not called here: the benchmark's tracer wraps this name in cli
     lagrange_value,
@@ -192,26 +193,17 @@ def _spectrum_rendered(
     rows: Iterable[tuple], decimal: Callable[[tuple], str], fmt: str, kmax: bool = False
 ) -> Iterator:
     """The spectrum rows (n, pos, num, den, params, q, D, r) as `_emit`
-    writes them in the format `fmt`, each row's decimal rendered by
-    `decimal(row)` (`_row_decimals` or `_once_per_value`) as the row is
-    written.  A row is the value (0 + q*sqrt(D))/r, whose fields
-    `exact._sqrt_over_ints` gave (so p = 0 and q > 0), at the witness num/den
-    of the tree of params, with the pair (n, pos); it renders as the
-    `SpectrumElement` with these fields does:
-
-    * "json": the entry `_json_entry(el.to_json(decimal))`, laid out by one
-      template: the keys in to_json's order, the ints as json writes them,
-      and the sigma name, the label num/den and the decimal as ASCII
-      strings with nothing to escape;
-    * "csv": the dict `el.to_json(decimal)`;
-    * "text": the line `{value} = {decimal}  (t=..., n=..., pos=...,
-      sigma=...)`, or `k=(k1,k2,k3) {value} = {decimal}` for `--kmax`.
-
-    What a row takes from its params, the head of its JSON entry, its CSV
-    cells or its text's triple or sigma name, is rendered once per params
-    object of this call, not once per row, and looked up by id, which skips
-    hashing a GMParams per row; each head keeps its params alive, so no id
-    is reused meanwhile."""
+    writes them in `fmt`, each as the `SpectrumElement` with these fields
+    gives it: "json" entries `_json_entry(el.to_json())`, laid out by one
+    template (the keys in to_json's order, the ints as json writes them, and
+    the sigma name, num/den and the decimal as ASCII strings with nothing to
+    escape), "csv" dicts `el.to_json()`, or "text" lines, those of `--kmax`
+    when `kmax`.  Every spectrum surd has p = 0 and q > 0 (see
+    `exact._sqrt_over_ints`).  `decimal(row)` renders a row's decimal as the
+    row is written.  What a row takes from its params is rendered once per
+    params object of this call and looked up by id, which skips hashing a
+    GMParams per row; each head keeps its params alive, so no id is reused
+    meanwhile."""
     heads: dict[int, tuple[GMParams, object]] = {}
     for row in rows:
         n, pos, num, den, k, q, d, r = row
@@ -346,24 +338,25 @@ def _spectrum_cmd(args) -> None:
     window value once."""
     if args.depth > SPECTRUM_DEPTH_LIMIT:
         raise ValueError(f"depth too large: at most {SPECTRUM_DEPTH_LIMIT}")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     note = []
     if args.kmax is not None:
         if args.kmax > SPECTRUM_KMAX_LIMIT:
             raise ValueError(f"kmax too large: at most {SPECTRUM_KMAX_LIMIT}")
+        elems = transition_scan(args.kmax, args.depth)
         rows = [
             (el.n, el.pos, el.t.num, el.t.den, el.params, el.value.q, el.value.D, el.value.r)
-            for el in transition_scan(args.kmax, args.depth)
+            for el in elems
         ]
-        decimal = _once_per_value(decimal_str)
+        decimal = _once_per_value(decimal_str, rows, elems)
         note.append(f"note: {TRANSITION_CAVEAT}")
     else:
         k = _ints_of("0,0,0" if args.k is None else args.k, 3, _K_EXPECTED)
-        limit = _int_str_limit()
         if limit:
-            _check_printable(_zigzag_rows(k, args.depth, 10**limit))
+            _check_printable(_zigzag_rows(k, args.depth, limit), limit)
         rows = _spectrum_rows(k, args.depth)
         decimal = _row_decimals(k)
-    _check_printable(rows)
+    _check_printable(rows, limit)
     kmax = args.kmax is not None
     lines = itertools.chain(note, _spectrum_rendered(rows, decimal, "text", kmax))
     payload = _spectrum_rendered(rows, decimal, "csv")
@@ -371,18 +364,22 @@ def _spectrum_cmd(args) -> None:
     _emit(args, lines, payload, entries, SpectrumElement.FIELDS)
 
 
-def _once_per_value(render: Callable[[QuadSurd], str]) -> Callable[[tuple], str]:
-    """render(value) of a spectrum row (n, pos, num, den, params, q, D, r),
-    called once per value: `transition_scan` gives one window value several
-    rows (at --kmax 2 --depth 4, 49 values over 156 rows).  Keyed by the
-    value's canonical fields (q, D, r), equal exactly when the values are."""
-    done: dict[tuple[int, int, int], str] = {}
+def _once_per_value(
+    render: Callable[[QuadSurd], str], rows: Sequence[tuple], elems: Sequence[SpectrumElement]
+) -> Callable[[tuple], str]:
+    """decimal(row) = render(el.value) for the rows read off the elements,
+    row i off element i, called once per value object: `transition_scan`
+    gives the rows of one window value one shared value object (at --kmax 2
+    --depth 4, 49 values over 156 rows).  Keyed by id, as the rows and
+    elements stay alive; no key or surd is built per row."""
+    value_of = {id(row): el.value for row, el in zip(rows, elems, strict=True)}
+    done: dict[int, str] = {}
 
     def once(row: tuple) -> str:
-        key = row[5:]
-        text = done.get(key)
+        v = value_of[id(row)]
+        text = done.get(id(v))
         if text is None:
-            text = done[key] = render(_spectrum_surd(*key))
+            text = done[id(v)] = render(v)
         return text
 
     return once
@@ -428,54 +425,11 @@ def _row_decimals(k: tuple[int, ...], sig: int = 12) -> Callable[[tuple], str]:
     return decimal
 
 
-def _zigzag_rows(k: tuple[int, ...], depth: int, stop: int = 0) -> list[tuple]:
-    """The rows (n, pos, num, den, params, q, D, r) at the zigzag labels
-    F(d+1)/F(d+2) and F(d+2)/F(d+1) of depth d in each even tree, F the
-    Fibonacci numbers with F(1) = F(2) = 1.  They carry the greatest n of
-    their depth (tested for max k <= 2 to depth 8), so a request whose rows
-    would pass the digit limit is refused on them before the walk.  Each is
-    a row the walk visits, printed unless a cross-class tie gives its value
-    to an earlier witness; `_check_printable` on the output stays the exact
-    rule.
-
-    The six paths are walked a level at a time: F(j+1)/F(j+2) is the path
-    L, R, L, ... of length j and F(j+2)/F(j+1) the path R, L, R, ..., each
-    one step past the label above it.  n grows strictly down a path, so once
-    a vertex's n reaches `stop` (when nonzero) the row of depth d on its
-    path has a larger n: the walk returns that level's rows, which
-    `_check_printable` refuses with the message it would give at depth d,
-    and never builds the deeper vertices, whose n have about F(d+2)/F(j+2)
-    times as many digits."""
-    # per tree, the path to F(j+1)/F(j+2) then the one to F(j+2)/F(j+1)
-    level = [(p, _root(p)) for p in (GMParams(*k, s) for s in ALTERNATING) for _ in "LR"]
-    f, g = 1, 1  # the label F(j+1)/F(j+2) = f/g of level j
-    for j in range(depth):
-        if stop and any(node[2] >= stop for _, node in level):
-            break
-        steps = "LR" if j % 2 == 0 else "RL"
-        level = [(p, _child(node, k, steps[i % 2])) for i, (p, node) in enumerate(level)]
-        f, g = g, f + g
-    rows = []
-    for i, (p, node) in enumerate(level):
-        n, pos = node[2], node[3]
-        num, den = (f, g) if i % 2 == 0 else (g, f)
-        delta = (p.coeff_sum * n - k[pos - 1]) ** 2 - 4
-        rows.append((n, pos, num, den, p, *_sqrt_over_ints(delta, n)))
-    return rows
-
-
-def _int_str_limit() -> int:
-    """Python's int-to-str digit limit, 0 for none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-def _check_printable(rows: Iterable[tuple]) -> None:
+def _check_printable(rows: Iterable[tuple], limit: int) -> None:
     """Refuse, before any output is opened, rows (n, pos, num, den, params,
-    q, D, r) that str() cannot print under Python's int-to-str digit limit;
-    a row's largest ints are D, q and n."""
-    limit = _int_str_limit()
-    bound = 10**limit
-    if limit and any(max(row[0], row[5], row[6]) >= bound for row in rows):
+    q, D, r) that str() cannot print under Python's int-to-str digit limit
+    `limit` (0 for none); a row's largest ints are D, q and n."""
+    if limit and _past_limit(max((max(row[0], row[5], row[6]) for row in rows), default=0), limit):
         raise ValueError(f"spectrum rows too large: an integer has over {limit} digits, "
                          "Python's int-to-str limit")
 

@@ -58,6 +58,13 @@ def _sign(n) -> int:
     return (n > 0) - (n < 0)
 
 
+def _past_limit(x: int, limit: int) -> bool:
+    """x >= 10^limit: x has more than `limit` digits.  An x of at most
+    3 * limit bits is below 8^limit, so 10^limit, which takes about 35 us at
+    the default limit, is computed only for an x near it."""
+    return x.bit_length() > 3 * limit and x >= 10**limit
+
+
 def _floor_surd(p: int, q: int, N: int, r: int) -> int:
     """floor((p + q*sqrt(N))/r) for N >= 0 and r > 0, in integers.
 

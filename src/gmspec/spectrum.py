@@ -19,13 +19,14 @@ m^2 - 4 with m = K*n - k_i >= 3 is never a perfect square, so
 one gcd with n.  The CLI writes `--k` rows from these integers, with no
 surd, label or element per row; the decimal is rendered only when a row is
 written, from (n, pos) alone once n reaches its class limit (see
-`cli._row_decimals`).  `enumerate_spectrum`, for library callers, builds
-each row into a `SpectrumElement` with its `QuadSurd` and label in
-`_element`, which writes the fields of the label and the element through
-their slot setters, the one way the library builds a trusted object (see
-`exact`): a walked label is reduced and the surd canonical by
-construction, so the checks skipped could not fail, and the objects built
-stay immutable.
+`cli._row_decimals`); `_zigzag_rows` gives the few rows the CLI checks
+against Python's int-to-str limit before the walk.  `enumerate_spectrum`,
+for library callers, builds each row into a `SpectrumElement` with its
+`QuadSurd` and label in `_element`, which writes the fields of the label
+and the element through their slot setters, the one way the library builds
+a trusted object (see `exact`): a walked label is reduced and the surd
+canonical by construction, so the checks skipped could not fail, and the
+objects built stay immutable.
 
 The window scan over [3, c_F) uses the Markoff-tree growth argument (cf.
 Bombieri, "Continued fractions and the Markoff tree", Expo. Math. 2007):
@@ -55,6 +56,7 @@ from typing import ClassVar, Sequence
 from .exact import (
     QuadSurd,
     _floor_surd,
+    _past_limit,
     _slot_setters,
     _spectrum_surd,
     _sqrt_over,
@@ -63,7 +65,7 @@ from .exact import (
     cf_matrix,
 )
 from .farey import IrreducibleFraction, _frozen_slots, farey_path
-from .gmtree import ALTERNATING, GMParams, _walk_tree, format_sigma, gm_pair
+from .gmtree import ALTERNATING, GMParams, _child, _root, _walk_tree, format_sigma, gm_pair
 
 __all__ = [
     "FREIMAN_CONSTANT",
@@ -429,6 +431,39 @@ def _spectrum_rows(
     for delta, n, pos, num, den, params in _distinct_values(k, depth):
         q, d, r = _sqrt_over_ints(delta, n)
         rows.append((n, pos, num, den, params, q, d, r))
+    return rows
+
+
+def _zigzag_rows(k: tuple[int, ...], depth: int, limit: int = 0) -> list[tuple]:
+    """The rows (n, pos, num, den, params, q, D, r) at the zigzag labels
+    F(d+1)/F(d+2) and F(d+2)/F(d+1) of depth d in each even tree, F the
+    Fibonacci numbers with F(1) = F(2) = 1.  They carry the greatest n of
+    their depth (tested for max k <= 2 to depth 8), so a request whose rows
+    would pass the digit limit is refused on them before the walk.  Each is
+    a row the walk visits, printed unless a cross-class tie gives its value
+    to an earlier witness; `cli._check_printable` on the output stays the
+    exact rule.  The paths, L, R, L, ... to F(j+1)/F(j+2) and R, L, R, ... to
+    F(j+2)/F(j+1) at depth j, are walked a level at a time.  n grows
+    strictly down a path, so once a vertex's n has more than `limit` digits
+    (when nonzero) so has the row of depth d on its path: the walk returns
+    that level's rows, which `cli._check_printable` refuses as it would those
+    of depth d, and never builds the deeper vertices, whose n have about
+    F(d+2)/F(j+2) times as many digits."""
+    # per tree, the path to F(j+1)/F(j+2) then the one to F(j+2)/F(j+1)
+    level = [(p, _root(p)) for p in (GMParams(*k, s) for s in ALTERNATING) for _ in "LR"]
+    f, g = 1, 1  # the label F(j+1)/F(j+2) = f/g of level j
+    for j in range(depth):
+        if limit and _past_limit(max(node[2] for _, node in level), limit):
+            break
+        steps = "LR" if j % 2 == 0 else "RL"
+        level = [(p, _child(node, k, steps[i % 2])) for i, (p, node) in enumerate(level)]
+        f, g = g, f + g
+    rows = []
+    for i, (p, node) in enumerate(level):
+        n, pos = node[2], node[3]
+        num, den = (f, g) if i % 2 == 0 else (g, f)
+        delta = (p.coeff_sum * n - k[pos - 1]) ** 2 - 4
+        rows.append((n, pos, num, den, p, *_sqrt_over_ints(delta, n)))
     return rows
 
 

@@ -689,7 +689,7 @@ def test_a_k_past_the_digit_limit_is_refused_at_the_first_level_past_it(tmp_path
                                        f"{limit} digits, Python's int-to-str limit\n")
     assert list(tmp_path.iterdir()) == []
     k = (10**1000, 0, 0)
-    stopped = cli._zigzag_rows(k, 14, 10**limit)
+    stopped = cli._zigzag_rows(k, 14, limit)
     assert max(row[0] for row in stopped) >= 10**limit
     assert max(row[0] for row in cli._zigzag_rows(k, 1)) < 10**limit
 

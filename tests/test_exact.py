@@ -15,6 +15,7 @@ from gmspec.exact import (
     _PRIMORIAL,
     _PRIMORIAL_BOUND,
     _floor_surd,
+    _past_limit,
     _primorial_split,
     _square_split,
     decimal_str,
@@ -24,6 +25,14 @@ import exact_oracle
 from exact_oracle import _decimal_interval, floor_interval
 
 FREIMAN = QuadSurd(2221564096, 283748, 462, 491993569)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 10, 640, 4300])
+def test_past_limit_is_more_than_limit_digits(limit):
+    # the bit-length test skips 10^limit only where x < 8^limit
+    for x in (0, 1, 8**limit - 1, 8**limit, 2 ** (3 * limit + 1), 10**limit - 1, 10**limit,
+              10**limit + 1, 10 ** (limit + 1)):
+        assert _past_limit(x, limit) == (x >= 10**limit), (x, limit)
 
 
 def test_cf_matrix_fixtures():

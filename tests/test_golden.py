@@ -2,11 +2,12 @@
 through `cli.run` in-process and must give the recorded exit code and the
 recorded sha256 of its stdout (or of its --out file) and of its stderr.
 
-The file records the output of the code as it stood before the spectrum row
-renderer was reworked; a change that alters any byte fails here.  To record
-it again after a deliberate change of output:
+A change that alters any byte of these outputs fails here.  A deliberate
+change of output records the file again,
 
     PYTHONPATH=src python tests/test_golden.py
+
+and keeps only the entries it means to change, each named in CHANGES.md.
 """
 
 from __future__ import annotations
