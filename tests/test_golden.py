@@ -44,6 +44,14 @@ _OTHER = (
     ["distance", "--from", "0,0", "--to", "3,2", "--k", "1,2,0", "--sigma", "id"],
     ["tables"],
 )
+# deep big-integer paths of the tree walk: a depth-10 spectrum, 14- and
+# 13-step node descents under asymmetric k, and the zigzag refusal at depth 14
+_DEEP_WALKS = (
+    ["--format", "csv", "spectrum", "--k", "1,2,0", "--depth", "10"],
+    ["node", "--t", "377/610", "--k", "3,1,2", "--sigma", "(1 3)"],
+    ["cohn", "--t", "233/377", "--k", "0,2,4"],
+    ["--out", "{out}", "spectrum", "--k", _OVER_LIMIT_K, "--depth", "14"],
+)
 
 
 def golden_argvs() -> list[list[str]]:
@@ -61,6 +69,7 @@ def golden_argvs() -> list[list[str]]:
             ["--format", fmt, "--out", "{out}", "spectrum", "--k", _HUGE_K, "--depth", "0"],
             ["--format", fmt, "--out", "{out}", "spectrum", "--k", _OVER_LIMIT_K, "--depth", "3"],
         ]
+    argvs += [list(argv) for argv in _DEEP_WALKS]
     return argvs
 
 
