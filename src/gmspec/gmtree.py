@@ -2,8 +2,9 @@
 
 A parameter set is a triple (k1, k2, k3) of nonnegative integers together
 with a permutation sigma of {1, 2, 3}.  Tree vertices carry number-position
-pairs; the three values of a vertex, placed at their positions, always solve
-the generalized equation, and all divisions in the Vieta recursion are exact.
+pairs; the three values of a vertex, placed at their positions, solve the
+generalized equation.  Each step takes the other root in one slot by Vieta's
+sum, with no division, and `gmspec verify` certifies the equation on its grid.
 """
 
 from __future__ import annotations
@@ -141,21 +142,15 @@ def _root(params: GMParams) -> _RawVertex:
     return 1, s[0], params.k_at(s[1]) + 2, s[1], 1, s[2]
 
 
-def _child(node: _RawVertex, k: tuple[int, int, int], direction: str) -> _RawVertex:
+def _child(node: _RawVertex, k: tuple[int, int, int], K: int, direction: str) -> _RawVertex:
     """One Vieta step: the new middle value replaces the right ("L") or the
-    left ("R") entry, and the old middle moves to its place."""
+    left ("R") entry, and the old middle moves to its place.  The two are the
+    roots of the equation in that slot, so with x, y the other two values the
+    new one is their sum, K*x*y less the linear terms, less the old one."""
     a, h, b, i, c, j = node
     if direction == "L":
-        num, den = a * a + k[j - 1] * a * b + b * b, c
-        val, rem = divmod(num, den)
-        child = (a, h, val, j, b, i)
-    else:
-        num, den = b * b + k[h - 1] * b * c + c * c, a
-        val, rem = divmod(num, den)
-        child = (b, i, val, h, c, j)
-    if rem:
-        raise AssertionError(f"inexact division {num}/{den} in tree recursion")
-    return child
+        return a, h, K * a * b - k[h - 1] * b - k[i - 1] * a - c, j, b, i
+    return b, i, K * b * c - k[j - 1] * b - k[i - 1] * c - a, h, c, j
 
 
 def _as_node(node: _RawVertex) -> GMNode:
@@ -173,7 +168,7 @@ def _walk_tree(params: GMParams, depth: int) -> list[tuple[int, int, int, int, _
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    k = (params.k1, params.k2, params.k3)
+    k, K = (params.k1, params.k2, params.k3), params.coeff_sum
     level = [(0, 1, 1, 0, _root(params))]
     out = list(level)
     for _ in range(depth):
@@ -181,8 +176,8 @@ def _walk_tree(params: GMParams, depth: int) -> list[tuple[int, int, int, int, _
             child
             for ln, ld, rn, rd, node in level
             for child in (
-                (ln, ld, ln + rn, ld + rd, _child(node, k, "L")),
-                (ln + rn, ld + rd, rn, rd, _child(node, k, "R")),
+                (ln, ld, ln + rn, ld + rd, _child(node, k, K, "L")),
+                (ln + rn, ld + rd, rn, rd, _child(node, k, K, "R")),
             )
         ]
         out += level
@@ -198,9 +193,9 @@ def gm_node(t: IrreducibleFraction, params: GMParams) -> GMNode:
     """
     node = _root(params)
     if not t.is_boundary:
-        k = (params.k1, params.k2, params.k3)
+        k, K = (params.k1, params.k2, params.k3), params.coeff_sum
         for step in farey_path(t):
-            node = _child(node, k, step)
+            node = _child(node, k, K, step)
     return _as_node(node)
 
 

@@ -451,18 +451,19 @@ def _zigzag_rows(k: tuple[int, ...], depth: int, limit: int = 0) -> list[tuple]:
     F(d+2)/F(j+2) times as many digits."""
     # per tree, the path to F(j+1)/F(j+2) then the one to F(j+2)/F(j+1)
     level = [(p, _root(p)) for p in (GMParams(*k, s) for s in ALTERNATING) for _ in "LR"]
+    big_k = 3 + sum(k)
     f, g = 1, 1  # the label F(j+1)/F(j+2) = f/g of level j
     for j in range(depth):
         if limit and _past_limit(max(node[2] for _, node in level), limit):
             break
         steps = "LR" if j % 2 == 0 else "RL"
-        level = [(p, _child(node, k, steps[i % 2])) for i, (p, node) in enumerate(level)]
+        level = [(p, _child(node, k, big_k, steps[i % 2])) for i, (p, node) in enumerate(level)]
         f, g = g, f + g
     rows = []
     for i, (p, node) in enumerate(level):
         n, pos = node[2], node[3]
         num, den = (f, g) if i % 2 == 0 else (g, f)
-        delta = (p.coeff_sum * n - k[pos - 1]) ** 2 - 4
+        delta = (big_k * n - k[pos - 1]) ** 2 - 4
         rows.append((n, pos, num, den, p, *_sqrt_over_ints(delta, n)))
     return rows
 

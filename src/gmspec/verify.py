@@ -5,10 +5,11 @@ coefficient arrangement kappa = (k_sigma(1), k_sigma(2), k_sigma(3)), made by
 one integer walk of its tree zipped with `_labels(depth)`, a table cached per
 depth of each label and its lattice skeleton, traced once and free of kappa,
 so the grid never relies on the lattice's bounded skeleton cache.  Each entry
-holds its label t, the tree data (n, u, k_t), the convergent and closed-form
-matrices of t, and the least lower-left entry over the cyclic rotations of
-its admissible sequence, by conjugating the convergent matrix one entry at a
-time on three integers.  Trees with the same kappa are identical up to a
+holds its label t, the tree data (n, u, k_t), whether its walked vertex
+solves the equation, the convergent and closed-form matrices of t, and the
+least lower-left entry over the cyclic rotations of its admissible
+sequence, by conjugating the convergent matrix one entry at a time on three
+integers.  Trees with the same kappa are identical up to a
 relabeling of positions, so a suite checks each kappa once per call, at the
 first (triple, permutation) pair on it, which a failure names, and counts its
 cases at every pair; t -> 1/t reads the reversed arrangement's grid at the
@@ -24,9 +25,9 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .cohn import closed_form_entries
-from .exact import cf_matrix
+from .exact import Mat2, cf_matrix
 from .farey import IrreducibleFraction, _frozen_slots
-from .gmtree import ALL_SIGMAS, GMParams, IDENTITY, Sigma, _walk_tree
+from .gmtree import ALL_SIGMAS, GMParams, IDENTITY, Sigma, _walk_tree, gm_check
 from .lattice import _label_sequence, _label_skeleton, admissible_sequence
 from .snake import (
     BRUTE_FORCE_TILE_BOUND,
@@ -101,6 +102,7 @@ class GridEntry:
     n: int
     u: int
     k_t: int
+    solves: bool  # the vertex's three values, each at its position, solve the equation
     cf: tuple[int, int, int, int]  # convergent matrix of s(t), row-major
     closed: tuple[int, int, int, int]
     rot_min_c: int  # least (2,1) entry over rotations of s(t), cf conjugated entry by entry
@@ -130,27 +132,41 @@ def _rotation_min_c(seq: tuple[int, ...], m: tuple[int, int, int, int]) -> int:
     return best
 
 
+def _solves(vertex: tuple[int, ...], kappa: tuple[int, int, int]) -> bool:
+    a, h, b, i, c, j = vertex
+    x = {h: a, i: b, j: c}
+    return gm_check(x[1], x[2], x[3], kappa)
+
+
 @lru_cache(maxsize=None)
 def _grid(kappa: tuple[int, int, int], depth: int) -> tuple[GridEntry, ...]:
     """The entries under kappa from one walk of its tree and the label table:
     every interior label with depth <= depth, breadth-first, then 1/0 from the
-    root's right pair, where u = 1 by definition."""
+    root's right pair, where u = 1 by definition.  Off the equation, where
+    neither need exist, u = 0 and the closed form is zero: factorization
+    fails such an entry on `solves` before reading them."""
     params = GMParams(*kappa, IDENTITY)
     K = params.coeff_sum
     walk = _walk_tree(params, depth)
-    rows = [
-        (t, n, pos, c * pow(a, -1, n) % n, _label_sequence(skeleton, kappa))
-        for (t, skeleton), (*_, (a, _, n, pos, c, _)) in zip(_labels(depth), walk, strict=True)
-    ]
+    rows = []
+    for (t, skeleton), (*_, vertex) in zip(_labels(depth), walk, strict=True):
+        a, _, n, pos, c, _ = vertex
+        solves = _solves(vertex, kappa)
+        u = c * pow(a, -1, n) % n if solves else 0
+        rows.append((t, n, pos, u, solves, _label_sequence(skeleton, kappa)))
     infinity = IrreducibleFraction(1, 0)
-    rows.append((infinity, *walk[0][4][4:], 1, admissible_sequence(infinity, params)))
+    root = walk[0][4]
+    rows.append((infinity, *root[4:], 1, _solves(root, kappa),
+                 admissible_sequence(infinity, params)))
     out = []
-    for t, n, pos, u, s in rows:
+    for t, n, pos, u, solves, s in rows:
         k_t = params.k_at(pos)
         m = cf_matrix(s)
         cf = (m.a, m.b, m.c, m.d)
-        c = closed_form_entries(n, u, k_t, K)
-        out.append(GridEntry(t, n, u, k_t, cf, (c.a, c.b, c.c, c.d), _rotation_min_c(s, cf)))
+        c = closed_form_entries(n, u, k_t, K) if solves else Mat2(0, 0, 0, 0)
+        out.append(GridEntry(
+            t, n, u, k_t, solves, cf, (c.a, c.b, c.c, c.d), _rotation_min_c(s, cf)
+        ))
     return tuple(out)
 
 
@@ -177,17 +193,23 @@ def factorization_suite(
     depth: int = GRID_DEPTH,
     triples: Iterable[tuple[int, int, int]] | None = None,
 ) -> list[CheckResult]:
-    """Convergent-matrix factorization of the closed form, with determinant
-    and trace identities, over the full (t, triple, sigma) grid.
+    """The equation at every walked vertex (the paper's exact Vieta
+    divisions), and the convergent-matrix factorization of the closed form,
+    with determinant and trace identities, over the full (t, triple, sigma) grid.
 
     The label 0/1 is excluded from the factorization identity (the closed
-    form there is not a convergent product); 1/0 is included.
+    form there is not a convergent product); 1/0 is included, but not in the
+    equation's count, as its vertex is the root.
     """
-    checked = 0
+    checked = vertices = 0
     for triple, sigma, kappa, grid, first in _arrangements(depth, triples):
         checked += len(grid)
+        vertices += len(grid) - 1
         K = 3 + sum(kappa)
         for e in grid if first else ():
+            if not e.solves:
+                detail = f"t={e.t} k={triple} sigma={sigma}: off the equation"
+                return [CheckResult("vieta-exactness", False, detail)]
             if e.cf != e.closed:
                 detail = f"t={e.t} k={triple} sigma={sigma}: {e.cf} != {e.closed}"
                 return [CheckResult("factorization", False, detail)]
@@ -196,7 +218,7 @@ def factorization_suite(
                 return [CheckResult("determinant", False, f"t={e.t} k={triple}")]
             if m11 + m22 != K * e.n - e.k_t:
                 return [CheckResult("trace", False, f"t={e.t} k={triple}")]
-    return [
+    return [CheckResult("vieta-exactness", True, f"{vertices} cases")] + [
         CheckResult(name, True, f"{checked} cases")
         for name in ("factorization", "determinant", "trace")
     ]

@@ -2,13 +2,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gmtree_oracle
 from gmspec.farey import IrreducibleFraction
 from gmspec.gmtree import (
     ALL_SIGMAS,
     GMNode,
     GMPair,
     GMParams,
+    _child,
     _walk_tree,
     characteristic_number,
     enumerate_tree,
@@ -18,6 +22,7 @@ from gmspec.gmtree import (
     gm_pair,
     parse_sigma,
 )
+from gmspec.spectrum import _zigzag_rows
 from gmspec.verify import grid_triples
 from farey_oracle import FAREY_ROOT
 
@@ -150,3 +155,64 @@ def test_squares_property_small():
         assert t1 == t2
         assert n1.mid.value ** 2 == n2.mid.value
         assert n1.mid.pos == n2.mid.pos
+
+
+# K = 10^20 + 5*10^8 + 1: the pinned triple of the spectrum tests
+_BIG_K = [((10**20, 0, 0), 4), ((2, 0, 10**20 + 5 * 10**8 - 4), 4)]
+_ORACLE_GRID = [(k, 7) for k in sorted(set(grid_triples()))] + _BIG_K
+
+
+def test_grid_has_22_distinct_triples():
+    assert len(sorted(set(grid_triples()))) == 22
+
+
+@pytest.mark.parametrize("k, depth", _ORACLE_GRID, ids=[str(k) for k, _ in _ORACLE_GRID])
+def test_walk_is_the_division_form_walk(k, depth):
+    # the Vieta sum step against the exact division, element for element
+    for sigma in ALL_SIGMAS:
+        params = GMParams(*k, sigma)
+        assert _walk_tree(params, depth) == gmtree_oracle.walk_tree(params, depth), sigma
+
+
+@pytest.mark.parametrize("k, depth", _ORACLE_GRID, ids=[str(k) for k, _ in _ORACLE_GRID])
+def test_zigzag_rows_are_division_form_vertices(k, depth):
+    for d in range(depth + 1):
+        for n, pos, num, den, params, *_ in _zigzag_rows(k, d):
+            vertex = gmtree_oracle.node(IrreducibleFraction(num, den), params)
+            assert (n, pos) == vertex[2:4], (k, d, num, den)
+
+
+def _raw(node):
+    return tuple(x for p in (node.left, node.mid, node.right) for x in (p.value, p.pos))
+
+
+def test_gm_node_is_the_division_form_descent():
+    rng = random.Random(37)
+    triples = sorted(set(grid_triples())) + [k for k, _ in _BIG_K] + [(3, 1, 2)]
+    for _ in range(300):
+        k = rng.choice(triples)
+        params = GMParams(*k, rng.choice(ALL_SIGMAS))
+        num, den = 1, 1
+        for step in rng.choices("LR", k=rng.randrange(14)):  # a Calkin-Wilf descent
+            num, den = (num, num + den) if step == "L" else (num + den, den)
+        t = IrreducibleFraction(num, den)
+        assert _raw(gm_node(t, params)) == gmtree_oracle.node(t, params), (t, params)
+    params = GMParams(3, 1, 2, parse_sigma("(1 3)"))
+    for t in (F("377/610"), F("0/1"), F("1/0")):
+        assert _raw(gm_node(t, params)) == gmtree_oracle.node(t, params)
+
+
+@given(
+    st.tuples(*[st.integers(min_value=0, max_value=10**30)] * 3),
+    st.sampled_from(ALL_SIGMAS),
+    st.lists(st.sampled_from("LR"), max_size=12),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_one_step_is_the_division_form_step(k, sigma, path):
+    # on a vertex down a random path, each step equals the exact quotient
+    params = GMParams(*k, sigma)
+    vertex = gmtree_oracle.node(F("1/1"), params)
+    for step in path:
+        vertex = gmtree_oracle.child(vertex, k, step)
+    for step in "LR":
+        assert _child(vertex, k, params.coeff_sum, step) == gmtree_oracle.child(vertex, k, step)

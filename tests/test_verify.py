@@ -10,7 +10,10 @@ from gmspec import lattice, verify
 from gmspec.cohn import closed_form_entries
 from gmspec.exact import cf_matrix
 from gmspec.farey import IrreducibleFraction
-from gmspec.gmtree import ALL_SIGMAS, GMParams, IDENTITY, characteristic_number, gm_pair
+from gmspec import gmtree
+from gmspec.gmtree import (
+    ALL_SIGMAS, GMParams, IDENTITY, characteristic_number, gm_check, gm_node, gm_pair,
+)
 from gmspec.lattice import _label_sequence, admissible_sequence
 from gmspec.verify import (
     CheckResult,
@@ -62,6 +65,7 @@ def _reference_entry(t, kappa):
     """A grid entry from the per-label public path: tree data by descending
     to t, rotation minimum by multiplying out every cyclic rotation."""
     params = GMParams(*kappa, IDENTITY)
+    solves = gm_check(*gm_node(t, params).triple_at_positions(), kappa)
     pair = gm_pair(t, params)
     n, pos, u = pair.value, pair.pos, characteristic_number(t, params)
     k_t = kappa[pos - 1]
@@ -71,7 +75,7 @@ def _reference_entry(t, kappa):
     closed = closed_form_entries(n, u, k_t, K)
     rot_min = min(cf_matrix(s[i:] + s[:i]).c for i in range(len(s)))
     return verify.GridEntry(
-        t, n, u, k_t, (m.a, m.b, m.c, m.d),
+        t, n, u, k_t, solves, (m.a, m.b, m.c, m.d),
         (closed.a, closed.b, closed.c, closed.d), rot_min,
     )
 
@@ -93,7 +97,7 @@ def test_grid_suites_beyond_default_depth():
     rot = verify.rotation_suite(depth=8, triples=[(0, 0, 1)])
     dual = verify.duality_suite(depth=8, triples=[(0, 0, 1)], surd_sample_depth=1)
     assert all(r.ok for r in fact + rot + dual)
-    assert [r.detail for r in fact] == ["3072 cases"] * 3
+    assert [r.detail for r in fact] == ["3066 cases"] + ["3072 cases"] * 3
     assert rot[0].detail == "3066 cases"
     assert [r.detail for r in dual[:3]] == ["3066 cases"] * 3
 
@@ -109,6 +113,7 @@ def _first_entry_plus_one(*fields):
 # label 1/2 (index 1) is read before its mirror 2/1, so its own checks fail
 # first, and 1/0 is the last entry
 _WRONG_ENTRIES = [
+    ("factorization", 1, "1/2", lambda e: {"solves": False}, "vieta-exactness"),
     ("factorization", 1, "1/2", _first_entry_plus_one("closed"), "factorization"),
     ("factorization", 1, "1/2", _first_entry_plus_one("cf", "closed"), "determinant"),
     ("factorization", 1, "1/2", lambda e: {"k_t": e.k_t + 1}, "trace"),
@@ -152,6 +157,26 @@ def test_squares_suite_reports_a_wrong_vertex(monkeypatch):
 
     monkeypatch.setattr(verify, "_walk_tree", tampered)
     assert squares_suite(depth=3) == [CheckResult("squares", False, "t=3/2")]
+
+
+def test_factorization_suite_reports_a_step_off_the_equation(monkeypatch):
+    # the step with k_h and k_i swapped leaves the equation once they differ,
+    # and the grid is built again from it
+    def swapped(node, k, K, direction):
+        a, h, b, i, c, j = node
+        if direction == "L":
+            return a, h, K * a * b - k[i - 1] * b - k[h - 1] * a - c, j, b, i
+        return b, i, K * b * c - k[i - 1] * b - k[j - 1] * c - a, h, c, j
+
+    monkeypatch.setattr(gmtree, "_child", swapped)
+    verify._grid.cache_clear()
+    try:
+        assert verify.factorization_suite(depth=3, triples=[(0, 0, 0)])[0].ok
+        results = verify.factorization_suite(depth=3, triples=[(0, 1, 0)])
+    finally:
+        verify._grid.cache_clear()
+    assert [(r.name, r.ok) for r in results] == [("vieta-exactness", False)]
+    assert results[0].detail == "t=1/2 k=(0, 1, 0) sigma=(1, 2, 3): off the equation"
 
 
 def _suite_without(monkeypatch, drop):
@@ -198,6 +223,7 @@ def test_grid_case_counts():
     dual = verify.duality_suite(depth=3, surd_sample_depth=1)
     assert all(r.ok for r in fact + rot + dual)
     assert [(r.name, r.detail) for r in fact] == [
+        ("vieta-exactness", "2520 cases"),
         ("factorization", "2688 cases"), ("determinant", "2688 cases"), ("trace", "2688 cases"),
     ]
     assert (rot[0].name, rot[0].detail) == ("rotation-minimality", "2520 cases")
