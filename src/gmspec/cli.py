@@ -348,7 +348,9 @@ def _spectrum_cmd(args) -> None:
             (el.n, el.pos, el.t.num, el.t.den, el.params, el.value.q, el.value.D, el.value.r)
             for el in elems
         ]
-        decimal = _once_per_value(decimal_str, rows, elems)
+        # one render per window value, keyed by the fields its rows share
+        text = functools.cache(lambda q, d, r: decimal_str(_spectrum_surd(q, d, r)))
+        decimal = lambda row: text(*row[5:])
         note.append(f"note: {TRANSITION_CAVEAT}")
     else:
         k = _ints_of("0,0,0" if args.k is None else args.k, 3, _K_EXPECTED)
@@ -362,27 +364,6 @@ def _spectrum_cmd(args) -> None:
     payload = _spectrum_rendered(rows, decimal, "csv")
     entries = _spectrum_rendered(rows, decimal, "json")
     _emit(args, lines, payload, entries, SpectrumElement.FIELDS)
-
-
-def _once_per_value(
-    render: Callable[[QuadSurd], str], rows: Sequence[tuple], elems: Sequence[SpectrumElement]
-) -> Callable[[tuple], str]:
-    """decimal(row) = render(el.value) for the rows read off the elements,
-    row i off element i, called once per value object: `transition_scan`
-    gives the rows of one window value one shared value object (at --kmax 2
-    --depth 4, 49 values over 156 rows).  Keyed by id, as the rows and
-    elements stay alive; no key or surd is built per row."""
-    value_of = {id(row): el.value for row, el in zip(rows, elems, strict=True)}
-    done: dict[int, str] = {}
-
-    def once(row: tuple) -> str:
-        v = value_of[id(row)]
-        text = done.get(id(v))
-        if text is None:
-            text = done[id(v)] = render(v)
-        return text
-
-    return once
 
 
 def _row_decimals(k: tuple[int, ...], sig: int = 12) -> Callable[[tuple], str]:
