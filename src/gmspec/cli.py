@@ -338,7 +338,7 @@ def _spectrum_cmd(args) -> None:
     window value once."""
     if args.depth > SPECTRUM_DEPTH_LIMIT:
         raise ValueError(f"depth too large: at most {SPECTRUM_DEPTH_LIMIT}")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    limit = sys.get_int_max_str_digits()  # 0: no limit
     note = []
     if args.kmax is not None:
         if args.kmax > SPECTRUM_KMAX_LIMIT:

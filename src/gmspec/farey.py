@@ -110,7 +110,7 @@ def _check_int_length(text: str) -> None:
     limit (none when it is 0) with a one-line ValueError that says so and
     echoes only its start; int() would refuse it as malformed, echoing all
     of it."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = sys.get_int_max_str_digits()
     digits = text.strip().lstrip("+-")
     if limit and len(digits) > limit:
         raise ValueError(

@@ -259,8 +259,8 @@ def test_malformed_label_says_what_was_expected(label, capsys):
     assert out == "" and err == want
 
 
-# Python's int-from-str limit, 4,300 by default; 0 (none) before it existed
-_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# Python's int-from-str limit, 4,300 by default; 0 means none
+_DIGITS = sys.get_int_max_str_digits()
 _LONG = "9" * (_DIGITS + 700)
 
 
