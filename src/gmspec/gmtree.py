@@ -145,8 +145,8 @@ def _root(params: GMParams) -> _RawVertex:
 def _child(node: _RawVertex, k: tuple[int, int, int], K: int, direction: str) -> _RawVertex:
     """One Vieta step: the new middle value replaces the right ("L") or the
     left ("R") entry, and the old middle moves to its place.  The two are the
-    roots of the equation in that slot, so with x, y the other two values the
-    new one is their sum, K*x*y less the linear terms, less the old one."""
+    roots in that slot; with x at position p and y at q the other two, their
+    sum is K*x*y - k_p*y - k_q*x, so the new value needs no division."""
     a, h, b, i, c, j = node
     if direction == "L":
         return a, h, K * a * b - k[h - 1] * b - k[i - 1] * a - c, j, b, i
