@@ -21,12 +21,11 @@ surd, label or element per row; the decimal is rendered only when a row is
 written, from (n, pos) alone once n reaches its class limit (see
 `cli._row_decimals`); `_zigzag_rows` gives the few rows the CLI checks
 against Python's int-to-str limit before the walk.  `enumerate_spectrum`,
-for library callers, builds each row into a `SpectrumElement` with its
-`QuadSurd` and label in `_element`, which writes the fields of the label
-and the element through their slot setters, the one way the library builds
-a trusted object (see `exact`): a walked label is reduced and the surd
-canonical by construction, so the checks skipped could not fail, and the
-objects built stay immutable.
+for library callers, and `transition_scan` build each row they return by
+the constructors, as SpectrumElement(value, n, pos,
+IrreducibleFraction(num, den), params); only the value is built past its
+constructor, by `exact._spectrum_surd` from fields canonical by
+construction.
 
 The window scan over [3, c_F) uses the Markoff-tree growth argument (cf.
 Bombieri, "Continued fractions and the Markoff tree", Expo. Math. 2007):
@@ -57,7 +56,6 @@ from .exact import (
     QuadSurd,
     _floor_surd,
     _past_limit,
-    _slot_setters,
     _spectrum_surd,
     _sqrt_over,
     _sqrt_over_ints,
@@ -135,12 +133,11 @@ class SpectrumElement:
     def sort_key(self) -> Fraction:
         return self.value.squared_fraction()
 
-    def to_json(self, decimal: str | None = None) -> dict:
-        """The row; `decimal` is the value's decimal when the caller has it."""
+    def to_json(self) -> dict:
         k, v = self.params, self.value
         return dict(zip(self.FIELDS, (
             k.k1, k.k2, k.k3, format_sigma(k.sigma), str(self.t), self.n, self.pos,
-            v.p, v.q, v.D, v.r, v.decimal() if decimal is None else decimal,
+            v.p, v.q, v.D, v.r, v.decimal(),
         )))
 
 
@@ -368,33 +365,6 @@ def _walk_order(row: tuple) -> tuple:
     return tree, 1 + len(path), path
 
 
-_set_num, _set_den = _slot_setters(IrreducibleFraction, "num", "den")
-_set_value, _set_n, _set_pos, _set_t, _set_params = _slot_setters(
-    SpectrumElement, "value", "n", "pos", "t", "params"
-)
-
-
-def _element(
-    value: QuadSurd, n: int, pos: int, num: int, den: int, params: GMParams
-) -> SpectrumElement:
-    """SpectrumElement(value, n, pos, IrreducibleFraction(num, den), params)
-    of a row of `_distinct_values` whose Delta has been turned into its surd
-    `value` (`_sqrt_over(Delta, n)`), its fields written by their slot
-    setters.  A walked label is 0/1, 1/0 or a mediant of Farey neighbours, so
-    it is reduced by construction and skips IrreducibleFraction's gcd check;
-    the element's fields need no check of their own."""
-    t = object.__new__(IrreducibleFraction)
-    _set_num(t, num)
-    _set_den(t, den)
-    el = object.__new__(SpectrumElement)
-    _set_value(el, value)
-    _set_n(el, n)
-    _set_pos(el, pos)
-    _set_t(el, t)
-    _set_params(el, params)
-    return el
-
-
 def enumerate_spectrum(
     k: tuple[int, int, int], depth: int
 ) -> list[SpectrumElement]:
@@ -414,7 +384,7 @@ def enumerate_spectrum(
     integers of `_spectrum_rows`.
     """
     return [
-        _element(_spectrum_surd(q, d, r), n, pos, num, den, params)
+        SpectrumElement(_spectrum_surd(q, d, r), n, pos, IrreducibleFraction(num, den), params)
         for n, pos, num, den, params, q, d, r in _spectrum_rows(k, depth)
     ]
 
@@ -540,9 +510,11 @@ def transition_scan(kmax: int, depth: int) -> list[SpectrumElement]:
             p = k.index(big_k - 4) + 1
             sigma = next(s for s in ALTERNATING if p in (s[0], s[2]))
             num, den = (0, 1) if sigma[0] == p else (1, 0)
-            out.append(_element(value(12, 1), 1, p, num, den, GMParams(*k, sigma)))
+            t = IrreducibleFraction(num, den)
+            out.append(SpectrumElement(value(12, 1), 1, p, t, GMParams(*k, sigma)))
             continue
         for delta, n, pos, num, den, params in _distinct_values(k, depth if big_k == 4 else 0):
             if delta >= 9 * n * n and (big_k == 4 or n < end(big_k, k[pos - 1])):
-                out.append(_element(value(delta, n), n, pos, num, den, params))
+                t = IrreducibleFraction(num, den)
+                out.append(SpectrumElement(value(delta, n), n, pos, t, params))
     return out

@@ -19,7 +19,8 @@ import math
 
 from gmspec.exact import _sqrt_over
 from gmspec.gmtree import ALTERNATING, GMParams, _walk_tree
-from gmspec.spectrum import SpectrumElement, _distinct_values, _element, _window_cut
+from gmspec.farey import IrreducibleFraction
+from gmspec.spectrum import SpectrumElement, _distinct_values, _window_cut
 
 
 def distinct_values(
@@ -59,7 +60,8 @@ def transition_scan(kmax: int, depth: int) -> list[SpectrumElement]:
         big_k = 3 + sum(k)
         if big_k == 3:
             continue
-        for delta, n, pos, *rest in _distinct_values(k, depth if big_k == 4 else 0):
+        for delta, n, pos, num, den, params in _distinct_values(k, depth if big_k == 4 else 0):
             if delta >= 9 * n * n and (big_k == 4 or n < end(big_k, k[pos - 1])):
-                out.append(_element(_sqrt_over(delta, n), n, pos, *rest))
+                t = IrreducibleFraction(num, den)
+                out.append(SpectrumElement(_sqrt_over(delta, n), n, pos, t, params))
     return out

@@ -25,7 +25,6 @@ from gmspec.gmtree import ALL_SIGMAS, ALTERNATING, GMParams, _walk_tree, format_
 from gmspec.spectrum import (
     SpectrumElement,
     _distinct_values,
-    _element,
     _spectrum_rows,
     enumerate_spectrum,
     markov_value,
@@ -533,7 +532,7 @@ def test_row_decimals_match_decimal_str_at_the_class_bound(row):
     k, pos, n = row
     big_k, c = 3 + sum(k), k[pos - 1]
     value = _sqrt_over((big_k * n - c) ** 2 - 4, n)
-    el = _element(value, n, pos, 0, 1, GMParams(*k, ALTERNATING[0]))
+    el = SpectrumElement(value, n, pos, IrreducibleFraction(0, 1), GMParams(*k, ALTERNATING[0]))
     decimal = cli._row_decimals(k)
     with mock.patch.object(cli, "decimal_str", wraps=exact.decimal_str) as floor:
         assert decimal(_row(el)) == exact.decimal_str(value), (k, pos, n)

@@ -41,7 +41,6 @@ from gmspec.spectrum import (
     FREIMAN_CONSTANT,
     SpectrumElement,
     _distinct_values,
-    _element,
     _merge,
     _spectrum_rows,
     _walk_order,
@@ -647,60 +646,36 @@ def test_quotient_root_decimal_matches_the_former_decimal_on_the_grid_rows():
             assert decimal_str(x, sig) == exact_oracle.decimal_sqrt(x, sig), (x, sig)
 
 
-def test_walked_labels_are_reduced_so_elements_skip_the_gcd_check():
-    # `_element` builds its label without IrreducibleFraction's gcd check
+def test_walked_labels_are_reduced():
+    # each row's label passes IrreducibleFraction's gcd check
     rows = [row for k in grid_triples() for row in _distinct_values(k, 8)]
     assert all(math.gcd(num, den) == 1 for *_, num, den, _ in rows)
-    for row in rows[::97]:
-        assert _element(_sqrt_over(*row[:2]), *row[1:]).t == IrreducibleFraction(*row[3:5]), row
-
-
-def test_element_fast_path_builds_the_public_objects():
-    # `_element` writes the slots of its surd, label and element directly;
-    # each must equal what the public constructors build from the same row
-    for k in grid_triples():
-        for row in _distinct_values(k, 6):
-            delta, n, pos, num, den, params = row
-            el = _element(_sqrt_over(delta, n), n, pos, num, den, params)
-            want = SpectrumElement(
-                QuadSurd(0, 1, delta, n), n, pos, IrreducibleFraction(num, den), params
-            )
-            assert type(el) is SpectrumElement and type(el.value) is QuadSurd, row
-            assert type(el.t) is IrreducibleFraction, row
-            v, w = el.value, want.value
-            assert (v.p, v.q, v.D, v.r) == (w.p, w.q, w.D, w.r), row
-            assert (el.n, el.pos, el.params) == (want.n, want.pos, want.params), row
-            assert (el.t.num, el.t.den) == (want.t.num, want.t.den), row
-            assert el == want and hash(el) == hash(want), row
-            assert el.to_json() == want.to_json(), row
 
 
 def test_built_objects_stay_immutable():
-    # from the public constructors and from the fast paths alike
+    # an element from the public constructors, and a surd from the fast path
     delta, n, pos, num, den, params = next(
         row for row in _distinct_values((1, 2, 0), 3) if row[3] > 1 and row[4] > 1
     )
-    fast = _element(_sqrt_over(delta, n), n, pos, num, den, params)
-    public = SpectrumElement(
+    el = SpectrumElement(
         QuadSurd(0, 1, delta, n), n, pos, IrreducibleFraction(num, den), params
     )
-    for el in (fast, public):
-        for obj, fields in (
-            (el, ("value", "n", "pos", "t", "params")),
-            (el.value, ("p", "q", "D", "r")),
-            (el.t, ("num", "den")),
-        ):
-            for name in fields:
-                with pytest.raises(AttributeError):
-                    setattr(obj, name, getattr(obj, name))
-            with pytest.raises(AttributeError):  # a new name is refused too
-                obj.extra = 0
-        assert not hasattr(el.t, "__dict__")
+    for obj, fields in (
+        (el, ("value", "n", "pos", "t", "params")),
+        (el.value, ("p", "q", "D", "r")),
+        (el.t, ("num", "den")),
+    ):
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, getattr(obj, name))
+        with pytest.raises(AttributeError):  # a new name is refused too
+            obj.extra = 0
+    assert not hasattr(el.t, "__dict__")
     with pytest.raises(AttributeError):
         _sqrt_over(delta, n).q = 1
-    # gm_node's cache hits on an equal label built the other way
+    # gm_node's cache hits on an equal label built apart
     gm_node.cache_clear()
-    node = gm_node(fast.t, params)
+    node = gm_node(el.t, params)
     assert gm_node(IrreducibleFraction(num, den), params) is node
     assert gm_node.cache_info().hits == 1
 

@@ -159,6 +159,23 @@ def test_squares_suite_reports_a_wrong_vertex(monkeypatch):
     assert squares_suite(depth=3) == [CheckResult("squares", False, "t=3/2")]
 
 
+def test_squares_suite_reports_a_wrong_tripled_value(monkeypatch):
+    rows = verify._distinct_values
+
+    def tampered(k, depth):
+        out = rows(k, depth)
+        if k == (2, 2, 2):
+            delta, n, *rest = out[3]
+            out[3] = (delta, n + 1, *rest)
+        return out
+
+    monkeypatch.setattr(verify, "_distinct_values", tampered)
+    assert squares_suite(depth=3) == [
+        CheckResult("squares", True, "15 vertices"),
+        CheckResult("triple-bijection", False, "value sets differ"),
+    ]
+
+
 def test_factorization_suite_reports_a_step_off_the_equation(monkeypatch):
     # the step with k_h and k_i swapped leaves the equation once they differ,
     # and the grid is built again from it
