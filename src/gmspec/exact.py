@@ -20,13 +20,12 @@ library caller or a row's decimal.  `decimal_str` renders it by its path
 for p = 0, q > 0: one quotient and one isqrt of about 80 bits for 12
 digits.
 
-Trusted objects are built one way: their slots are written by the slots'
-member-descriptor setters, fetched once at import by `_slot_setters`.
-`QuadSurd.__init__` writes the canonical form it has worked out;
-`_spectrum_surd`, and `spectrum._element` for each row's label and element,
-write fields that are canonical by construction, so they skip only checks
-that could not fail, never the immutability: assigning a field of what
-they build still raises.
+A surd's slots are written by their member-descriptor setters, fetched
+once at import by `_slot_setters`.  `QuadSurd.__init__` writes the
+canonical form it has worked out; `_spectrum_surd`, the one object built
+past its constructor, writes fields that are canonical by construction, so
+it skips only checks that could not fail, never the immutability:
+assigning a field of what it builds still raises.
 
 All values are immutable; every operation is pure and thread-safe.
 """
@@ -108,9 +107,9 @@ def _cube_root_primes() -> list[int]:
     return _CUBE_ROOT_PRIMES
 
 
-# The product of the 47 primes up to 211, and the bound below which
-# `_primorial_split` splits a number fully: the prime factors of an x < 223**3
-# that are not below 223 exceed x's cube root.
+# The product of the 47 primes up to 211, and the bound from which
+# `_primorial_split` trial-divides: the prime factors of an x < 223**3 that
+# are not below 223 exceed x's cube root.
 _PRIMORIAL = math.prod(_primes_below(212))
 _PRIMORIAL_BOUND = 223**3  # 11,089,567
 
@@ -132,14 +131,8 @@ def _nonsquare_split(n: int) -> tuple[int, int]:
     While the cofactor is at or above _FULL_FACTOR_BOUND only the squares of
     2..13 are taken out, each tried only if it divides n's residue modulo
     their product (taking out p**2 does not change whether q**2 divides the
-    cofactor for q != p).  Once it is below, a cofactor below
-    _PRIMORIAL_BOUND goes to `_primorial_split`; a larger one has every
-    prime p with p**3 <= n taken out by trial division, n being the
-    shrinking cofactor.  Each prime factor of what is left then exceeds its
-    cube root, so there are at most two of them (three would multiply to
-    more than it): the cofactor is 1, a prime, a product of two distinct
-    primes or a prime squared, and one perfect-square test tells these
-    apart.  Every such p is below 46416, since 46416**3 > 10**14.
+    cofactor for q != p).  Once it is below, `_primorial_split` splits it
+    fully.
     """
     s = 1
     rho = n % _SMALL_SQUARES_PRODUCT
@@ -149,36 +142,25 @@ def _nonsquare_split(n: int) -> tuple[int, int]:
             s *= p
     if n >= _FULL_FACTOR_BOUND:  # not a perfect square, as n was none
         return s, n
-    if n < _PRIMORIAL_BOUND:
-        s2, d = _primorial_split(n)
-        return s * s2, d
-    d = 1
-    for p in _cube_root_primes():
-        if p * p * p > n:
-            break
-        while n % p == 0:  # pair each factor p with another, or leave it in d
-            n //= p
-            if n % p:
-                d *= p
-            else:
-                n //= p
-                s *= p
-    r = math.isqrt(n)
-    if r * r == n:
-        return s * r, d
-    return s, d * n
+    s2, d = _primorial_split(n)
+    return s * s2, d
 
 
 def _primorial_split(x: int) -> tuple[int, int]:
-    """`_square_split` of 1 <= x < _PRIMORIAL_BOUND, by gcds with _PRIMORIAL.
+    """`_square_split` of 1 <= x < _FULL_FACTOR_BOUND, by gcds with _PRIMORIAL.
 
     Level j's g is the product of the primes up to 211 that divide x at
     least j times: g = gcd(x, _PRIMORIAL) at level 1, and with x divided by
     every earlier level, gcd(x, g) at the next.  A prime that divides x e
     times is in levels 1..e; d takes the odd levels and s the even ones, so
-    after d //= s, s holds it e // 2 times and d e % 2 times.  What is left
-    of x has no prime factor below 223 and is below 223**3, so, as in
-    `_nonsquare_split`, one perfect-square test finishes the split.
+    after d //= s, s holds it e // 2 times and d e % 2 times.  A cofactor
+    still at or above _PRIMORIAL_BOUND then has every prime p with
+    p**3 <= x taken out by trial division, x being the shrinking cofactor;
+    every such p is below 46416, since 46416**3 > 10**14.  Each prime factor
+    of what is left exceeds its cube root, so there are at most two of them
+    (three would multiply to more than it): the cofactor is 1, a prime, a
+    product of two distinct primes or a prime squared, and one perfect-square
+    test tells these apart.
     """
     s = d = 1
     g = math.gcd(x, _PRIMORIAL)
@@ -190,6 +172,17 @@ def _primorial_split(x: int) -> tuple[int, int]:
         s *= g
         g = math.gcd(x, g)
     d //= s
+    if x >= _PRIMORIAL_BOUND:
+        for p in _cube_root_primes():
+            if p * p * p > x:
+                break
+            while x % p == 0:  # pair each factor p with another, or leave it in d
+                x //= p
+                if x % p:
+                    d *= p
+                else:
+                    x //= p
+                    s *= p
     r = math.isqrt(x)
     if r * r == x:
         return s * r, d
@@ -424,7 +417,7 @@ def _sqrt_over_ints(delta: int, n: int) -> tuple[int, int, int]:
     (m - j)(m + j) = 4 with two factors of one parity, so m - j = m + j = 2
     and m = 2: delta is never a square.  Below _FULL_FACTOR_BOUND, m - 2 and
     m + 2, at most 10**7 + 2 < _PRIMORIAL_BOUND, are split on their own by
-    `_primorial_split`.  Their gcd divides 4, so their square-free parts d1,
+    `_primorial_split`'s gcd levels, with no trial division.  Their gcd divides 4, so their square-free parts d1,
     d2 share at most the prime 2: with h = gcd(d1, d2),
     delta = (s1*s2*h)^2 * (d1/h)*(d2/h), square-free.
     """

@@ -316,7 +316,7 @@ def test_square_split_matches_factorint():
 
 def test_primorial_split_matches_trial_division():
     # every x below 2 * 10**5, then the edges of the primorial's primes and
-    # of the bound, where what is left after the gcds is q, q * q' or q^2
+    # below the bound, where what is left after the gcds is q, q * q' or q^2
     assert _PRIMORIAL == math.prod(p for p in range(2, 212) if all(p % q for q in range(2, p)))
     assert _PRIMORIAL_BOUND == 223**3 == 11_089_567
     for x in range(1, 200_000):
@@ -328,6 +328,14 @@ def test_primorial_split_matches_trial_division():
     cases += [_PRIMORIAL_BOUND - i for i in range(1, 2000)]
     for x in cases:  # the general split takes the kernel below the bound too
         assert x < _PRIMORIAL_BOUND
+        want = exact_oracle.square_split(x)
+        assert _primorial_split(x) == want and _square_split(x) == want, x
+    # at and above the bound a cofactor left by the gcds is trial-divided:
+    # q^2 r with primes q, r >= 223, one of them large, reaches near 10**14
+    cases = [223**3, 223**3 + 1, 2**20 * 223**3, 211**2 * 223 * 227, 223 * 227 * 229,
+             669637**2 * 223, 46399**2 * 46447, 223**2 * 669637, _FULL_FACTOR_BOUND - 1]
+    for x in cases:
+        assert _PRIMORIAL_BOUND <= x < _FULL_FACTOR_BOUND
         want = exact_oracle.square_split(x)
         assert _primorial_split(x) == want and _square_split(x) == want, x
 
