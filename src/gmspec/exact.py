@@ -417,9 +417,9 @@ def _sqrt_over_ints(delta: int, n: int) -> tuple[int, int, int]:
     (m - j)(m + j) = 4 with two factors of one parity, so m - j = m + j = 2
     and m = 2: delta is never a square.  Below _FULL_FACTOR_BOUND, m - 2 and
     m + 2, at most 10**7 + 2 < _PRIMORIAL_BOUND, are split on their own by
-    `_primorial_split`'s gcd levels, with no trial division.  Their gcd divides 4, so their square-free parts d1,
-    d2 share at most the prime 2: with h = gcd(d1, d2),
-    delta = (s1*s2*h)^2 * (d1/h)*(d2/h), square-free.
+    `_primorial_split`'s gcd levels, with no trial division.  Their gcd
+    divides 4, so their square-free parts d1, d2 share at most the prime 2:
+    with h = gcd(d1, d2), delta = (s1*s2*h)^2 * (d1/h)*(d2/h), square-free.
     """
     if delta < _FULL_FACTOR_BOUND:
         m = math.isqrt(delta + 4)

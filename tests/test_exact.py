@@ -316,7 +316,7 @@ def test_square_split_matches_factorint():
 
 def test_primorial_split_matches_trial_division():
     # every x below 2 * 10**5, then the edges of the primorial's primes and
-    # below the bound, where what is left after the gcds is q, q * q' or q^2
+    # of the bound, where what is left after the gcds is q, q * q' or q^2
     assert _PRIMORIAL == math.prod(p for p in range(2, 212) if all(p % q for q in range(2, p)))
     assert _PRIMORIAL_BOUND == 223**3 == 11_089_567
     for x in range(1, 200_000):
